@@ -177,8 +177,10 @@ def read_features_csv(path) -> tuple[Dataset, np.ndarray]:
         raise ValueError(f"{path}: bad features header")
     names = header[1:-2]
     ids, x, y, level = [], [], [], []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:]):
         cols = line.split(",")
+        if len(cols) != len(header):
+            raise ValueError(f"{path}: bad column count on row {i + 1}")
         ids.append(int(cols[0]))
         x.append([float(v) for v in cols[1:-2]])
         y.append(float(cols[-2]))

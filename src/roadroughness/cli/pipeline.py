@@ -316,9 +316,13 @@ def stage_train(config: dict) -> dict:
                 "fold_bounds": _jsonable(result.fold_bounds),
             }
     io.write_json(paths["training"], training)
+    # ADASYN leaves a level with a single train window un-oversampled.
+    single = np.bincount(dataset.level[:n_train]) == 1
     summary = {"n_train": n_train,
                "n_regression": len(train_cfg["regression_families"]),
-               "n_classification": len(train_cfg["classification_families"])}
+               "n_classification": len(train_cfg["classification_families"]),
+               "n_adasyn_skipped_levels":
+                   int(single.sum()) if train_cfg["adasyn"] else 0}
     _write_summary(paths, "train", summary)
     return summary
 

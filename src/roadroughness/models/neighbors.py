@@ -5,6 +5,17 @@ import numpy as np
 
 from .tree import N_CLASSES
 
+# Bytes of the (query chunk x n_train x d) difference tensor built per chunk
+# of a brute-force neighbour search.
+CHUNK_BYTES = 1 << 24
+
+
+def query_chunk(train_shape: tuple[int, ...]) -> int:
+    """Query rows per chunk so that the difference tensor against a training
+    matrix of ``train_shape`` stays within CHUNK_BYTES."""
+    n_train, d = train_shape
+    return max(1, CHUNK_BYTES // (8 * max(1, n_train * d)))
+
 
 class KnnModel:
     """Stores the training set; prediction aggregates the k nearest rows by
@@ -37,8 +48,7 @@ class KnnModel:
             raise ValueError("model is not fitted")
         x = np.asarray(x, dtype=float)
         out = np.empty(len(x))
-        # Chunked distance computation keeps memory bounded on big queries.
-        chunk = max(1, int(2e7 / max(1, len(self.x_train))))
+        chunk = query_chunk(self.x_train.shape)
         for lo in range(0, len(x), chunk):
             q = x[lo:lo + chunk]
             d2 = ((q[:, None, :] - self.x_train[None, :, :]) ** 2).sum(axis=2)

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 
+from .neighbors import query_chunk
+
 DEFAULT_K = 5
 
 
@@ -29,14 +31,22 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
 
 def _knn_indices(x: np.ndarray, query: np.ndarray, k: int,
                  exclude_self: bool) -> np.ndarray:
-    d2 = ((query[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, 1:k + 1] if exclude_self else order[:, :k]
+    first = 1 if exclude_self else 0
+    chunk = query_chunk(x.shape)
+    out = np.empty((len(query), k), dtype=np.intp)
+    for lo in range(0, len(query), chunk):
+        q = query[lo:lo + chunk]
+        d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        order = np.argsort(d2, axis=1, kind="stable")
+        out[lo:lo + chunk] = order[:, first:first + k]
+    return out
 
 
 def adasyn_resample(x, y, k_neighbors: int = DEFAULT_K, seed: int = 0):
     """Returns (x_out, y_out) with every class brought up to the majority
-    count. A balanced input is returned unchanged."""
+    count, except a class with a single sample, which has no neighbour to
+    interpolate towards and is left as it is. A balanced input is returned
+    unchanged."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
     counts = np.bincount(y)
@@ -55,8 +65,9 @@ def adasyn_resample(x, y, k_neighbors: int = DEFAULT_K, seed: int = 0):
         k_all = min(k_neighbors, len(x) - 1)
         k_cls = min(k_neighbors, len(members) - 1)
         if k_cls < 1:
-            raise ValueError(
-                f"class {cls} has a single sample; cannot interpolate")
+            warnings.warn(f"class {cls} has a single sample; left "
+                          "un-oversampled", stacklevel=2)
+            continue
         if k_all < k_neighbors or k_cls < k_neighbors:
             warnings.warn(
                 f"reducing k_neighbors to {min(k_all, k_cls)} for class {cls}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import dlsim
+from scipy.signal import lfilter, lfiltic, ss2tf
 
 from .geo import LocalProjection, Polyline
 
@@ -188,19 +188,35 @@ def _foh_matrices(params: QuarterCarParams, dt: float):
 
 def _run_series(u: np.ndarray, dt: float, params: QuarterCarParams,
                 x0: np.ndarray) -> QuarterCarResponse:
-    """Step the quarter car over a uniformly sampled road input series."""
+    """Step the quarter car over a uniformly sampled road input series.
+
+    The FOH-discretized system x[k+1] = Ad x[k] + b0 u[k] + b1 u[k+1],
+    y[k] = C x[k] is evaluated as linear filters: each output is its transfer
+    function from u plus its transfer function from u[k+1], both applied with
+    ``lfilter``. The free response C Ad^k x0 enters as the initial state of
+    the first filter: the one left by past outputs C Ad^-j x0 (j = 1..4) and
+    no past input. (Filtering an impulse for it instead runs into subnormal
+    numbers on long series, where ``lfilter`` is ~30x slower.)
+    """
     a, ad, b0, b1 = _foh_matrices(params, dt)
     n = len(u)
     u_next = np.empty(n)
     u_next[:-1] = u[1:]
     u_next[-1] = u[-1]
-    bd = np.column_stack([b0, b1])
     c = np.vstack([np.eye(4), a[1]])  # 5th output row is the sprung acceleration
-    d = np.zeros((5, 2))
-    _, yout, _ = dlsim((ad, bd, c, d, dt), np.column_stack([u, u_next]), x0=x0)
+    num_u, den = ss2tf(ad, b0[:, None], c, np.zeros((5, 1)))
+    num_next, _ = ss2tf(ad, b1[:, None], c, np.zeros((5, 1)))
+    ad_inv = np.linalg.inv(ad)
+    y_past = c @ np.column_stack([np.linalg.matrix_power(ad_inv, j) @ x0
+                                  for j in (1, 2, 3, 4)])
+    responses = []
+    for i in range(5):
+        zi = lfiltic(num_u[i], den, y_past[i])
+        y, _ = lfilter(num_u[i], den, u, zi=zi)
+        y += lfilter(num_next[i], den, u_next)
+        responses.append(y)
     t = np.arange(n) * dt
-    return QuarterCarResponse(t, yout[:, 0], yout[:, 1], yout[:, 2], yout[:, 3],
-                              yout[:, 4])
+    return QuarterCarResponse(t, *responses)
 
 
 def _initial_state(u: np.ndarray, dx_effective: float, speed: float) -> np.ndarray:

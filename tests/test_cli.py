@@ -112,6 +112,19 @@ class TestArtifactRoundTrips:
         assert p1.read_bytes() == p2.read_bytes()
         assert ds2.feature_names == ["a", "b", "c"]
 
+    def test_features_short_row_rejected(self, tmp_path):
+        rng = np.random.default_rng(3)
+        ds = Dataset(rng.normal(size=(4, 3)), rng.uniform(0.5, 3.0, 4),
+                     rng.integers(0, 3, 4), ["a", "b", "c"])
+        p = tmp_path / "f.csv"
+        io.write_features_csv(p, ds, np.arange(4))
+        lines = p.read_text().splitlines()
+        cols = lines[3].split(",")
+        lines[3] = ",".join(cols[:2] + cols[3:])  # drop feature "b"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="bad column count on row 3"):
+            io.read_features_csv(p)
+
     def test_write_json_is_sorted_with_trailing_newline(self, tmp_path):
         p = tmp_path / "x.json"
         io.write_json(p, {"b": 1.5, "a": [2, 0.1]})
@@ -253,3 +266,33 @@ class TestPipelineRun:
         report = io.read_json(workdir / "report.json")
         preds = (workdir / "report_predictions.csv").read_text().splitlines()
         assert len(preds) == 1 + 2 * report["n_test"]  # two families
+
+
+class TestTrainSingleWindowLevel:
+    def test_train_completes_and_counts_the_level(self, tmp_path):
+        """A level with one train window is left un-oversampled by ADASYN
+        and counted, in grid search and in the final fit alike."""
+        rng = np.random.default_rng(4)
+        n = 80
+        iri = np.where(np.arange(n) % 2 == 0, 0.6, 1.6)
+        iri[3] = 3.5  # the only level-2 window, in every CV fold
+        x = np.column_stack([iri + 0.1 * rng.normal(size=n),
+                             rng.normal(size=(n, 3))])
+        ds = Dataset(x, iri, np.array([0 if v <= 0.9 else 1 if v <= 2.5
+                                       else 2 for v in iri]),
+                     ["f0", "f1", "f2", "f3"])
+        config = load_config(workdir=tmp_path)
+        config["select"].update(k_folds=3, max_features=2, sfs_trees=3,
+                                sfs_depth=3, sfs_max_rows=None)
+        config["train"].update(
+            k_folds=3, adasyn=True, regression_families=["baseline"],
+            classification_families=["baseline", "knn"],
+            grids={"classification": {"knn": {"k": [3]}}})
+        io.write_features_csv(tmp_path / "features.csv", ds, np.arange(n))
+        run_stage("select", config)
+        with pytest.warns(UserWarning, match="class 2 has a single sample"):
+            summary = run_stage("train", config)
+        assert summary["n_adasyn_skipped_levels"] == 1
+        training = io.read_json(tmp_path / "training.json")
+        knn = training["tasks"]["classification"]["knn"]
+        assert knn["cv_table"][0]["errors"] == []

@@ -9,8 +9,10 @@ from roadroughness.models import (BaselineModel, ConvergenceError,
                                   RandomForestModel, SvmModel,
                                   adasyn_resample, default_grid, grid_search,
                                   make_model, rbf_kernel)
+from roadroughness.models import neighbors
 from roadroughness.models.logistic import loss_and_grad as logistic_loss
 from roadroughness.models.mlp import init_params, loss_and_grads as mlp_loss
+from roadroughness.models.resample import _knn_indices
 from roadroughness.models.svm import _solve_binary_svc, _solve_svr
 
 
@@ -203,6 +205,41 @@ class TestKnn:
     def test_k_exceeding_rows_rejected(self):
         with pytest.raises(ValueError):
             KnnModel(k=5).fit(np.zeros((3, 1)), np.zeros(3))
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_chunks_match_unchunked_brute_force(self, task, monkeypatch):
+        rng = np.random.default_rng(11)
+        x = np.round(rng.normal(size=(300, 2)), 1)  # distance ties
+        y = rng.integers(0, 3, 300).astype(float)
+        q = np.round(rng.normal(size=(250, 2)), 1)
+        d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        vals = y[np.argsort(d2, axis=1, kind="stable")[:, :7]]
+        if task == "regression":
+            expected = vals.mean(axis=1)
+        else:
+            expected = np.array([np.argmax(np.bincount(r, minlength=3))
+                                 for r in vals.astype(int)], dtype=float)
+        # 64 kB per chunk: 13 query rows against 300 x 2 training values.
+        monkeypatch.setattr(neighbors, "CHUNK_BYTES", 1 << 16)
+        assert neighbors.query_chunk(x.shape) == 13
+        pred = KnnModel(k=7, task=task).fit(x, y).predict(q)
+        assert np.array_equal(pred, expected)
+
+    def test_peak_memory_bounded_at_full_scale(self):
+        """4191 queries against 3352 training rows of 2 columns (the 42 km
+        run) stay under 64 MB; one unchunked difference tensor is 225 MB."""
+        import tracemalloc
+        rng = np.random.default_rng(12)
+        m = KnnModel(k=5, task="classification").fit(
+            rng.normal(size=(3352, 2)), rng.integers(0, 3, 3352))
+        q = rng.normal(size=(4191, 2))
+        tracemalloc.start()
+        try:
+            m.predict(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
 
 class TestGaussianNB:
@@ -529,6 +566,27 @@ class TestAdasyn:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             adasyn_resample(np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+    def test_single_sample_class_left_as_is(self):
+        rng = np.random.default_rng(32)
+        x = np.vstack([rng.normal(0, 1, (20, 2)), rng.normal(4, 1, (6, 2)),
+                       [[9.0, 9.0]]])
+        y = np.array([0] * 20 + [1] * 6 + [2])
+        with pytest.warns(UserWarning, match="class 2 has a single sample"):
+            xo, yo = adasyn_resample(x, y, seed=0)
+        assert list(np.bincount(yo)) == [20, 20, 1]
+        assert np.array_equal(xo[:len(x)], x)
+
+    def test_neighbour_chunks_match_unchunked(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        x = np.round(rng.normal(size=(120, 3)), 1)
+        d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
+        order = np.argsort(d2, axis=1, kind="stable")
+        monkeypatch.setattr(neighbors, "CHUNK_BYTES", 1 << 13)
+        assert np.array_equal(_knn_indices(x, x, 5, exclude_self=True),
+                              order[:, 1:6])
+        assert np.array_equal(_knn_indices(x, x[:50], 4, exclude_self=False),
+                              order[:50, :4])
 
     def test_tiny_class_warns(self):
         x = np.vstack([np.random.default_rng(31).normal(size=(10, 2)),

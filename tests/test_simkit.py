@@ -4,7 +4,8 @@ from scipy import signal
 
 from roadroughness.core import to_iri_level
 from roadroughness.simkit import (GOLDEN_CAR, IRI_SPEED_MS, RoadProfile,
-                                  SimConfig, _state_matrices,
+                                  SimConfig, _foh_matrices, _initial_state,
+                                  _run_series, _state_matrices,
                                   build_reference_segments, compute_iri,
                                   generate_profile, generate_route,
                                   modulate_profile, perturbed_params,
@@ -49,6 +50,76 @@ def rk4_iri_oracle(profile: RoadProfile, dt: float = 1e-4) -> float:
         travel += 0.5 * (prev_rect + rect) * dt
         prev_rect = rect
     return travel / (profile.length / 1000.0)
+
+
+def dlsim_series(u, dt, params, x0):
+    """Reference stepping of the FOH-discretized quarter car, one sample at a
+    time with ``scipy.signal.dlsim``: columns z_s, v_s, z_u, v_u, acc_s."""
+    a, ad, b0, b1 = _foh_matrices(params, dt)
+    u_next = np.append(u[1:], u[-1])
+    c = np.vstack([np.eye(4), a[1]])
+    _, yout, _ = signal.dlsim(
+        (ad, np.column_stack([b0, b1]), c, np.zeros((5, 2)), dt),
+        np.column_stack([u, u_next]), x0=x0)
+    return yout
+
+
+def _road_series(length, dx, speed, dt, seed):
+    """Road input sampled every ``dt`` at ``speed`` over a modulated profile,
+    and the initial state the simulator seeds it with."""
+    p = generate_profile(length, dx, 16e-6, seed=seed)
+    env_pos = np.arange(0.0, p.length + 400.0, 400.0)
+    env = np.random.default_rng(seed).uniform(0.25, 1.8, len(env_pos))
+    p = modulate_profile(p, env_pos, env)
+    n = int(np.floor(p.length / speed / dt)) + 1
+    u = np.interp(speed * np.arange(n) * dt, p.x, p.elevation)
+    return u, _initial_state(u, speed * dt, speed)
+
+
+def _outputs(resp):
+    return np.column_stack([resp.z_s, resp.v_s, resp.z_u, resp.v_u,
+                            resp.acc_s])
+
+
+class TestFilterAgainstDlsim:
+    """The lfilter evaluation against per-step dlsim stepping."""
+
+    @pytest.mark.parametrize("length, dx", [(42000.0, 0.25), (2000.0, 0.05)])
+    def test_reference_series(self, length, dx):
+        dt = dx / IRI_SPEED_MS
+        u, x0 = _road_series(length, dx, IRI_SPEED_MS, dt, seed=3)
+        got = _outputs(_run_series(u, dt, GOLDEN_CAR, x0))
+        want = dlsim_series(u, dt, GOLDEN_CAR, x0)
+        peak = np.max(np.abs(want), axis=0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-8 * peak)
+        iri_got = np.trapezoid(np.abs(got[:, 1] - got[:, 3]), dx=dt)
+        iri_want = np.trapezoid(np.abs(want[:, 1] - want[:, 3]), dx=dt)
+        assert iri_got == pytest.approx(iri_want, rel=1e-10)
+
+    def test_telemetry_rate_perturbed_vehicle(self):
+        params = perturbed_params(GOLDEN_CAR, 0.1, 4)
+        dt = 0.02
+        u, x0 = _road_series(3000.0, 0.05, 13.9, dt, seed=4)
+        got = _outputs(_run_series(u, dt, params, x0))
+        want = dlsim_series(u, dt, params, x0)
+        peak = np.max(np.abs(want), axis=0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-8 * peak)
+
+    def test_free_response_is_state_transition(self):
+        """Zero road input: the outputs are C Ad^k x0."""
+        dt = 0.01
+        x0 = np.array([0.02, -0.3, 0.01, 0.5])
+        resp = _run_series(np.zeros(400), dt, GOLDEN_CAR, x0)
+        a, ad, _, _ = _foh_matrices(GOLDEN_CAR, dt)
+        c = np.vstack([np.eye(4), a[1]])
+        x, want = x0.copy(), []
+        for _ in range(400):
+            want.append(c @ x)
+            x = ad @ x
+        want = np.array(want)
+        got = _outputs(resp)
+        peak = np.max(np.abs(want), axis=0)
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-10 * peak)
 
 
 class TestProfileGeneration:
