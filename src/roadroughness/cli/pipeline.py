@@ -153,6 +153,7 @@ def stage_match(config: dict) -> dict:
                         radius=float(m["radius_m"]))
     io.write_matched_json(paths["matched"], matched)
     summary = {"n_fixes": len(matched),
+               "n_unmatched_fixes": matched.n_unmatched,
                "n_path_edges": len(matched.edge_path()),
                "log_score": float(matched.log_score)}
     _write_summary(paths, "match", summary)

@@ -157,9 +157,11 @@ def _channel_matrix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
             "ecdf_pct_20": _ecdf_percentile(xs, 0.20),
             "ecdf_pct_80": _ecdf_percentile(xs, 0.80),
             "kurtosis": np.where(m2 == 0.0, 0.0,
-                                 np.mean(xc ** 4, axis=1) / m2 ** 2 - 3.0),
+                                 np.mean(sq_c * sq_c, axis=1) / (m2 * m2)
+                                 - 3.0),
             "skewness": np.where(m2 == 0.0, 0.0,
-                                 np.mean(xc ** 3, axis=1) / m2 ** 1.5),
+                                 np.mean(sq_c * xc, axis=1)
+                                 / (m2 * np.sqrt(m2))),
             "slope": np.where(t_ss == 0.0, 0.0,
                               np.sum(tc * xc, axis=1) / t_ss),
             "autocorr_lag1": np.where(

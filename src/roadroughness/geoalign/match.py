@@ -29,9 +29,10 @@ class UnmatchedFixError(ValueError):
 class BrokenTraceError(ValueError):
     """No connected candidate path exists between consecutive fixes."""
 
-    def __init__(self, fix_index: int):
+    def __init__(self, fix_index: int, prev_index: int | None = None):
+        prev = fix_index - 1 if prev_index is None else prev_index
         super().__init__(f"no connected candidates between fixes "
-                         f"{fix_index - 1} and {fix_index}")
+                         f"{prev} and {fix_index}")
         self.fix_index = fix_index
 
 
@@ -47,6 +48,7 @@ class MatchedTrace:
     lat: np.ndarray
     lon: np.ndarray
     log_score: float
+    n_unmatched: int = 0  # fixes dropped for having no edge in range
 
     def __len__(self) -> int:
         return len(self.t)
@@ -60,13 +62,25 @@ class MatchedTrace:
         return path
 
 
+class Lattice(tuple):
+    """``(steps, emissions, transitions)`` over the fixes that have a
+    candidate edge in range; ``kept`` holds their indices in the input."""
+
+    def __new__(cls, steps, emissions, transitions, kept):
+        lattice = super().__new__(cls, (steps, emissions, transitions))
+        lattice.kept = kept
+        return lattice
+
+
 def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA,
                   beta: float = DEFAULT_BETA, max_candidates: int = 8,
-                  radius: float = 50.0):
+                  radius: float = 50.0) -> Lattice:
     """Candidates with emission scores per fix, plus transition score matrices.
 
     Returns ``(steps, emissions, transitions)`` where ``transitions[i]`` maps
-    candidates of fix i to candidates of fix i+1.
+    candidates of step i to candidates of step i+1. A fix with no edge within
+    ``radius`` is dropped (``Lattice.kept`` lists the fixes kept);
+    ``UnmatchedFixError`` names the first dropped fix if fewer than 2 remain.
     """
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
@@ -74,14 +88,21 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
         raise ValueError("need at least 2 fixes")
     steps: list[list[Candidate]] = []
     emissions: list[np.ndarray] = []
+    kept: list[int] = []
+    dropped: list[int] = []
     for i in range(len(lats)):
         cands = network.candidates(float(lats[i]), float(lons[i]),
                                    max_candidates, radius)
         if not cands:
-            raise UnmatchedFixError(i)
+            dropped.append(i)
+            continue
+        kept.append(i)
         steps.append(cands)
         emissions.append(np.array([-c.dist ** 2 / (2.0 * sigma ** 2)
                                    for c in cands]))
+    if len(kept) < 2:
+        raise UnmatchedFixError(dropped[0])
+    lats, lons = lats[kept], lons[kept]
     transitions: list[np.ndarray] = []
     for i in range(len(lats) - 1):
         d_gc = float(haversine(lats[i], lons[i], lats[i + 1], lons[i + 1]))
@@ -94,9 +115,9 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
                 if np.isfinite(d_route):
                     mat[a, b] = -abs(d_route - d_gc) / beta
         if not np.any(np.isfinite(mat)):
-            raise BrokenTraceError(i + 1)
+            raise BrokenTraceError(kept[i + 1], kept[i])
         transitions.append(mat)
-    return steps, emissions, transitions
+    return Lattice(steps, emissions, transitions, np.array(kept))
 
 
 def viterbi_path(emissions, transitions):
@@ -120,20 +141,25 @@ def viterbi_path(emissions, transitions):
 def match_fixes(t, lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA,
                 beta: float = DEFAULT_BETA, max_candidates: int = 8,
                 radius: float = 50.0) -> MatchedTrace:
-    """Snap a sequence of timestamped fixes to the network."""
-    steps, emissions, transitions = build_lattice(
-        lats, lons, network, sigma, beta, max_candidates, radius)
+    """Snap a sequence of timestamped fixes to the network. Fixes with no
+    edge within ``radius`` are left out of the result and counted in its
+    ``n_unmatched``."""
+    lattice = build_lattice(lats, lons, network, sigma, beta, max_candidates,
+                            radius)
+    steps, emissions, transitions = lattice
+    kept = lattice.kept
     path, log_score = viterbi_path(emissions, transitions)
     chosen = [steps[i][j] for i, j in enumerate(path)]
     return MatchedTrace(
-        t=np.asarray(t, dtype=float),
-        fix_lat=np.asarray(lats, dtype=float),
-        fix_lon=np.asarray(lons, dtype=float),
+        t=np.asarray(t, dtype=float)[kept],
+        fix_lat=np.asarray(lats, dtype=float)[kept],
+        fix_lon=np.asarray(lons, dtype=float)[kept],
         edge=np.array([c.edge for c in chosen], dtype=int),
         offset=np.array([c.offset for c in chosen]),
         lat=np.array([c.lat for c in chosen]),
         lon=np.array([c.lon for c in chosen]),
         log_score=log_score,
+        n_unmatched=len(lats) - len(kept),
     )
 
 

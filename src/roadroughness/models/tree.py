@@ -3,40 +3,426 @@
 Splits minimize the weighted child impurity (SSE for regression, Gini for
 classification). All tie-breaking is deterministic: candidate features are
 scanned in ascending index order and only strict improvements are accepted,
-so the lowest feature index wins ties.
+so the lowest feature index wins ties, and within a feature the lowest
+threshold wins.
+
+All trees of a forest grow together, one level at a time (``grow_trees``).
+Every column is ranked once per tree, stably, so rows with equal values
+keep their bootstrap order (SLIQ's presorting). A level holds the rows of
+each open node as one segment, in bootstrap order; each (node, feature)
+pair a node may split on gets its rows ordered by that rank. Split scores
+come from cumulative sums that restart at each pair's segment, computed
+in the same order and with the same rounding as a node-by-node grower, so
+the trees are the ones that grower builds. A node's feature subset is a
+keyed draw: the features with the smallest hashes of (tree key, heap
+index, feature), so it does not depend on the order in which nodes grow.
 """
 from __future__ import annotations
 
 import numpy as np
 
 N_CLASSES = 3
+MAX_DEPTH = 63  # heap indices 0 .. 2**(MAX_DEPTH + 1) - 2 fit in uint64
+# Bootstrap rows grown in one pass. The engine's temporaries take about
+# 0.5 KB per row, so larger forests grow in groups of trees.
+GROW_ROWS = 1 << 16
 
 
-def gini_impurity(counts) -> float:
-    """1 - sum p_i^2 over the class shares of one node."""
-    counts = np.asarray(counts, dtype=float)
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return float(1.0 - np.sum(p ** 2))
+# ----------------------------------------------------------- keyed draws
 
+def _splitmix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 of every element of a uint64 array (wrapping arithmetic)."""
+    z = z + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def draw_key(rng: np.random.Generator) -> np.uint64:
+    """A tree's key for its feature draws, taken from its generator."""
+    return rng.integers(0, 2 ** 64 - 1, dtype=np.uint64, endpoint=True)
+
+
+def feature_subsets(keys, heaps, d: int, mf: int) -> np.ndarray:
+    """(nodes x d) mask of the features each node may split on.
+
+    Node i draws the ``mf`` features with the smallest SplitMix64 hash of
+    (``keys[i]``, ``heaps[i]``, feature); ties in the hash go to the lower
+    feature. The root has heap index 0 and node h has children 2h+1, 2h+2.
+    """
+    keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+    heaps = np.atleast_1d(np.asarray(heaps, dtype=np.uint64))
+    node = _splitmix64(keys ^ _splitmix64(heaps))
+    u = _splitmix64(node[:, None] ^ np.arange(d, dtype=np.uint64))
+    mask = np.zeros(u.shape, dtype=bool)
+    pick = np.argsort(u, axis=1, kind="stable")[:, :mf]
+    np.put_along_axis(mask, pick, True, axis=1)
+    return mask
+
+
+# ------------------------------------------------ exact segmented sums
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + n) for every (s, n), at least one."""
+    ends = np.add.accumulate(lens)
+    return np.arange(ends[-1]) + (starts - ends + lens).repeat(lens)
+
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[0], b[0], a[1], b[1], ..."""
+    out = np.empty(2 * len(a), dtype=a.dtype)
+    out[0::2] = a
+    out[1::2] = b
+    return out
+
+
+def _segment_sums(a: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``np.sum`` of every segment of the last axis of ``a``, bit for bit.
+
+    ``np.add.reduceat`` adds a segment's first value to numpy's pairwise sum
+    of the rest; with a 0 put before every segment, that is the pairwise
+    sum of the whole segment, as ``np.sum`` computes it.
+    """
+    z = np.zeros(a.shape[:-1] + (a.shape[-1] + len(lens),))
+    z[..., np.arange(a.shape[-1]) + np.arange(1, len(lens) + 1).repeat(
+        lens)] = a
+    return np.add.reduceat(z, np.add.accumulate(lens + 1) - lens - 1,
+                           axis=-1)
+
+
+class _Padded:
+    """Segments of a flat array, each laid out as a zero-padded column.
+
+    Columns are powers of two high, at least 8; the columns of one height
+    form one matrix, so that a running sum down the rows adds every segment
+    in its own order, strictly one value after the other, as ``np.cumsum``
+    does. If one height fits every segment in at most ``SMALL`` slots, or
+    at most 2 slots per value, all columns share it; otherwise each gets
+    the next power of two of its length (under 2 slots per value). Either
+    way the layout stays linear in the values. A matrix of few columns is
+    stored transposed, one column per memory row. Value j of segment i sits
+    in slot ``col[i] + j * stride[i]``; ``blocks`` lists per matrix its
+    slots [lo, hi), its height and width, and its columns [c_lo, c_hi) in
+    ``order``, the segments sorted by height.
+    """
+
+    SMALL = 1 << 12
+
+    def __init__(self, lens: np.ndarray):
+        self.lens = lens
+        bits = np.maximum(3, np.frexp(lens - 1)[1])   # 2**bits >= length
+        top = int(bits.max())
+        if len(lens) << top <= max(self.SMALL, 2 * int(lens.sum())):
+            bits = np.full(len(lens), top)
+            self.order = np.arange(len(lens))
+            edges = [0, len(lens)]
+        else:
+            self.order = bits.argsort(kind="stable")
+            bits = bits[self.order]
+            edges = [0] + ((bits[1:] != bits[:-1]).nonzero()[0]
+                           + 1).tolist() + [len(lens)]
+        self.blocks = []
+        col = np.empty(len(lens), dtype=np.int64)
+        stride = np.empty(len(lens), dtype=np.int64)
+        lo = 0
+        for c_lo, c_hi in zip(edges[:-1], edges[1:]):
+            h, k = 1 << int(bits[c_lo]), c_hi - c_lo
+            self.blocks.append((lo, lo + h * k, h, k, c_lo, c_hi))
+            if k <= h:      # few tall columns: store them as rows
+                col[c_lo:c_hi] = np.arange(lo, lo + h * k, h)
+                stride[c_lo:c_hi] = 1
+            else:
+                col[c_lo:c_hi] = np.arange(lo, lo + k)
+                stride[c_lo:c_hi] = k
+            lo += h * k
+        self.size = lo
+        self.col = np.empty_like(col)
+        self.col[self.order] = col
+        self.stride = np.empty_like(stride)
+        self.stride[self.order] = stride
+        ends = np.add.accumulate(lens)
+        local = np.arange(ends[-1]) - (ends - lens).repeat(lens)
+        self.slots = self.col.repeat(lens) + local * self.stride.repeat(lens)
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """The values, segment after segment, in their padded slots."""
+        out = np.zeros(values.shape[:-1] + (self.size,))
+        for row, v in zip(out.reshape(-1, self.size),
+                          values.reshape(-1, values.shape[-1])):
+            row[self.slots] = v
+        return out
+
+    def cumsum(self, a: np.ndarray) -> np.ndarray:
+        """``np.cumsum`` down every column of the padded array ``a`` (last
+        axis), bit for bit."""
+        lead = a.shape[:-1]
+        run = np.empty_like(a)
+        for lo, hi, h, k, _, _ in self.blocks:
+            if k <= h:
+                run[..., lo:hi] = np.add.accumulate(
+                    a[..., lo:hi].reshape(lead + (k, h)), axis=-1).reshape(
+                        lead + (-1,))
+            else:
+                run[..., lo:hi] = np.add.accumulate(
+                    a[..., lo:hi].reshape(lead + (h, k)), axis=-2).reshape(
+                        lead + (-1,))
+        return run
+
+    def first_min(self, a: np.ndarray) -> np.ndarray:
+        """Per segment, the row of the first minimum of its column (its
+        first NaN, if any), as ``np.argmin``."""
+        out = np.empty(len(self.lens), dtype=np.int64)
+        for lo, hi, h, k, c_lo, c_hi in self.blocks:
+            if k <= h:
+                out[self.order[c_lo:c_hi]] = a[lo:hi].reshape(k, h).argmin(
+                    axis=1)
+            else:
+                out[self.order[c_lo:c_hi]] = a[lo:hi].reshape(h, k).argmin(
+                    axis=0)
+        return out
+
+
+# ------------------------------------------------------------- engine
+
+def _check_depth(max_depth: int) -> None:
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise ValueError(f"max_depth must be between 1 and {MAX_DEPTH} "
+                         "(heap index width)")
+
+
+def _best_splits(task, xs, ys, lens, n_classes):
+    """Best (score, threshold) of every segment of ``xs``/``ys``, which
+    hold each segment's rows (at least 2) sorted by its feature, segment
+    after segment. A segment without a strict partition scores inf."""
+    ends = np.add.accumulate(lens)
+    inner = np.ones(len(xs), dtype=bool)
+    inner[ends - 1] = False  # no split after a segment's last row
+    valid = (inner[:-1] & (xs[1:] > xs[:-1])).nonzero()[0]
+    if len(valid) == 0:
+        return np.full(len(lens), np.inf), np.zeros(len(lens))
+    seg = np.arange(len(lens)).repeat(lens)[valid]
+    n = lens[seg]
+    first = ends - lens
+    sizes_l = (valid - first[seg] + 1).astype(float)
+    sizes_r = n - sizes_l
+    pad = _Padded(lens)
+    if task == "regression":
+        moments = np.stack([ys, ys ** 2])
+        cum = pad.cumsum(pad.spread(moments))
+        tot = _segment_sums(moments, lens)
+        at = pad.slots[valid]
+        c1, c2 = cum[0, at], cum[1, at]
+        sse_l = c2 - c1 ** 2 / sizes_l
+        sse_r = (tot[1, seg] - c2) - (tot[0, seg] - c1) ** 2 / sizes_r
+        scores = sse_l + sse_r
+    else:
+        # Class counts are integers, exact in any order of addition.
+        onehot = (ys[:, None] == np.arange(n_classes)).astype(float)
+        cum = np.add.accumulate(onehot, axis=0)
+        before = cum[first] - onehot[first]
+        tot = cum[ends - 1] - before
+        cum = cum[valid] - before[seg]
+        sq_l = np.sum(cum ** 2, axis=1) / sizes_l
+        sq_r = np.sum((tot[seg] - cum) ** 2, axis=1) / sizes_r
+        scores = n - sq_l - sq_r
+    # First minimum per segment, as np.argmin over a node's split points.
+    padded = np.full(pad.size, np.inf)
+    padded[pad.slots[valid]] = scores
+    row = pad.first_min(padded)
+    at = first + row
+    a, b = xs[at], xs[at + 1]
+    t = a + (b - a) / 2.0
+    t = np.where(t >= b, a, t)  # guard against rounding on adjacent floats
+    return padded[pad.col + row * pad.stride], t
+
+
+def grow_trees(x, y, boots, keys, task: str, max_depth: int,
+               max_features: int | None, n_classes: int = N_CLASSES):
+    """Grow one tree per bootstrap row of ``boots`` (trees x n indices into
+    ``x``), all at once, level by level.
+
+    Returns per tree the flat node lists (feature, threshold, left, right,
+    value) in depth-first order: a node, its left subtree, its right
+    subtree. Leaves have feature -1 and children -1; internal nodes have
+    value 0. Tree ``t`` draws its feature subsets with ``keys[t]``.
+    """
+    _check_depth(max_depth)
+    x = np.asarray(x, dtype=float)
+    boots = np.asarray(boots, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.uint64)
+    n_trees, n = boots.shape
+    group = max(1, GROW_ROWS // n)
+    if n_trees > group:
+        return [tree for lo in range(0, n_trees, group)
+                for tree in grow_trees(x, y, boots[lo:lo + group],
+                                       keys[lo:lo + group], task, max_depth,
+                                       max_features, n_classes)]
+    d = x.shape[1]
+    mf = d if max_features is None else min(max_features, d)
+    n_rows = n_trees * n
+    # Bootstrap row r is sample boots.flat[r].
+    xt = np.ascontiguousarray(x[boots.ravel()].T)
+    yb = np.asarray(y)[boots.ravel()]
+    # rank[f, r]: position of row r in its tree's rows sorted by feature f,
+    # stably. Ranking each column once makes this a radix sort of small
+    # integers.
+    rank = np.empty((d, n_rows), dtype=np.int64)
+    for f in range(d):
+        values, dense = np.unique(x[:, f], return_inverse=True)
+        dense = dense[boots]
+        if len(values) <= np.iinfo(np.int16).max:
+            dense = dense.astype(np.int16)
+        order = dense.argsort(axis=1, kind="stable")
+        rank[f, (order + np.arange(0, n_rows, n)[:, None]).ravel()] = (
+            np.tile(np.arange(n), n_trees))
+    # The rows of every open node, node after node, in bootstrap order.
+    rows = np.arange(n_rows)
+    seg_len = np.full(n_trees, n, dtype=np.int64)
+    seg_tree = np.arange(n_trees)
+    seg_heap = np.zeros(n_trees, dtype=np.uint64)
+    levels, leaf_rows, leaf_lens = [], [], []
+    for depth in range(max_depth + 1):
+        n_seg = len(seg_len)
+        starts = np.add.accumulate(seg_len) - seg_len
+        y_seg = yb[rows]
+        if task == "regression":
+            value = np.zeros(n_seg)
+            pure = (np.maximum.reduceat(y_seg, starts)
+                    - np.minimum.reduceat(y_seg, starts)) == 0.0
+        else:
+            counts = np.bincount(np.arange(n_seg).repeat(seg_len)
+                                 * n_classes + y_seg,
+                                 minlength=n_seg * n_classes)
+            counts = counts.reshape(n_seg, n_classes)
+            value = counts.argmax(axis=1).astype(float)
+            pure = np.count_nonzero(counts, axis=1) == 1
+        feat = np.full(n_seg, -1, dtype=np.int64)
+        thr = np.zeros(n_seg)
+        cand = (~pure & (seg_len >= 2)).nonzero()[0]
+        if depth < max_depth and len(cand):
+            if mf < d:
+                pnode, pfeat = feature_subsets(
+                    keys[seg_tree[cand]], seg_heap[cand], d, mf).nonzero()
+            else:
+                pnode, pfeat = np.divmod(np.arange(len(cand) * d), d)
+            # One segment per (node, feature) pair: the node's rows sorted
+            # by the feature, ties in bootstrap order.
+            plen = seg_len[cand[pnode]]
+            prow = rows[_ranges(starts[cand[pnode]], plen)]
+            at_f = (pfeat * n_rows).repeat(plen)
+            prow = prow[(rank.ravel()[at_f + prow]
+                         + (np.arange(len(plen)) * n).repeat(plen)).argsort()]
+            score, pthr = _best_splits(task, xt.ravel()[at_f + prow],
+                                       yb[prow], plen, n_classes)
+            grid = np.full((len(cand), d), np.inf)
+            grid[pnode, pfeat] = score
+            tgrid = np.zeros((len(cand), d))
+            tgrid[pnode, pfeat] = pthr
+            best = grid.argmin(axis=1)
+            ok = (grid[np.arange(len(cand)), best] < np.inf).nonzero()[0]
+            feat[cand[ok]] = best[ok]
+            thr[cand[ok]] = tgrid[ok, best[ok]]
+        split = feat >= 0
+        value[split] = 0.0
+        levels.append([seg_tree, feat, thr, value])
+        pos_seg = np.arange(n_seg).repeat(seg_len)
+        keep = split[pos_seg]
+        if task == "regression":
+            leaf_rows.append(rows[~keep])
+            leaf_lens.append(seg_len[~split])
+        if not split.any():
+            break
+        # Keep the rows of split nodes and partition each node stably, left
+        # child first, both in the parent's place: a left row moves to its
+        # node's start plus the left rows before it in the node, a right
+        # row to the node's start plus n_left plus the right rows before it.
+        rows, pos_seg = rows[keep], pos_seg[keep]
+        left = xt[feat[pos_seg], rows] <= thr[pos_seg]
+        sl = seg_len[split]
+        sid = np.arange(len(sl)).repeat(sl)
+        n_left = np.bincount(sid, weights=left, minlength=len(sl)).astype(
+            np.int64)
+        lefts_before = (np.add.accumulate(n_left) - n_left)[sid]
+        s0 = (np.add.accumulate(sl) - sl)[sid]
+        seen = np.add.accumulate(left, dtype=np.int64) - lefts_before
+        dest = np.where(left, s0 + seen - 1,
+                        np.arange(len(sid)) + n_left[sid] - seen)
+        new_rows = np.empty_like(rows)
+        new_rows[dest] = rows
+        rows = new_rows
+        seg_len = _interleave(n_left, sl - n_left)
+        seg_tree = seg_tree[split].repeat(2)
+        heap = 2 * seg_heap[split]
+        seg_heap = _interleave(heap + np.uint64(1), heap + np.uint64(2))
+    if task == "regression":
+        # Leaf means, as np.mean over each leaf's rows in bootstrap order.
+        lens = np.concatenate(leaf_lens)
+        means = _segment_sums(yb[np.concatenate(leaf_rows)], lens) / lens
+        at = 0
+        for level, k in zip(levels, leaf_lens):
+            level[3][level[1] < 0] = means[at:at + len(k)]
+            at += len(k)
+    return _depth_first(levels, n_trees)
+
+
+def _depth_first(levels, n_trees):
+    """Flat per-tree node lists in depth-first order from the per-level
+    node records; the children of a level's k-th split node are nodes
+    2k and 2k+1 of the next level."""
+    sizes = [None] * len(levels)
+    nxt = None
+    for k in range(len(levels) - 1, -1, -1):
+        feat = levels[k][1]
+        size = np.ones(len(feat), dtype=np.int64)
+        split = (feat >= 0).nonzero()[0]
+        if len(split):
+            size[split] += nxt[0::2] + nxt[1::2]
+        sizes[k] = nxt = size
+    total = sizes[0]
+    tree_start = np.add.accumulate(total) - total
+    n_nodes = int(total.sum())
+    feature = np.full(n_nodes, -1, dtype=np.int64)
+    threshold = np.zeros(n_nodes)
+    left = np.full(n_nodes, -1, dtype=np.int64)
+    right = np.full(n_nodes, -1, dtype=np.int64)
+    value = np.zeros(n_nodes)
+    pos = np.zeros(n_trees, dtype=np.int64)     # within-tree index
+    for k, (tree, feat, thr, val) in enumerate(levels):
+        at = tree_start[tree] + pos
+        feature[at] = feat
+        threshold[at] = thr
+        value[at] = val
+        split = (feat >= 0).nonzero()[0]
+        if not len(split):
+            break
+        lpos = pos[split] + 1
+        rpos = lpos + sizes[k + 1][0::2]
+        left[at[split]] = lpos
+        right[at[split]] = rpos
+        pos = _interleave(lpos, rpos)
+    arrays = [a.tolist() for a in (feature, threshold, left, right, value)]
+    bounds = np.add.accumulate(total).tolist()
+    return [tuple(a[lo:hi] for a in arrays)
+            for lo, hi in zip([0] + bounds[:-1], bounds)]
+
+
+# ------------------------------------------------------------- models
 
 class DecisionTree:
-    """A single CART-style tree grown to ``max_depth``."""
+    """A single CART-style tree grown to ``max_depth`` (``grow_trees`` for
+    one tree, on the rows as given)."""
 
     def __init__(self, task: str = "regression", max_depth: int = 5,
                  max_features: int | None = None, n_classes: int = N_CLASSES,
                  rng: np.random.Generator | None = None):
         if task not in ("regression", "classification"):
             raise ValueError(f"unknown task: {task}")
-        if max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
+        _check_depth(max_depth)
         self.task = task
         self.max_depth = max_depth
         self.max_features = max_features
         self.n_classes = n_classes
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         # Flat node arrays: internal nodes carry (feature, threshold, children),
         # leaves carry feature -1 and a prediction value.
         self.feature: list[int] = []
@@ -45,112 +431,22 @@ class DecisionTree:
         self.right: list[int] = []
         self.value: list[float] = []
 
-    def _leaf_value(self, y: np.ndarray) -> float:
-        if self.task == "regression":
-            return float(np.mean(y))
-        counts = np.bincount(y.astype(int), minlength=self.n_classes)
-        return float(np.argmax(counts))  # argmax -> lowest class on ties
-
-    def _best_split(self, x: np.ndarray, y: np.ndarray, feats: np.ndarray):
-        """(feature, threshold, score) of the best strict partition, or None."""
-        n = len(y)
-        best = None
-        best_score = np.inf
-        if self.task == "classification":
-            onehot = np.zeros((n, self.n_classes))
-            onehot[np.arange(n), y.astype(int)] = 1.0
-        for f in feats:
-            xf = x[:, f]
-            order = np.argsort(xf, kind="stable")
-            xs = xf[order]
-            valid = np.flatnonzero(xs[1:] > xs[:-1])
-            if len(valid) == 0:
-                continue
-            sizes_l = (valid + 1).astype(float)
-            sizes_r = n - sizes_l
-            if self.task == "regression":
-                ys = y[order]
-                c1 = np.cumsum(ys)[valid]
-                c2 = np.cumsum(ys ** 2)[valid]
-                tot1 = float(np.sum(ys))
-                tot2 = float(np.sum(ys ** 2))
-                sse_l = c2 - c1 ** 2 / sizes_l
-                sse_r = (tot2 - c2) - (tot1 - c1) ** 2 / sizes_r
-                scores = sse_l + sse_r
-            else:
-                cum = np.cumsum(onehot[order], axis=0)[valid]
-                tot = np.sum(onehot, axis=0)
-                sq_l = np.sum(cum ** 2, axis=1) / sizes_l
-                sq_r = np.sum((tot - cum) ** 2, axis=1) / sizes_r
-                # weighted gini = n - sq_l - sq_r
-                scores = n - sq_l - sq_r
-            k = int(np.argmin(scores))
-            if scores[k] < best_score:
-                i = valid[k]
-                a, b = xs[i], xs[i + 1]
-                thr = a + (b - a) / 2.0
-                if thr >= b:  # guard against rounding on adjacent floats
-                    thr = a
-                best_score = float(scores[k])
-                best = (int(f), float(thr), best_score)
-        return best
-
-    def _grow(self, x: np.ndarray, y: np.ndarray, depth: int) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        pure = (np.all(y == y[0]) if self.task == "classification"
-                else float(np.ptp(y)) == 0.0)
-        if depth >= self.max_depth or len(y) < 2 or pure:
-            self.value[node] = self._leaf_value(y)
-            return node
-        d = x.shape[1]
-        mf = d if self.max_features is None else min(self.max_features, d)
-        if mf < d:
-            feats = np.sort(self.rng.choice(d, mf, replace=False))
-        else:
-            feats = np.arange(d)
-        split = self._best_split(x, y, feats)
-        if split is None:
-            self.value[node] = self._leaf_value(y)
-            return node
-        f, thr, _ = split
-        mask = x[:, f] <= thr
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = self._grow(x[mask], y[mask], depth + 1)
-        self.right[node] = self._grow(x[~mask], y[~mask], depth + 1)
-        return node
-
-    def fit(self, x, y) -> "DecisionTree":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float if self.task == "regression" else int)
-        if x.ndim != 2 or len(x) != len(y):
-            raise ValueError("bad training data shapes")
-        self.feature, self.threshold = [], []
-        self.left, self.right, self.value = [], [], []
-        self._grow(x, y, 0)
+    def _set_nodes(self, nodes) -> "DecisionTree":
+        (self.feature, self.threshold, self.left, self.right,
+         self.value) = nodes
         return self
 
+    def fit(self, x, y) -> "DecisionTree":
+        x, y = _training_data(x, y, self.task, self.n_classes)
+        nodes = grow_trees(x, y, np.arange(len(y))[None, :],
+                           [draw_key(self.rng if self.rng is not None
+                                     else np.random.default_rng(0))],
+                           self.task, self.max_depth,
+                           self.max_features, self.n_classes)
+        return self._set_nodes(nodes[0])
+
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.empty(len(x))
-        stack = [(0, np.arange(len(x)))]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            f = self.feature[node]
-            if f < 0:
-                out[idx] = self.value[node]
-                continue
-            mask = x[idx, f] <= self.threshold[node]
-            stack.append((self.left[node], idx[mask]))
-            stack.append((self.right[node], idx[~mask]))
-        return out
+        return _descend([self], np.asarray(x, dtype=float))[0]
 
     def state_dict(self) -> dict:
         return {
@@ -176,13 +472,51 @@ class DecisionTree:
         return tree
 
 
+def _training_data(x, y, task, n_classes):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float if task == "regression" else int)
+    if x.ndim != 2 or len(x) != len(y) or len(y) == 0:
+        raise ValueError("bad training data shapes")
+    if task == "classification" and (y.min() < 0 or y.max() >= n_classes):
+        raise ValueError(f"class labels must lie in 0..{n_classes - 1}")
+    return x, y
+
+
+def _descend(trees, x: np.ndarray) -> np.ndarray:
+    """(trees x rows) leaf values: every row steps one level down every
+    tree at once, ``x[r, feature] <= threshold`` going left."""
+    sizes = [len(t.feature) for t in trees]
+    offset = np.cumsum(sizes) - sizes
+
+    def cat(name):
+        return np.concatenate([getattr(t, name) for t in trees])
+
+    feature = cat("feature").astype(np.int64)
+    threshold = cat("threshold").astype(float)
+    leaf = feature < 0
+    here = np.arange(len(feature))
+    # A leaf points at itself, so rows that reach it stay there.
+    left = np.where(leaf, here, cat("left").astype(np.int64)
+                    + np.repeat(offset, sizes))
+    right = np.where(leaf, here, cat("right").astype(np.int64)
+                     + np.repeat(offset, sizes))
+    feature[leaf] = 0
+    node = np.repeat(offset[:, None], len(x), axis=1)
+    rows = np.arange(len(x))
+    for _ in range(max(t.max_depth for t in trees)):
+        if leaf[node].all():
+            break
+        node = np.where(x[rows, feature[node]] <= threshold[node],
+                        left[node], right[node])
+    return cat("value").astype(float)[node]
+
+
 class RandomForestModel:
     """Bootstrap ensemble of decision trees with random feature subsets."""
 
     def __init__(self, task: str = "regression", n_trees: int = 100,
                  max_depth: int = 5, max_features: int | str = "sqrt",
-                 seed: int = 0, n_classes: int = N_CLASSES,
-                 store_oob: bool = False):
+                 seed: int = 0, n_classes: int = N_CLASSES):
         if n_trees < 1:
             raise ValueError("n_trees must be positive")
         self.task = task
@@ -191,9 +525,7 @@ class RandomForestModel:
         self.max_features = max_features
         self.seed = seed
         self.n_classes = n_classes
-        self.store_oob = store_oob
         self.trees: list[DecisionTree] = []
-        self._oob_masks: list[np.ndarray] = []
 
     def _resolve_mf(self, d: int) -> int:
         if self.max_features == "sqrt":
@@ -204,65 +536,29 @@ class RandomForestModel:
         return mf
 
     def fit(self, x, y) -> "RandomForestModel":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float if self.task == "regression" else int)
+        x, y = _training_data(x, y, self.task, self.n_classes)
         n, d = x.shape
         mf = self._resolve_mf(d)
-        seq = np.random.SeedSequence(self.seed)
-        self.trees = []
-        self._oob_masks = []
-        for child in seq.spawn(self.n_trees):
+        boots, keys = [], []
+        for child in np.random.SeedSequence(self.seed).spawn(self.n_trees):
             rng = np.random.default_rng(child)
-            boot = rng.integers(0, n, n)
-            tree = DecisionTree(self.task, self.max_depth, mf,
-                                self.n_classes, rng)
-            tree.fit(x[boot], y[boot])
-            self.trees.append(tree)
-            if self.store_oob:
-                mask = np.ones(n, dtype=bool)
-                mask[boot] = False
-                self._oob_masks.append(mask)
+            boots.append(rng.integers(0, n, n))
+            keys.append(draw_key(rng))
+        nodes = grow_trees(x, y, np.stack(boots), keys, self.task,
+                           self.max_depth, mf, self.n_classes)
+        self.trees = [DecisionTree(self.task, self.max_depth, mf,
+                                   self.n_classes)._set_nodes(t)
+                      for t in nodes]
         return self
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        preds = np.stack([tree.predict(x) for tree in self.trees])
+        preds = _descend(self.trees, x)
         if self.task == "regression":
             return preds.mean(axis=0)
-        votes = np.zeros((len(x), self.n_classes))
-        for row in preds.astype(int):
-            votes[np.arange(len(x)), row] += 1.0
+        votes = np.stack([np.count_nonzero(preds == c, axis=0)
+                          for c in range(self.n_classes)], axis=1)
         return np.argmax(votes, axis=1).astype(float)
-
-    def oob_predictions(self, x) -> np.ndarray:
-        """Out-of-bag prediction per training row (NaN if never left out).
-
-        Requires ``store_oob=True`` at fit time and the training matrix.
-        """
-        if not self._oob_masks:
-            raise ValueError("forest was fitted without store_oob=True")
-        x = np.asarray(x, dtype=float)
-        n = len(x)
-        if self.task == "regression":
-            total = np.zeros(n)
-            count = np.zeros(n)
-            for tree, mask in zip(self.trees, self._oob_masks):
-                total[mask] += tree.predict(x[mask])
-                count[mask] += 1.0
-            out = np.full(n, np.nan)
-            seen = count > 0
-            out[seen] = total[seen] / count[seen]
-            return out
-        votes = np.zeros((n, self.n_classes))
-        count = np.zeros(n)
-        for tree, mask in zip(self.trees, self._oob_masks):
-            pred = tree.predict(x[mask]).astype(int)
-            votes[np.flatnonzero(mask), pred] += 1.0
-            count[mask] += 1.0
-        out = np.full(n, np.nan)
-        seen = count > 0
-        out[seen] = np.argmax(votes[seen], axis=1).astype(float)
-        return out
 
     def state_dict(self) -> dict:
         return {

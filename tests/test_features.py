@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from roadroughness.core import AlignedSegment
 from roadroughness.features import (CHANNELS, EXTRACTOR_NAMES,
-                                    _ecdf_percentile, build_feature_matrix,
+                                    _channel_matrix, _ecdf_percentile,
+                                    build_feature_matrix,
                                     extract_channel_features, feature_names,
                                     resample_segment, standardize_apply,
                                     standardize_fit)
@@ -38,12 +39,15 @@ def _ref_slope(x, t):
     return float(np.sum(tc * (x - x.mean())) / denom)
 
 
+# The moments use products and a square root, which are correctly rounded;
+# numpy's SIMD power is not, and its last bits would differ from the kernel's
+# on moments that cancel to rounding noise (a ramp's skewness).
 def _ref_skewness(x):
     xc = x - x.mean()
     m2 = float(np.mean(xc ** 2))
     if m2 == 0.0:
         return 0.0
-    return float(np.mean(xc ** 3) / m2 ** 1.5)
+    return float(np.mean(xc * xc * xc) / (m2 * np.sqrt(m2)))
 
 
 def _ref_kurtosis(x):
@@ -51,7 +55,7 @@ def _ref_kurtosis(x):
     m2 = float(np.mean(xc ** 2))
     if m2 == 0.0:
         return 0.0
-    return float(np.mean(xc ** 4) / m2 ** 2 - 3.0)
+    return float(np.mean((xc * xc) * (xc * xc)) / (m2 * m2) - 3.0)
 
 
 def _ref_entropy(x):
@@ -403,6 +407,38 @@ class TestBatchEquivalence:
         whole = build_feature_matrix(segs).X
         monkeypatch.setattr(features, "BLOCK_WINDOWS", 5)
         assert np.array_equal(build_feature_matrix(segs).X, whole)
+
+    @pytest.mark.parametrize("length", [21, 37, 250])
+    def test_window_alone_bit_identical_to_its_row_in_a_stack(self, length):
+        # Every value must not depend on where the window sits in the
+        # stacked matrix (SIMD lanes against the scalar tail).
+        rng = np.random.default_rng(900 + length)
+        x = rng.normal(0.0, rng.uniform(0.01, 3.0, (64, 1)), (64, length))
+        t = 2.0 + 0.7 * np.arange(64)[:, None] + 0.02 * np.arange(length)
+        stack = _channel_matrix(x, t)
+        for i in range(64):
+            alone = _channel_matrix(x[i:i + 1], t[i:i + 1])[0]
+            for j, name in enumerate(EXTRACTOR_NAMES):
+                assert alone[j] == stack[i, j] or (
+                    np.isnan(alone[j]) and np.isnan(stack[i, j])), (i, name)
+
+    def test_moments_are_correctly_rounded(self):
+        # Skewness and kurtosis use products and a square root only, so
+        # Python float arithmetic on one window gives the same bits. numpy's
+        # SIMD power is not correctly rounded and would not.
+        import math
+        rng = np.random.default_rng(17)
+        x = rng.normal(0.0, 2.0, (64, 250))
+        out = _channel_matrix(x, np.tile(0.02 * np.arange(250), (64, 1)))
+        skew = EXTRACTOR_NAMES.index("skewness")
+        kurt = EXTRACTOR_NAMES.index("kurtosis")
+        for i, row in enumerate(x):
+            xc = row - np.mean(row)
+            sq = xc ** 2
+            m2 = float(np.sum(sq)) / 250
+            assert out[i, skew] == (float(np.mean(sq * xc))
+                                    / (m2 * math.sqrt(m2))), i
+            assert out[i, kurt] == float(np.mean(sq * sq)) / (m2 * m2) - 3.0
 
     def test_peaks_need_21_samples(self):
         for length, expected in ((20, 0.0), (21, 1.0)):

@@ -161,6 +161,22 @@ class TestMapMatching:
             match_fixes([0.0, 1.0], lats, lons, net)
         assert exc.value.fix_index == 1
 
+    def test_fix_off_the_grid_is_dropped_and_counted(self):
+        net = grid_network(6, 2, spacing=100.0)
+        lats, lons = straight_fixes(7, spacing=80.0)
+        lats[3], lons[3] = latlon(10.0 + 3 * 80.0, -100.0)  # 100 m south
+        matched = match_fixes(np.arange(7.0), lats, lons, net)
+        assert matched.n_unmatched == 1
+        assert list(matched.t) == [0.0, 1.0, 2.0, 4.0, 5.0, 6.0]
+        keep = [0, 1, 2, 4, 5, 6]
+        alone = match_fixes(np.arange(7.0)[keep], lats[keep], lons[keep],
+                            net)
+        assert alone.n_unmatched == 0
+        assert np.array_equal(matched.edge, alone.edge)
+        assert np.array_equal(matched.lat, alone.lat)
+        assert np.array_equal(matched.lon, alone.lon)
+        assert list(matched.fix_lat) == list(lats[keep])
+
     def test_map_match_uses_trace_fixes(self):
         net = grid_network(6, 2)
         lats, lons = straight_fixes(3)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadroughness.models import (BaselineModel, ConvergenceError,
                                   DecisionTree, GaussianNBModel, KnnModel,
@@ -10,10 +12,14 @@ from roadroughness.models import (BaselineModel, ConvergenceError,
                                   adasyn_resample, default_grid, grid_search,
                                   make_model, rbf_kernel)
 from roadroughness.models import neighbors
+from roadroughness.models import tree as tree_module
 from roadroughness.models.logistic import loss_and_grad as logistic_loss
 from roadroughness.models.mlp import init_params, loss_and_grads as mlp_loss
 from roadroughness.models.resample import _knn_indices
 from roadroughness.models.svm import _solve_binary_svc, _solve_svr
+from roadroughness.models.tree import (MAX_DEPTH, N_CLASSES, _Padded,
+                                       _segment_sums, _splitmix64, draw_key,
+                                       feature_subsets)
 
 
 class TestBaseline:
@@ -323,6 +329,366 @@ class TestDecisionTree:
         y = np.array([0, 0, 2, 2])
         tree = DecisionTree(task="classification", max_depth=3).fit(x, y)
         assert list(tree.predict(x)) == [0.0, 0.0, 2.0, 2.0]
+
+
+# ------------------------------------------------ recursive tree oracle
+# The node-by-node grower that the level-wise engine replaced, with the
+# engine's keyed feature draws: the engine must build the same trees.
+
+
+class RecursiveTree:
+    def __init__(self, task="regression", max_depth=5, max_features=None,
+                 n_classes=N_CLASSES, key=0):
+        self.task = task
+        self.max_depth = max_depth
+        self.max_features = max_features
+        self.n_classes = n_classes
+        self.key = key
+
+    def _leaf_value(self, y):
+        if self.task == "regression":
+            return float(np.mean(y))
+        counts = np.bincount(y.astype(int), minlength=self.n_classes)
+        return float(np.argmax(counts))
+
+    def _best_split(self, x, y, feats):
+        n = len(y)
+        best = None
+        best_score = np.inf
+        if self.task == "classification":
+            onehot = np.zeros((n, self.n_classes))
+            onehot[np.arange(n), y.astype(int)] = 1.0
+        for f in feats:
+            xf = x[:, f]
+            order = np.argsort(xf, kind="stable")
+            xs = xf[order]
+            valid = np.flatnonzero(xs[1:] > xs[:-1])
+            if len(valid) == 0:
+                continue
+            sizes_l = (valid + 1).astype(float)
+            sizes_r = n - sizes_l
+            if self.task == "regression":
+                ys = y[order]
+                c1 = np.cumsum(ys)[valid]
+                c2 = np.cumsum(ys ** 2)[valid]
+                tot1 = float(np.sum(ys))
+                tot2 = float(np.sum(ys ** 2))
+                sse_l = c2 - c1 ** 2 / sizes_l
+                sse_r = (tot2 - c2) - (tot1 - c1) ** 2 / sizes_r
+                scores = sse_l + sse_r
+            else:
+                cum = np.cumsum(onehot[order], axis=0)[valid]
+                tot = np.sum(onehot, axis=0)
+                sq_l = np.sum(cum ** 2, axis=1) / sizes_l
+                sq_r = np.sum((tot - cum) ** 2, axis=1) / sizes_r
+                scores = n - sq_l - sq_r
+            k = int(np.argmin(scores))
+            if scores[k] < best_score:
+                i = valid[k]
+                a, b = xs[i], xs[i + 1]
+                thr = a + (b - a) / 2.0
+                if thr >= b:
+                    thr = a
+                best_score = float(scores[k])
+                best = (int(f), float(thr), best_score)
+        return best
+
+    def _grow(self, x, y, depth, heap):
+        node = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        pure = (np.all(y == y[0]) if self.task == "classification"
+                else float(np.ptp(y)) == 0.0)
+        if depth >= self.max_depth or len(y) < 2 or pure:
+            self.value[node] = self._leaf_value(y)
+            return node
+        d = x.shape[1]
+        mf = d if self.max_features is None else min(self.max_features, d)
+        if mf < d:
+            feats = np.flatnonzero(feature_subsets([self.key], [heap], d,
+                                                   mf)[0])
+        else:
+            feats = np.arange(d)
+        split = self._best_split(x, y, feats)
+        if split is None:
+            self.value[node] = self._leaf_value(y)
+            return node
+        f, thr, _ = split
+        mask = x[:, f] <= thr
+        self.feature[node] = f
+        self.threshold[node] = thr
+        self.left[node] = self._grow(x[mask], y[mask], depth + 1,
+                                     2 * heap + 1)
+        self.right[node] = self._grow(x[~mask], y[~mask], depth + 1,
+                                      2 * heap + 2)
+        return node
+
+    def fit(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float if self.task == "regression" else int)
+        self.feature, self.threshold = [], []
+        self.left, self.right, self.value = [], [], []
+        self._grow(x, y, 0, 0)
+        return self
+
+
+def stack_predict(tree, x):
+    """The per-node stack walk that vectorised descent replaced."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(len(x))
+    stack = [(0, np.arange(len(x)))]
+    while stack:
+        node, idx = stack.pop()
+        if len(idx) == 0:
+            continue
+        f = tree.feature[node]
+        if f < 0:
+            out[idx] = tree.value[node]
+            continue
+        mask = x[idx, f] <= tree.threshold[node]
+        stack.append((tree.left[node], idx[mask]))
+        stack.append((tree.right[node], idx[~mask]))
+    return out
+
+
+def stack_forest_predict(forest, x):
+    preds = np.stack([stack_predict(tree, x) for tree in forest.trees])
+    if forest.task == "regression":
+        return preds.mean(axis=0)
+    votes = np.zeros((len(x), forest.n_classes))
+    for row in preds.astype(int):
+        votes[np.arange(len(x)), row] += 1.0
+    return np.argmax(votes, axis=1).astype(float)
+
+
+def assert_same_tree(tree, oracle):
+    assert tree.feature == oracle.feature
+    assert tree.threshold == oracle.threshold
+    assert tree.left == oracle.left
+    assert tree.right == oracle.right
+    np.testing.assert_allclose(tree.value, oracle.value, rtol=1e-12,
+                               atol=0.0)
+
+
+@st.composite
+def tree_problems(draw):
+    """Small data sets with ties, duplicates and constant columns."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    task = draw(st.sampled_from(["regression", "classification"]))
+    grid = draw(st.sampled_from([0.5, 0.1, 1e-3]))  # coarser: more ties
+    x = np.array(draw(st.lists(st.integers(-20, 20), min_size=n * d,
+                               max_size=n * d)), dtype=float).reshape(n, d)
+    x = x * grid
+    for f in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        x[:, f] = x[0, f]                           # constant columns
+    if draw(st.booleans()) and n > 1:
+        x[n // 2:] = x[:n - n // 2]                 # duplicated rows
+    if task == "regression":
+        y = np.array(draw(st.lists(
+            st.floats(-1e3, 1e3, allow_nan=False, width=64),
+            min_size=n, max_size=n)))
+        if draw(st.booleans()):
+            y = np.round(y, 0)                      # tied y values
+    else:
+        levels = draw(st.lists(st.integers(0, N_CLASSES - 1), min_size=1,
+                               max_size=2, unique=True))   # a level absent
+        y = np.array(draw(st.lists(st.sampled_from(levels), min_size=n,
+                                   max_size=n)))
+    if draw(st.booleans()):
+        y = np.full(n, y[0])                        # constant y
+    mf = draw(st.one_of(st.none(), st.integers(1, d)))
+    depth = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return task, x, y, mf, depth, seed
+
+
+class TestForestEngine:
+    """The level-wise engine against the recursive oracle, node for node."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tree_problems())
+    def test_property_matches_recursive_oracle(self, problem):
+        task, x, y, mf, depth, seed = problem
+        tree = DecisionTree(task, depth, mf,
+                            rng=np.random.default_rng(seed)).fit(x, y)
+        oracle = RecursiveTree(task, depth, mf, key=draw_key(
+            np.random.default_rng(seed))).fit(x, y)
+        assert_same_tree(tree, oracle)
+        assert np.array_equal(tree.predict(x), stack_predict(oracle, x))
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 130, 300, 700])
+    def test_no_draws_matches_recursive_tree(self, task, n):
+        # max_features=None draws nothing: the tree of the node-by-node
+        # grower, unchanged. Larger n covers every summation path (runs
+        # under 8, up to 128 and longer).
+        rng = np.random.default_rng(n)
+        x = np.round(rng.normal(size=(n, 3)), 1)
+        y = (rng.normal(0.0, 50.0, n) if task == "regression"
+             else rng.integers(0, 2, n))
+        tree = DecisionTree(task, 12).fit(x, y)
+        oracle = RecursiveTree(task, 12).fit(x, y)
+        assert_same_tree(tree, oracle)
+        assert tree.value == oracle.value
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_forest_trees_match_oracle_on_bootstrap_rows(self, task):
+        rng = np.random.default_rng(21)
+        n, d = 260, 5
+        x = np.round(rng.normal(size=(n, d)), 2)
+        y = (x[:, 0] ** 2 + rng.normal(0.0, 0.3, n) if task == "regression"
+             else rng.integers(0, 3, n))
+        forest = RandomForestModel(task, n_trees=6, max_depth=9, seed=4,
+                                   max_features=2).fit(x, y)
+        children = np.random.SeedSequence(4).spawn(6)
+        for tree, child in zip(forest.trees, children):
+            gen = np.random.default_rng(child)
+            boot = gen.integers(0, n, n)
+            oracle = RecursiveTree(task, 9, 2, key=draw_key(gen)).fit(
+                x[boot], y[boot])
+            assert_same_tree(tree, oracle)
+
+    def test_subset_depends_only_on_key_and_heap(self):
+        keys = np.array([3, 3, 99, 3], dtype=np.uint64)
+        heaps = np.array([0, 5, 5, 1000], dtype=np.uint64)
+        batch = feature_subsets(keys, heaps, 10, 3)
+        assert batch.sum(axis=1).tolist() == [3, 3, 3, 3]
+        for i in range(4):
+            alone = feature_subsets(keys[i:i + 1], heaps[i:i + 1], 10, 3)
+            assert np.array_equal(alone[0], batch[i])
+        rev = feature_subsets(keys[::-1], heaps[::-1], 10, 3)
+        assert np.array_equal(rev[::-1], batch)
+        # Different nodes of one tree draw different subsets.
+        assert not np.array_equal(batch[0], batch[1])
+
+    def test_split_features_come_from_the_node_draw(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(300, 8))
+        y = x @ rng.normal(size=8)
+        tree = DecisionTree("regression", 7, 3,
+                            rng=np.random.default_rng(5)).fit(x, y)
+        key = draw_key(np.random.default_rng(5))
+        stack = [(0, 0)]
+        while stack:
+            node, heap = stack.pop()
+            f = tree.feature[node]
+            if f < 0:
+                continue
+            assert feature_subsets([key], [heap], 8, 3)[0, f]
+            stack.append((tree.left[node], 2 * heap + 1))
+            stack.append((tree.right[node], 2 * heap + 2))
+
+    def test_draws_are_pinned(self):
+        # SplitMix64's published first outputs (seed 0), then subsets of
+        # 2 of 6 features: a change here changes every forest.
+        z = _splitmix64(np.array([0, 0x9E3779B97F4A7C15], dtype=np.uint64))
+        assert [hex(int(v)) for v in z] == ["0xe220a8397b1dcdaf",
+                                            "0x6e789e6aa1b965f4"]
+        mask = feature_subsets(
+            np.array([7, 7, 7, 12345678901234567890], dtype=np.uint64),
+            np.array([0, 1, 2, 6], dtype=np.uint64), 6, 2)
+        assert [np.flatnonzero(r).tolist() for r in mask] == [
+            [3, 4], [2, 5], [1, 5], [3, 5]]
+
+    @pytest.mark.parametrize("lens", [[1, 2, 7], [8, 9, 15, 16, 17, 127,
+                                                   128], [129, 300, 1000],
+                                      [3, 200, 64, 5, 129, 8, 1],
+                                      [2] * 300 + [9] * 40 + [700]])
+    def test_segment_sums_equal_numpy(self, lens):
+        rng = np.random.default_rng(sum(lens))
+        lens = np.array(lens)
+        a = rng.normal(size=(2, lens.sum())) * 10 ** rng.uniform(
+            -3, 3, size=(2, lens.sum()))
+        pad = _Padded(lens)
+        run = pad.cumsum(pad.spread(a))
+        tot = _segment_sums(a, lens)
+        ends = np.cumsum(lens)
+        for i, (lo, hi) in enumerate(zip(ends - lens, ends)):
+            for k in range(2):
+                seg = a[k, lo:hi].copy()
+                assert np.array_equal(run[k, pad.slots[lo:hi]],
+                                      np.cumsum(seg))
+                assert tot[k, i] == np.sum(seg)
+                assert tot[k, i] == _segment_sums(seg, lens[i:i + 1])[0]
+
+    def test_threshold_between_adjacent_floats(self):
+        a = np.nextafter(1.0, 2.0)      # odd last bit: a + ulp / 2 rounds
+        b = np.nextafter(a, 2.0)        # up to b
+        x = np.array([[a], [b], [a], [b]])
+        tree = DecisionTree(max_depth=1).fit(x, [0.0, 1.0, 0.0, 1.0])
+        assert a + (b - a) / 2.0 == b
+        assert tree.threshold == [a, 0.0, 0.0]
+        assert tree.predict(x).tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    def test_depth_beyond_heap_width_rejected(self):
+        with pytest.raises(ValueError, match="max_depth"):
+            DecisionTree(max_depth=MAX_DEPTH + 1)
+        with pytest.raises(ValueError, match="max_depth"):
+            RandomForestModel(max_depth=MAX_DEPTH + 1).fit(
+                np.zeros((4, 1)), np.arange(4.0))
+        tree = DecisionTree(max_depth=MAX_DEPTH).fit(
+            np.arange(70.0)[:, None], np.arange(70.0) ** 2)
+        assert tree.predict(np.arange(70.0)[:, None]).tolist() == (
+            (np.arange(70.0) ** 2).tolist())
+
+    def test_class_labels_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="class labels"):
+            DecisionTree("classification").fit(np.zeros((2, 1)), [0, 3])
+
+    @staticmethod
+    def _peak_bytes(n_trees, n_rows):
+        import tracemalloc
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(n_rows, 3))
+        y = rng.normal(size=n_rows)
+        tracemalloc.start()
+        RandomForestModel(n_trees=n_trees, max_depth=12, seed=0).fit(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return peak
+
+    def test_temporaries_linear_in_bootstrap_rows(self, monkeypatch):
+        # Padding nodes x rows at depth 12 would need hundreds of MB; the
+        # engine needs about 0.5 KB per bootstrap row at any size.
+        monkeypatch.setattr(tree_module, "GROW_ROWS", 1 << 30)
+        for n_trees in (30, 60):
+            assert self._peak_bytes(n_trees, 2000) < 800 * n_trees * 2000
+
+    def test_groups_of_trees_bound_memory(self):
+        assert self._peak_bytes(60, 2000) < 800 * tree_module.GROW_ROWS
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_groups_of_trees_grow_the_same_trees(self, task, monkeypatch):
+        rng = np.random.default_rng(25)
+        x = np.round(rng.normal(size=(150, 4)), 1)
+        y = (rng.normal(size=150) if task == "regression"
+             else rng.integers(0, 3, 150))
+        whole = RandomForestModel(task, n_trees=7, max_depth=6,
+                                  seed=3).fit(x, y)
+        monkeypatch.setattr(tree_module, "GROW_ROWS", 300)   # 2 trees
+        grouped = RandomForestModel(task, n_trees=7, max_depth=6,
+                                    seed=3).fit(x, y)
+        assert grouped.state_dict() == whole.state_dict()
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_descent_matches_stack_walk(self, task):
+        rng = np.random.default_rng(24)
+        x = np.round(rng.normal(size=(300, 4)), 1)
+        y = (rng.normal(size=300) if task == "regression"
+             else rng.integers(0, 3, 300))
+        forest = RandomForestModel(task, n_trees=12, max_depth=8,
+                                   seed=1).fit(x, y)
+        q = np.vstack([x, np.round(rng.normal(size=(200, 4)), 1)])
+        for tree in forest.trees:
+            assert np.array_equal(tree.predict(q), stack_predict(tree, q))
+        assert np.array_equal(forest.predict(q),
+                              stack_forest_predict(forest, q))
+        loaded = RandomForestModel.from_state(forest.state_dict())
+        assert np.array_equal(loaded.predict(q), forest.predict(q))
 
 
 class TestRandomForest:
