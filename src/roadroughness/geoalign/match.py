@@ -48,7 +48,7 @@ class MatchedTrace:
     lat: np.ndarray
     lon: np.ndarray
     log_score: float
-    n_unmatched: int = 0  # fixes dropped for having no edge in range
+    n_unmatched: int = 0  # fixes dropped: no edge in range, or not finite
 
     def __len__(self) -> int:
         return len(self.t)
@@ -79,7 +79,8 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
 
     Returns ``(steps, emissions, transitions)`` where ``transitions[i]`` maps
     candidates of step i to candidates of step i+1. A fix with no edge within
-    ``radius`` is dropped (``Lattice.kept`` lists the fixes kept);
+    ``radius``, or without a finite position, is dropped (``Lattice.kept``
+    lists the fixes kept);
     ``UnmatchedFixError`` names the first dropped fix if fewer than 2 remain.
     """
     lats = np.asarray(lats, dtype=float)
@@ -107,11 +108,17 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
     for i in range(len(lats) - 1):
         d_gc = float(haversine(lats[i], lons[i], lats[i + 1], lons[i + 1]))
         cutoff = max(10.0 * (d_gc + 1.0), 2000.0)
+        # Searches from step i stop once the end nodes of every step-(i+1)
+        # candidate are settled; the cache shares each search within the
+        # step, so the targets must cover all of them.
         cache: dict = {}
+        targets = {int(n) for c in steps[i + 1]
+                   for n in (network.edge_a[c.edge], network.edge_b[c.edge])}
         mat = np.full((len(steps[i]), len(steps[i + 1])), -np.inf)
         for a, ca in enumerate(steps[i]):
             for b, cb in enumerate(steps[i + 1]):
-                d_route = network.route_distance(ca, cb, cutoff, cache)
+                d_route = network.route_distance(ca, cb, cutoff, cache,
+                                                 targets)
                 if np.isfinite(d_route):
                     mat[a, b] = -abs(d_route - d_gc) / beta
         if not np.any(np.isfinite(mat)):
@@ -142,8 +149,8 @@ def match_fixes(t, lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGM
                 beta: float = DEFAULT_BETA, max_candidates: int = 8,
                 radius: float = 50.0) -> MatchedTrace:
     """Snap a sequence of timestamped fixes to the network. Fixes with no
-    edge within ``radius`` are left out of the result and counted in its
-    ``n_unmatched``."""
+    edge within ``radius``, or without a finite position, are left out of
+    the result and counted in its ``n_unmatched``."""
     lattice = build_lattice(lats, lons, network, sigma, beta, max_candidates,
                             radius)
     steps, emissions, transitions = lattice

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..topk import smallest_k
 from .tree import N_CLASSES
 
 # Bytes of the (query chunk x n_train x d) difference tensor built per chunk
@@ -52,7 +53,7 @@ class KnnModel:
         for lo in range(0, len(x), chunk):
             q = x[lo:lo + chunk]
             d2 = ((q[:, None, :] - self.x_train[None, :, :]) ** 2).sum(axis=2)
-            nearest = np.argsort(d2, axis=1, kind="stable")[:, :self.k]
+            nearest = smallest_k(d2, self.k)
             vals = self.y_train[nearest]
             if self.task == "regression":
                 out[lo:lo + chunk] = vals.mean(axis=1)

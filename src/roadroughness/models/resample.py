@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from ..topk import smallest_k
 from .neighbors import query_chunk
 
 DEFAULT_K = 5
@@ -37,8 +38,7 @@ def _knn_indices(x: np.ndarray, query: np.ndarray, k: int,
     for lo in range(0, len(query), chunk):
         q = query[lo:lo + chunk]
         d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-        order = np.argsort(d2, axis=1, kind="stable")
-        out[lo:lo + chunk] = order[:, first:first + k]
+        out[lo:lo + chunk] = smallest_k(d2, first + k)[:, first:]
     return out
 
 

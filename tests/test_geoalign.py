@@ -1,7 +1,11 @@
 import itertools
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadroughness.core import GeoPoint, ReferenceSegment, TelemetryTrace
 from roadroughness.geo import LocalProjection, Polyline, haversine
@@ -99,6 +103,162 @@ class TestRoadNetwork:
         with pytest.raises(ValueError):
             RoadNetwork.load(p)
 
+    def test_edge_to_unknown_node_is_named(self):
+        with pytest.raises(ValueError, match=r"edge \(0,3\) names unknown node 3"):
+            RoadNetwork({0: latlon(0, 0), 1: latlon(100, 0)},
+                        [(0, 1, None), (0, 3, None)])
+
+    @pytest.mark.parametrize("bad", [(np.nan, 12.5), (55.6, np.nan),
+                                     (np.inf, 12.5), (95.0, 12.5),
+                                     (55.6, -181.0)])
+    def test_node_with_invalid_coordinates_is_named(self, bad):
+        with pytest.raises(ValueError, match="node 7 has invalid coordinates"):
+            RoadNetwork({0: latlon(0, 0), 7: bad}, [(0, 7, None)])
+
+    @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -100.0])
+    def test_edge_with_invalid_length_is_named(self, length):
+        with pytest.raises(ValueError, match=r"edge \(0,1\)"):
+            RoadNetwork({0: latlon(0, 0), 1: latlon(100, 0)},
+                        [(0, 1, length)])
+
+
+_NASTY_FIELDS = ["nan", "inf", "-inf", "1e400", "", "x", "-1", "0", "5",
+                 "99", "3.5", "1e-300", " ", "-91", "200", "12.55", "55.65"]
+
+
+@st.composite
+def mangled_network_files(draw):
+    """The text of a valid 3 x 2 grid network with a few lines replaced,
+    dropped, duplicated, cut short or extended."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.txt"
+        grid_network(3, 2).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(["field", "drop", "dup", "cut", "extend",
+                                       "text"]))
+        parts = lines[i].split(",")
+        if action == "field" and len(parts) > 1:
+            j = draw(st.integers(1, len(parts) - 1))
+            parts[j] = draw(st.one_of(st.sampled_from(_NASTY_FIELDS),
+                                      st.text(max_size=4)))
+            lines[i] = ",".join(parts)
+        elif action == "drop":
+            del lines[i]
+        elif action == "dup":
+            lines.insert(i, lines[i])
+        elif action == "cut":
+            lines[i] = ",".join(parts[:draw(st.integers(0, len(parts) - 1))])
+        elif action == "extend":
+            lines[i] += "," + draw(st.sampled_from(_NASTY_FIELDS))
+        else:
+            lines[i] = draw(st.text(max_size=12))
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(mangled_network_files())
+def test_load_raises_only_value_error_on_malformed_files(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            net = RoadNetwork.load(path)
+        except ValueError:
+            return
+    assert np.all(np.isfinite(net.node_x)) and np.all(np.isfinite(net.node_y))
+    assert np.all(np.isfinite(net.edge_len)) and np.all(net.edge_len > 0)
+
+
+def irregular_grid(rng, nx, ny, drop=0.0):
+    """A grid with junctions moved up to 20 m and a share ``drop`` of its
+    streets removed, plus one street that no grid node reaches (nodes
+    10**6 and 10**6 + 1). Returns the network and the junctions' x/y."""
+    xy = {j * nx + i: (i * 100.0 + rng.uniform(-20, 20),
+                       j * 100.0 + rng.uniform(-20, 20))
+          for j in range(ny) for i in range(nx)}
+    xy[10 ** 6] = (nx * 100.0 + 5000.0, 0.0)
+    xy[10 ** 6 + 1] = (nx * 100.0 + 5100.0, 0.0)
+    edges = [(10 ** 6, 10 ** 6 + 1, None)]
+    for j in range(ny):
+        for i in range(nx):
+            nid = j * nx + i
+            if i + 1 < nx and rng.random() >= drop:
+                edges.append((nid, nid + 1, None))
+            if j + 1 < ny and rng.random() >= drop:
+                edges.append((nid, nid + nx, None))
+    nodes = {nid: latlon(*p) for nid, p in xy.items()}
+    return RoadNetwork(nodes, edges), xy
+
+
+def full_search(network, source, cutoff):
+    """The unbounded search, the oracle for a target-bounded one."""
+    return network.shortest_node_dists(source, cutoff)
+
+
+class TestBoundedSearch:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_targeted_distances_equal_full_search(self, seed):
+        rng = np.random.default_rng(seed)
+        net, _ = irregular_grid(rng, int(rng.integers(3, 9)),
+                                int(rng.integers(3, 9)), drop=0.3)
+        for _ in range(20):
+            source = int(rng.integers(net.n_nodes))
+            cutoff = float(rng.uniform(50.0, 900.0))
+            full = full_search(net, source, cutoff)
+            targets = {int(t) for t in rng.choice(net.n_nodes, 5)}
+            if rng.random() < 0.5:  # a target at exactly the cutoff
+                inside = [n for n in full if n != source]
+                if inside:
+                    edge = full[inside[int(rng.integers(len(inside)))]]
+                    full = full_search(net, source, edge)
+                    cutoff = edge
+                    targets.add(max(full, key=full.get))
+            got = net.shortest_node_dists(source, cutoff, targets)
+            for node, d in got.items():
+                assert d == full[node]
+            for t in targets:
+                if t in full:
+                    assert got[t] == full[t]
+                else:  # unreachable or beyond the cutoff
+                    assert t not in got
+
+    def test_target_at_exactly_the_cutoff_is_settled(self):
+        net = grid_network(4, 1)
+        full = full_search(net, 0, 5000.0)
+        got = net.shortest_node_dists(0, full[3], {3})
+        assert got[3] == full[3]
+        assert 3 not in net.shortest_node_dists(0, np.nextafter(full[3], 0),
+                                                {3})
+
+    def test_source_as_its_own_target(self):
+        net = grid_network()
+        assert net.shortest_node_dists(5, 2000.0, {5}) == {5: 0.0}
+
+    def test_unreachable_target_runs_the_search_out(self):
+        net, _ = irregular_grid(np.random.default_rng(0), 4, 4, drop=0.3)
+        far = net._index[10 ** 6]
+        got = net.shortest_node_dists(0, 2000.0, {far})
+        assert got == full_search(net, 0, 2000.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_route_distance_equals_full_search(self, seed):
+        rng = np.random.default_rng(seed)
+        net, _ = irregular_grid(rng, 6, 6, drop=0.3)
+        for _ in range(30):
+            c1, c2 = (net.candidates(*latlon(*rng.uniform(0, 500, 2)),
+                                     radius=200.0) for _ in range(2))
+            if not c1 or not c2:
+                continue
+            a, b = c1[0], c2[-1]
+            cutoff = float(rng.uniform(100.0, 800.0))
+            expected = net.route_distance(a, b, cutoff)  # full search
+            ends = {int(net.edge_a[b.edge]), int(net.edge_b[b.edge])}
+            assert net.route_distance(a, b, cutoff, None, ends) == expected
+
 
 def straight_fixes(n, spacing=80.0, offset_y=0.0, noise=0.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -176,6 +336,76 @@ class TestMapMatching:
         assert np.array_equal(matched.lat, alone.lat)
         assert np.array_equal(matched.lon, alone.lon)
         assert list(matched.fix_lat) == list(lats[keep])
+
+    @pytest.mark.parametrize("bad", [(np.nan, None), (None, np.nan),
+                                     (np.inf, None), (np.nan, np.nan)])
+    def test_non_finite_fix_is_dropped_and_counted(self, bad):
+        net = grid_network(6, 2, spacing=100.0)
+        lats, lons = straight_fixes(7, spacing=80.0)
+        keep = [0, 1, 2, 4, 5, 6]
+        alone = match_fixes(np.arange(7.0)[keep], lats[keep], lons[keep],
+                            net)
+        if bad[0] is not None:
+            lats[3] = bad[0]
+        if bad[1] is not None:
+            lons[3] = bad[1]
+        matched = match_fixes(np.arange(7.0), lats, lons, net)
+        assert matched.n_unmatched == 1
+        assert list(matched.t) == [0.0, 1.0, 2.0, 4.0, 5.0, 6.0]
+        assert np.array_equal(matched.edge, alone.edge)
+        assert np.array_equal(matched.lat, alone.lat)
+        assert matched.log_score == alone.log_score
+
+    @staticmethod
+    def _assert_equals_full_search(net, t, lats, lons, monkeypatch):
+        bounded = build_lattice(lats, lons, net)
+        matched = match_fixes(t, lats, lons, net)
+        full = RoadNetwork.shortest_node_dists
+        monkeypatch.setattr(
+            RoadNetwork, "shortest_node_dists",
+            lambda self, source, cutoff, targets=None: full(self, source,
+                                                            cutoff))
+        oracle = build_lattice(lats, lons, net)
+        oracle_match = match_fixes(t, lats, lons, net)
+        assert bounded[0] == oracle[0]
+        for got, want in zip(bounded[1] + bounded[2], oracle[1] + oracle[2]):
+            assert np.array_equal(got, want)
+        for field in ("t", "edge", "offset", "lat", "lon"):
+            assert np.array_equal(getattr(matched, field),
+                                  getattr(oracle_match, field))
+        assert matched.log_score == oracle_match.log_score
+
+    def test_city_grid_lattice_equals_full_search(self, monkeypatch):
+        """A 50-fix drive over a 60 x 60 grid with uneven blocks: the
+        target-bounded lattice and match equal those built with the full
+        search."""
+        rng = np.random.default_rng(5)
+        net, xy = irregular_grid(rng, 60, 60)
+        route = [xy[30 * 60 + i] for i in range(20, 26)]
+        route += [xy[j * 60 + 25] for j in range(31, 36)]
+        cum = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(
+            route, axis=0).T))])
+        s = np.arange(50) * 13.9
+        xs = np.interp(s, cum, [p[0] for p in route]) + rng.normal(0, 2.1, 50)
+        ys = np.interp(s, cum, [p[1] for p in route]) + rng.normal(0, 2.1, 50)
+        lats, lons = (np.array(v) for v in zip(*map(latlon, xs, ys)))
+        self._assert_equals_full_search(net, s, lats, lons, monkeypatch)
+
+    def test_parallel_street_lattice_equals_full_search(self, monkeypatch):
+        """Two parallel streets 30 m apart, joined only at their ends: each
+        fix has candidates on both, and the far street's nodes are settled
+        long after the near street's."""
+        nodes = {i: latlon(i * 100.0, 0.0) for i in range(6)}
+        nodes.update({10 + i: latlon(i * 100.0, 30.0) for i in range(6)})
+        edges = [(i, i + 1, None) for i in range(5)]
+        edges += [(10 + i, 11 + i, None) for i in range(5)]
+        edges += [(0, 10, None), (5, 15, None)]
+        net = RoadNetwork(nodes, edges)
+        xs = np.arange(20.0, 480.0, 40.0)
+        lats, lons = (np.array(v) for v in zip(*(latlon(x, 8.0) for x in xs)))
+        assert all(len(net.candidates(a, b)) >= 2 for a, b in zip(lats, lons))
+        self._assert_equals_full_search(net, np.arange(len(xs), dtype=float),
+                                        lats, lons, monkeypatch)
 
     def test_map_match_uses_trace_fixes(self):
         net = grid_network(6, 2)
