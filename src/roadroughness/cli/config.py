@@ -99,5 +99,13 @@ def validate_config(config: dict) -> None:
             raise ValueError(f"simulate.{key} must be a positive number")
     if sim["envelope_min"] <= 0 or sim["envelope_max"] < sim["envelope_min"]:
         raise ValueError("envelope bounds must satisfy 0 < min <= max")
+    match = config["match"]
+    for key in ("radius_m", "sigma_m", "beta_m"):
+        v = match[key]
+        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            raise ValueError(f"match.{key} must be a finite positive number")
+    k = match["max_candidates"]
+    if not (isinstance(k, (int, float)) and math.isfinite(k) and k >= 1):
+        raise ValueError("match.max_candidates must be a number of at least 1")
     if config["select"]["k_folds"] < 2 or config["train"]["k_folds"] < 2:
         raise ValueError("k_folds must be at least 2")

@@ -8,6 +8,7 @@ files plus a JSON manifest.
 from __future__ import annotations
 
 import json
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -53,20 +54,26 @@ def read_telemetry_csv(path) -> TelemetryTrace:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != TELEMETRY_HEADER:
         raise ValueError(f"{path}: bad telemetry header")
-    t, acc, speed = [], [], []
-    gps_idx, gps_lat, gps_lon = [], [], []
-    for i, line in enumerate(lines[1:]):
-        cols = line.split(",")
-        if len(cols) != 5:
-            raise ValueError(f"{path}: bad column count on row {i + 1}")
-        t.append(float(cols[0]))
-        acc.append(float(cols[1]))
-        speed.append(float(cols[2]))
-        if cols[3] != "":
-            gps_idx.append(i)
-            gps_lat.append(float(cols[3]))
-            gps_lon.append(float(cols[4]))
+    rows = lines[1:]
+    commas = np.fromiter(map(str.count, rows, repeat(",")), int, len(rows))
+    bad = np.flatnonzero(commas != 4)
+    if len(bad):
+        raise ValueError(f"{path}: bad column count on row {bad[0] + 1}")
+    t, acc, speed = _parse_columns(rows, (0, 1, 2))
+    # The first three fields are parsed, so not empty: two adjacent commas
+    # mean an empty lat, a row without a fix, whose lon is not read.
+    gps_idx = np.flatnonzero([",," not in line for line in rows])
+    gps_lat, gps_lon = _parse_columns([rows[i] for i in gps_idx], (3, 4))
     return TelemetryTrace(t, acc, speed, gps_idx, gps_lat, gps_lon)
+
+
+def _parse_columns(rows: list[str], columns: tuple) -> np.ndarray:
+    """The given comma-separated float columns of ``rows``, one array per
+    column, parsed by numpy's C reader (correctly rounded, as ``float``)."""
+    if not rows:
+        return np.empty((len(columns), 0))
+    return np.loadtxt(rows, delimiter=",", usecols=columns, comments=None,
+                      ndmin=2).T.copy()
 
 
 # ------------------------------------------------------- reference segments

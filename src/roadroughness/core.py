@@ -50,20 +50,6 @@ class GeoPoint:
             raise ValueError(f"longitude out of range: {self.lon}")
 
 
-@dataclass(frozen=True)
-class TelemetrySample:
-    """One in-vehicle sample; ``gps`` is present only at fix instants."""
-
-    t: float
-    acc_z: float
-    speed: float
-    gps: GeoPoint | None = None
-
-    def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError(f"speed must be non-negative, got {self.speed}")
-
-
 @dataclass
 class TelemetryTrace:
     """A time-ordered trace of vertical acceleration, speed and GPS fixes.
@@ -102,14 +88,6 @@ class TelemetryTrace:
     @property
     def gps_t(self) -> np.ndarray:
         return self.t[self.gps_idx]
-
-    def samples(self):
-        """Iterate over the trace as :class:`TelemetrySample` objects."""
-        fixes = {int(i): GeoPoint(la, lo)
-                 for i, la, lo in zip(self.gps_idx, self.gps_lat, self.gps_lon)}
-        for i in range(len(self)):
-            yield TelemetrySample(float(self.t[i]), float(self.acc_z[i]),
-                                  float(self.speed[i]), fixes.get(i))
 
 
 @dataclass(frozen=True)

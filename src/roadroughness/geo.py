@@ -18,6 +18,22 @@ def haversine(lat1, lon1, lat2, lon2):
     return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
+def haversine_pointwise(lat1, lon1, lat2, lon2) -> np.ndarray:
+    """``haversine`` over 1-D arrays whose every element equals, bit for bit,
+    that of a scalar ``haversine`` call on the same four values.
+
+    A scalar ``** 2`` is libm ``pow``, an array ``** 2`` is ``np.square``,
+    and the two differ in the last bit on some inputs; so the two squares
+    are taken as Python floats. The other operations agree elementwise.
+    """
+    lat1, lon1, lat2, lon2 = (np.radians(np.asarray(a, dtype=float))
+                              for a in (lat1, lon1, lat2, lon2))
+    sin_lat = np.array([v ** 2 for v in np.sin((lat2 - lat1) / 2).tolist()])
+    sin_lon = np.array([v ** 2 for v in np.sin((lon2 - lon1) / 2).tolist()])
+    h = sin_lat + np.cos(lat1) * np.cos(lat2) * sin_lon
+    return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+
+
 class LocalProjection:
     """Equirectangular projection around a reference point.
 

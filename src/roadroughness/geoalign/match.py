@@ -91,9 +91,8 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
     emissions: list[np.ndarray] = []
     kept: list[int] = []
     dropped: list[int] = []
-    for i in range(len(lats)):
-        cands = network.candidates(float(lats[i]), float(lons[i]),
-                                   max_candidates, radius)
+    for i, cands in enumerate(network.candidates(lats, lons, max_candidates,
+                                                 radius)):
         if not cands:
             dropped.append(i)
             continue

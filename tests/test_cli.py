@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadroughness.cli import io
 from roadroughness.cli.config import DEFAULT_CONFIG, load_config
@@ -45,6 +49,137 @@ def _trace(n=12, fix_every=4):
     return TelemetryTrace(np.arange(n) * 0.02, rng.normal(size=n),
                           np.full(n, 13.9), gps_idx,
                           55.65 + 1e-5 * gps_idx, 12.55 + 1e-5 * gps_idx)
+
+
+def per_cell_telemetry(path) -> TelemetryTrace:
+    """The reader that converts every cell with ``float``: the oracle for
+    the one that parses whole columns with numpy."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != io.TELEMETRY_HEADER:
+        raise ValueError(f"{path}: bad telemetry header")
+    t, acc, speed = [], [], []
+    gps_idx, gps_lat, gps_lon = [], [], []
+    for i, line in enumerate(lines[1:]):
+        cols = line.split(",")
+        if len(cols) != 5:
+            raise ValueError(f"{path}: bad column count on row {i + 1}")
+        t.append(float(cols[0]))
+        acc.append(float(cols[1]))
+        speed.append(float(cols[2]))
+        if cols[3] != "":
+            gps_idx.append(i)
+            gps_lat.append(float(cols[3]))
+            gps_lon.append(float(cols[4]))
+    return TelemetryTrace(t, acc, speed, gps_idx, gps_lat, gps_lon)
+
+
+def assert_same_trace(got: TelemetryTrace, want: TelemetryTrace) -> None:
+    for name in ("t", "acc_z", "speed", "gps_idx", "gps_lat", "gps_lon"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _read_both(path):
+    """Both readers' result, or the ValueError each raised."""
+    out = []
+    for reader in (io.read_telemetry_csv, per_cell_telemetry):
+        try:
+            out.append(reader(path))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
+# Fields that either reader may meet; numpy rejects '_' in numbers and
+# non-ASCII digits, which float accepts, so neither is drawn.
+_TELEMETRY_FIELDS = ["nan", "inf", "-inf", "Infinity", "1e400", "", " ", "x",
+                     "-1", "0", "-0.0", " 5", "5 ", "+3", ".5", "5.", "1e-300",
+                     "4.9e-324", "12.55", "55.65", "1,2", "#", "0x10"]
+
+
+@st.composite
+def mangled_telemetry(draw):
+    """The text of a valid telemetry file with a few fields or lines
+    replaced, dropped, duplicated, cut short or extended."""
+    lines = [io.TELEMETRY_HEADER] + [
+        f"{i * 0.02!r},{v!r},13.9," + (f"{55.65 + i * 1e-5!r},"
+                                       f"{12.55 + i * 1e-5!r}"
+                                       if i % 3 == 0 else ",")
+        for i, v in enumerate(np.random.default_rng(
+            draw(st.integers(0, 99))).normal(size=8).tolist())]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        parts = lines[i].split(",")
+        action = draw(st.sampled_from(["field", "drop", "dup", "cut",
+                                       "extend", "text"]))
+        if action == "field":
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.one_of(
+                st.sampled_from(_TELEMETRY_FIELDS),
+                st.text("0123456789.-+eEinfa ,", max_size=6)))
+            lines[i] = ",".join(parts)
+        elif action == "drop":
+            del lines[i]
+        elif action == "dup":
+            lines.insert(i, lines[i])
+        elif action == "cut":
+            lines[i] = ",".join(parts[:draw(st.integers(0, len(parts) - 1))])
+        elif action == "extend":
+            lines[i] += "," + draw(st.sampled_from(_TELEMETRY_FIELDS))
+        else:
+            lines[i] = draw(st.text("0123456789.,-e \r", max_size=12))
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+class TestTelemetryReader:
+    def test_equals_per_cell_reader_on_a_long_trace(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 5000
+        gps_idx = np.arange(0, n, 50)
+        trace = TelemetryTrace(
+            np.arange(n) * 0.02, rng.normal(size=n) * 10.0 ** rng.integers(
+                -300, 300, n), rng.uniform(0.0, 40.0, n), gps_idx,
+            rng.uniform(-90.0, 90.0, len(gps_idx)),
+            rng.uniform(-180.0, 180.0, len(gps_idx)))
+        p = tmp_path / "telemetry.csv"
+        io.write_telemetry_csv(p, trace)
+        assert_same_trace(io.read_telemetry_csv(p), per_cell_telemetry(p))
+        assert_same_trace(io.read_telemetry_csv(p), trace)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "bad telemetry header"),
+        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,,\n0.02,1.0,13.9,\n",
+         "bad column count on row 2"),
+        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,,\n\n0.04,1.0,13.9,,\n",
+         "bad column count on row 2"),
+        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,,,\n",
+         "bad column count on row 1"),
+    ])
+    def test_errors_keep_their_wording(self, tmp_path, text, message):
+        p = tmp_path / "telemetry.csv"
+        p.write_text(text, encoding="utf-8")
+        for reader in (io.read_telemetry_csv, per_cell_telemetry):
+            with pytest.raises(ValueError, match=message):
+                reader(p)
+
+    def test_header_only_gives_an_empty_trace(self, tmp_path):
+        p = tmp_path / "telemetry.csv"
+        p.write_text(io.TELEMETRY_HEADER + "\n", encoding="utf-8")
+        assert_same_trace(io.read_telemetry_csv(p), per_cell_telemetry(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mangled_telemetry())
+    def test_mangled_files_read_as_the_per_cell_reader(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "telemetry.csv"
+            p.write_text(text, encoding="utf-8")
+            got, want = _read_both(p)
+        if isinstance(want, ValueError):
+            assert isinstance(got, ValueError)
+        else:
+            assert_same_trace(got, want)
 
 
 class TestArtifactRoundTrips:
@@ -180,6 +315,19 @@ class TestConfig:
         p = tmp_path / "c.json"
         p.write_text(json.dumps(override))
         with pytest.raises(ValueError):
+            load_config(p)
+
+    @pytest.mark.parametrize("key,value", [
+        ("radius_m", float("nan")), ("radius_m", float("inf")),
+        ("radius_m", 0.0), ("sigma_m", float("nan")), ("sigma_m", -4.0),
+        ("beta_m", float("inf")), ("beta_m", 0.0),
+        ("max_candidates", 0), ("max_candidates", float("nan")),
+        ("max_candidates", "8"),
+    ])
+    def test_bad_match_setting_is_named(self, tmp_path, key, value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"match": {key: value}}))
+        with pytest.raises(ValueError, match=f"match.{key}"):
             load_config(p)
 
 

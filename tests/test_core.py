@@ -48,10 +48,6 @@ class TestTelemetryTrace:
                                [10.0, 10.0, 10.0, 10.0], [0, 2],
                                [55.0, 55.001], [12.0, 12.001])
         assert list(trace.gps_t) == [0.0, 0.2]
-        samples = list(trace.samples())
-        assert samples[0].gps is not None
-        assert samples[1].gps is None
-        assert samples[2].gps.lat == 55.001
 
     def test_non_monotonic_time_rejected(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from roadroughness.core import GeoPoint, ReferenceSegment, TelemetryTrace
 from roadroughness.geo import LocalProjection, Polyline, haversine
-from roadroughness.geoalign import (BrokenTraceError, RoadNetwork,
+from roadroughness.geoalign import (BrokenTraceError, Candidate, RoadNetwork,
                                     UnmatchedFixError, align_segments,
                                     build_lattice, interpolate_positions,
                                     map_match, match_fixes, sliding_windows,
                                     viterbi_path)
+from roadroughness.topk import smallest_k
 
 ORIGIN = (55.65, 12.55)
 PROJ = LocalProjection(*ORIGIN)
@@ -197,6 +198,265 @@ def irregular_grid(rng, nx, ny, drop=0.0):
 def full_search(network, source, cutoff):
     """The unbounded search, the oracle for a target-bounded one."""
     return network.shortest_node_dists(source, cutoff)
+
+
+def per_fix_candidates(network, lat, lon, max_candidates=8, radius=50.0):
+    """One fix projected onto every edge, then scalar conversions for the k
+    nearest: the oracle for the cell-indexed search over a whole trace."""
+    if not (np.isfinite(lat) and np.isfinite(lon)):
+        return []
+    px, py = network.proj.to_xy(lat, lon)
+    t = np.clip(((px - network._ax) * network._dx
+                 + (py - network._ay) * network._dy) / network._seg2,
+                0.0, 1.0)
+    sx = network._ax + t * network._dx
+    sy = network._ay + t * network._dy
+    d2 = (px - sx) ** 2 + (py - sy) ** 2
+    order = smallest_k(d2, max_candidates)
+    out = []
+    for ei in order:
+        slat, slon = network.proj.to_latlon(sx[ei], sy[ei])
+        gc = float(haversine(lat, lon, slat, slon))
+        if gc > radius:
+            continue
+        out.append(Candidate(int(ei), float(t[ei] * network.edge_len[ei]),
+                             gc, float(slat), float(slon)))
+    return out
+
+
+def _bits(cands):
+    return [(c.edge, c.offset.hex(), c.dist.hex(), c.lat.hex(), c.lon.hex())
+            for c in cands]
+
+
+def assert_candidates_equal_oracle(net, lats, lons, max_candidates=8,
+                                   radius=50.0, scalar_calls=0):
+    """The whole-trace call equals the per-fix oracle fix for fix, every
+    field to the bit; so does the one-fix call on the first fixes. A fix
+    outside the range of coordinates has none; the oracle can give it a
+    candidate through longitude wrapping, or one whose fields are NaN."""
+    lats, lons = np.asarray(lats, dtype=float), np.asarray(lons, dtype=float)
+    got = net.candidates(lats, lons, max_candidates, radius)
+    assert len(got) == len(lats)
+    for i, (lat, lon) in enumerate(zip(lats.tolist(), lons.tolist())):
+        want = []
+        if abs(lat) <= 90.0 and abs(lon) <= 180.0:
+            want = _bits(per_fix_candidates(net, lat, lon, max_candidates,
+                                            radius))
+        assert _bits(got[i]) == want, (i, lat, lon)
+        if i < scalar_calls:
+            assert _bits(net.candidates(lat, lon, max_candidates,
+                                        radius)) == want
+
+
+def city_drive(rng, nodes, spacing, n_fixes, sigma=3.0):
+    """GPS fixes at 1 Hz and 13.9 m/s of a car that turns at random at the
+    junctions of a square ``grid_network``, with GPS noise."""
+    col, row = (int(v) for v in rng.integers(nodes // 4, nodes - nodes // 4,
+                                             2))
+    path = [(col, row)]
+    while len(path) < 13.9 * n_fixes / spacing + 2:
+        steps = [(dc, dr) for dc, dr in ((1, 0), (0, 1), (-1, 0), (0, -1))
+                 if 0 <= col + dc < nodes and 0 <= row + dr < nodes]
+        dc, dr = steps[int(rng.integers(len(steps)))]
+        col, row = col + dc, row + dr
+        path.append((col, row))
+    cum = np.arange(len(path)) * spacing
+    s = np.arange(n_fixes) * 13.9
+    xs = np.interp(s, cum, [c * spacing for c, _ in path])
+    ys = np.interp(s, cum, [r * spacing for _, r in path])
+    xs = xs + rng.normal(0.0, sigma / np.sqrt(2.0), n_fixes)
+    ys = ys + rng.normal(0.0, sigma / np.sqrt(2.0), n_fixes)
+    return PROJ.to_latlon(xs, ys)
+
+
+class TestCandidateSearch:
+    def test_city_drives_equal_per_fix_search(self):
+        net = grid_network(60, 60)
+        rng = np.random.default_rng(1)
+        for _ in range(4):
+            lats, lons = city_drive(rng, 60, 100.0, 50)
+            assert_candidates_equal_oracle(net, lats, lons, scalar_calls=5)
+
+    def test_random_fixes_in_and_around_the_city_equal_per_fix_search(self):
+        net = grid_network(60, 60)
+        rng = np.random.default_rng(2)
+        xs, ys = rng.uniform(-300.0, 6200.0, (2, 2000))
+        lats, lons = PROJ.to_latlon(xs, ys)
+        assert_candidates_equal_oracle(net, lats, lons, scalar_calls=20)
+
+    def test_one_call_per_trace(self, monkeypatch):
+        net = grid_network(12, 12)
+        lats, lons = city_drive(np.random.default_rng(3), 12, 100.0, 30)
+        calls = []
+        search = RoadNetwork.candidates
+        monkeypatch.setattr(RoadNetwork, "candidates",
+                            lambda self, *a: calls.append(a) or search(self,
+                                                                       *a))
+        build_lattice(lats, lons, net)
+        assert len(calls) == 1
+
+    def test_fix_just_inside_the_padded_radius(self):
+        """A street from 70 to 71 degrees north. East of its north end the
+        planar frame, scaled at 70.5 degrees, overstates distances by 2.5 %,
+        so a fix 51 m east on the plane is 49.7 m away on the sphere and
+        must be found, though it lies beyond the radius on the plane."""
+        net = RoadNetwork({0: (70.0, 20.0), 1: (71.0, 20.0)}, [(0, 1, None)])
+        px, py = net.proj.to_xy(70.999, 20.0)
+        lats, lons = net.proj.to_latlon(px + np.array([49.0, 50.5, 51.0,
+                                                       51.5, 52.0]),
+                                        np.full(5, py))
+        got = net.candidates(lats, lons)
+        assert [len(c) for c in got] == [1, 1, 1, 0, 0]
+        assert_candidates_equal_oracle(net, lats, lons)
+
+    def test_fixes_along_long_diagonal_edges(self):
+        """Edges 1.5 km long at many angles, steep and shallow, each crossing
+        dozens of cells. Fixes every 3 m along each, 30 to 50 m to either
+        side, reach each cell the edge crosses from the rim of their search
+        square, where it is the only cell of the edge they gather."""
+        angles = np.radians([0.0, 0.3, 17.0, 45.0, 71.0, 89.9, 90.0, 133.0])
+        nodes, edges = {}, []
+        for i, a in enumerate(angles):
+            nodes[2 * i] = latlon(0.0, 0.0)
+            nodes[2 * i + 1] = latlon(1500.0 * np.cos(a), 1500.0 * np.sin(a))
+            edges.append((2 * i, 2 * i + 1, None))
+        net = RoadNetwork(nodes, edges)
+        rng = np.random.default_rng(4)
+        s = np.arange(0.0, 1500.0, 3.0)
+        side = (rng.uniform(30.0, 50.0, (len(angles), len(s)))
+                * rng.choice([-1.0, 1.0], (len(angles), len(s))))
+        xs = np.cos(angles)[:, None] * s - np.sin(angles)[:, None] * side
+        ys = np.sin(angles)[:, None] * s + np.cos(angles)[:, None] * side
+        lats, lons = PROJ.to_latlon(xs.ravel(), ys.ravel())
+        assert_candidates_equal_oracle(net, lats, lons, 3)
+
+    @pytest.mark.parametrize("radius", [50.0, 3.0])
+    def test_each_edge_is_in_every_cell_its_segment_crosses(self, radius):
+        """Points every 1/4000 of each edge fall in cells that hold the
+        edge, and an edge takes O(length / cell) cells, not its bounding
+        box's."""
+        rng = np.random.default_rng(6)
+        nodes = {i: latlon(*rng.uniform(-50.0, 750.0, 2)) for i in range(16)}
+        nodes.update({100 + 8 * j + i: latlon(100.0 * i, 100.0 * j)
+                      for j in range(8) for i in range(8)})
+        edges = [(2 * i, 2 * i + 1, None) for i in range(8)]
+        edges += [(100 + n, 101 + n, None) for n in range(64) if n % 8 < 7]
+        edges += [(100 + n, 108 + n, None) for n in range(56)]
+        net = RoadNetwork(nodes, edges)
+        cells = net._cell_index(net._padded_radius(radius))
+        assert cells.side < 60.0
+        held = set(zip(cells.edges.tolist(), np.repeat(
+            cells.keys, np.diff(cells.start)).tolist()))
+        t = np.linspace(0.0, 1.0, 4001)
+        for e in range(net.n_edges):
+            xs = net._ax[e] + t * net._dx[e]
+            ys = net._ay[e] + t * net._dy[e]
+            keys = (cells._cell(xs, cells.x0) * cells.n_rows
+                    + cells._cell(ys, cells.y0))
+            assert all((e, k) in held for k in set(keys.tolist()))
+        per_edge = np.bincount(cells.edges, minlength=net.n_edges)
+        crossed = (np.abs(net._dx) + np.abs(net._dy)) / cells.side
+        assert np.all(per_edge <= 2 * crossed + 6)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_tied_edges_keep_index_order(self, k):
+        net = RoadNetwork({0: latlon(0, 0), 1: latlon(100, 0),
+                           2: latlon(100, 40)},
+                          [(0, 1, None), (1, 2, None), (0, 1, None),
+                           (0, 1, None)])
+        lats, lons = PROJ.to_latlon(np.array([30.0, 50.0, 70.0]),
+                                    np.array([4.0, -3.0, 8.0]))
+        got = net.candidates(lats, lons, max_candidates=k)
+        assert [c.edge for c in got[0]] == [0, 2, 3][:k]
+        assert_candidates_equal_oracle(net, lats, lons, k)
+
+    @pytest.mark.parametrize("fix", [(np.nan, 12.55), (55.65, np.nan),
+                                     (np.inf, 12.55), (1e300, 12.55),
+                                     (-1e300, -1e300), (95.0, 12.55),
+                                     (55.65, 400.0), (55.65, 372.55),
+                                     (-90.5, 12.55)])
+    def test_fix_without_a_valid_position_has_no_candidate(self, fix):
+        net = grid_network()
+        assert net.candidates(*fix) == []
+        lats, lons = (np.array([latlon(50, 5)[j], fix[j]]) for j in (0, 1))
+        got = net.candidates(lats, lons)
+        assert got[0] and got[1] == []
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0])
+    def test_bad_radius_is_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            grid_network().candidates(*latlon(50, 5), radius=radius)
+
+    def test_zero_radius_and_zero_candidates(self):
+        net = grid_network()
+        lats, lons = (np.array(v) for v in zip(latlon(50, 0), latlon(50, 5)))
+        assert_candidates_equal_oracle(net, lats, lons, 8, 0.0)
+        assert net.candidates(lats, lons, 0) == [[], []]
+
+    def test_empty_trace(self):
+        assert grid_network().candidates(np.array([]), np.array([])) == []
+
+
+@st.composite
+def irregular_networks(draw):
+    """Random nodes over a box at one of several latitudes, up to 1 degree
+    across; random edges, among them diagonals across the whole box,
+    duplicates and reversed copies. Fixes: anywhere in and around the box,
+    near the edges, within 1 m of the padded radius of an edge, and some
+    without a valid position. Returns (network, lats, lons, k, radius)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lat0 = draw(st.sampled_from([0.0, 55.65, 70.0, -62.0]))
+    span = draw(st.sampled_from([0.005, 0.05, 1.0]))
+    n_nodes = draw(st.integers(2, 12))
+    lat = lat0 + rng.uniform(0.0, span, n_nodes)
+    lon = 12.55 + rng.uniform(0.0, span, n_nodes)
+    nodes = {i: (float(lat[i]), float(lon[i])) for i in range(n_nodes)}
+    corners = (int(np.argmin(lat + lon)), int(np.argmax(lat + lon)))
+    edges = [corners, (int(np.argmin(lat - lon)), int(np.argmax(lat - lon)))]
+    for _ in range(draw(st.integers(0, 15))):
+        a, b = rng.choice(n_nodes, 2, replace=False)
+        edges.append((int(a), int(b)))
+    for _ in range(draw(st.integers(0, 3))):   # duplicates, reversed copies
+        a, b = edges[int(rng.integers(len(edges)))]
+        edges.append((a, b) if rng.random() < 0.5 else (b, a))
+    edges = [e for e in edges if e[0] != e[1]] or [(0, 1)]
+    net = RoadNetwork(nodes, [(a, b, None) for a, b in edges])
+    radius = draw(st.sampled_from([0.5, 10.0, 50.0, 400.0]))
+    # A bound, looser than the search's, on the planar reach of the radius.
+    coslat = np.cos(np.radians(lat))
+    reach = radius * np.cos(np.radians(lat.mean())) / coslat.min()
+    n = 40
+    e = rng.integers(net.n_edges, size=n)
+    t = rng.uniform(0.0, 1.0, n)
+    away = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1.5 * reach, n),
+                    reach + rng.uniform(-1.0, 1.0, n))
+    dx, dy = net._dx[e], net._dy[e]
+    norm = np.hypot(dx, dy)
+    xs = net._ax[e] + t * dx - dy / norm * away
+    ys = net._ay[e] + t * dy + dx / norm * away
+    wide = span * 111e3
+    xs = np.concatenate([xs, rng.uniform(-0.2 * wide, 1.2 * wide, 10)
+                         + net.node_x.min()])
+    ys = np.concatenate([ys, rng.uniform(-0.2 * wide, 1.2 * wide, 10)
+                         + net.node_y.min()])
+    lats, lons = net.proj.to_latlon(xs, ys)
+    bad = [(np.nan, 12.6), (12.6, np.nan), (1e300, 12.6), (-1e300, 1e300),
+           (95.0, 12.6), (lat0, 400.0)]
+    pick = rng.choice(len(bad), draw(st.integers(0, 3)))
+    lats = np.concatenate([lats, [bad[i][0] for i in pick]])
+    lons = np.concatenate([lons, [bad[i][1] for i in pick]])
+    order = rng.permutation(len(lats))
+    k = draw(st.integers(1, net.n_edges + 2))
+    return net, lats[order], lons[order], k, radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(irregular_networks())
+def test_candidates_equal_per_fix_search_on_irregular_networks(case):
+    net, lats, lons, k, radius = case
+    assert_candidates_equal_oracle(net, lats, lons, k, radius,
+                                   scalar_calls=3)
 
 
 class TestBoundedSearch:
