@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geo import haversine
-from .network import Candidate, RoadNetwork
+from ..geo import haversine_pointwise
+from .network import Candidate, RoadNetwork, route_distances
 
 DEFAULT_SIGMA = 4.07
 DEFAULT_BETA = 20.0
@@ -103,24 +103,33 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
     if len(kept) < 2:
         raise UnmatchedFixError(dropped[0])
     lats, lons = lats[kept], lons[kept]
+    d_gcs = haversine_pointwise(lats[:-1], lons[:-1], lats[1:],
+                                lons[1:]).tolist()
+    ends = network.candidate_ends([c for cands in steps for c in cands])
+    bounds = np.cumsum([0] + [len(cands) for cands in steps]).tolist()
+    step_ends = [ends[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    # One resumable search per (source node, cutoff) for the whole trace:
+    # consecutive fixes share most of their candidate edges, so a node is a
+    # source step after step.
+    searches: dict = {}
     transitions: list[np.ndarray] = []
-    for i in range(len(lats) - 1):
-        d_gc = float(haversine(lats[i], lons[i], lats[i + 1], lons[i + 1]))
+    for i, d_gc in enumerate(d_gcs):
         cutoff = max(10.0 * (d_gc + 1.0), 2000.0)
-        # Searches from step i stop once the end nodes of every step-(i+1)
-        # candidate are settled; the cache shares each search within the
-        # step, so the targets must cover all of them.
-        cache: dict = {}
-        targets = {int(n) for c in steps[i + 1]
-                   for n in (network.edge_a[c.edge], network.edge_b[c.edge])}
-        mat = np.full((len(steps[i]), len(steps[i + 1])), -np.inf)
-        for a, ca in enumerate(steps[i]):
-            for b, cb in enumerate(steps[i + 1]):
-                d_route = network.route_distance(ca, cb, cutoff, cache,
-                                                 targets)
-                if np.isfinite(d_route):
-                    mat[a, b] = -abs(d_route - d_gc) / beta
-        if not np.any(np.isfinite(mat)):
+        here, there = step_ends[i], step_ends[i + 1]
+        # Each search from a step-i end node runs until the end nodes of
+        # every step-(i+1) candidate are settled.
+        targets = {n for _, a, _, b, _ in there for n in (a, b)}
+        dists = {}
+        for _, a, _, b, _ in here:
+            for n in (a, b):
+                if n not in dists:
+                    dists[n] = network.shortest_node_dists(n, cutoff, targets,
+                                                           searches)
+        d_route = np.array(route_distances(here, there, dists))
+        mat = np.full(d_route.shape, -np.inf)
+        routed = np.isfinite(d_route)
+        mat[routed] = -np.abs(d_route[routed] - d_gc) / beta
+        if not routed.any():
             raise BrokenTraceError(kept[i + 1], kept[i])
         transitions.append(mat)
     return Lattice(steps, emissions, transitions, np.array(kept))

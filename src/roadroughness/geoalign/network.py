@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import heapq
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,69 +39,100 @@ class RoadNetwork:
     """
 
     def __init__(self, nodes: dict, edges: list):
-        if not nodes or not edges:
+        """``nodes`` maps integer ids to (lat, lon); ``edges`` holds
+        (a, b, length_m) records, where a length of None (or a missing one)
+        stands for the great-circle distance between the two nodes."""
+        ids = sorted(nodes)
+        measured = [len(rec) < 3 or rec[2] is None for rec in edges]
+        self._build(ids, [nodes[nid][0] for nid in ids],
+                    [nodes[nid][1] for nid in ids],
+                    [rec[0] for rec in edges], [rec[1] for rec in edges],
+                    [np.nan if m else r[2] for m, r in zip(measured, edges)],
+                    np.array(measured, dtype=bool))
+
+    @classmethod
+    def from_arrays(cls, ids, lat, lon, edge_a, edge_b,
+                    length) -> "RoadNetwork":
+        """The network of nodes ``ids`` (sorted, unique) at ``lat``/``lon``
+        and edges between the node ids ``edge_a`` and ``edge_b`` of the
+        given lengths in meters."""
+        net = cls.__new__(cls)
+        net._build(ids, lat, lon, edge_a, edge_b, length,
+                   np.zeros(len(length), dtype=bool))
+        return net
+
+    def _build(self, ids, lat, lon, edge_a, edge_b, length, measured):
+        """The one constructor: validate, project, measure the edges marked
+        ``measured`` and index the adjacency."""
+        if not len(ids) or not len(edge_a):
             raise ValueError("network needs nodes and edges")
-        self.node_ids = sorted(nodes)
-        self._index = {nid: i for i, nid in enumerate(self.node_ids)}
-        self.node_lat = np.array([nodes[nid][0] for nid in self.node_ids])
-        self.node_lon = np.array([nodes[nid][1] for nid in self.node_ids])
+        try:
+            ids, edge_a, edge_b = (np.asarray(v, dtype=np.int64)
+                                   for v in (ids, edge_a, edge_b))
+        except OverflowError:
+            raise ValueError("node ids must be 64-bit integers") from None
+        if np.any(ids[1:] <= ids[:-1]):
+            raise ValueError("node ids must be sorted and unique")
+        self.node_ids = ids
+        self.node_lat = np.asarray(lat, dtype=float)
+        self.node_lon = np.asarray(lon, dtype=float)
         bad = np.flatnonzero(~((np.abs(self.node_lat) <= 90.0)
                                & (np.abs(self.node_lon) <= 180.0)))
         if len(bad):
             i = int(bad[0])
-            raise ValueError(f"node {self.node_ids[i]} has invalid coordinates "
+            raise ValueError(f"node {ids[i]} has invalid coordinates "
                              f"({self.node_lat[i]}, {self.node_lon[i]})")
         self.proj = LocalProjection(float(self.node_lat.mean()),
                                     float(self.node_lon.mean()))
         self.node_x, self.node_y = self.proj.to_xy(self.node_lat, self.node_lon)
 
-        ea, eb, lengths = [], [], []
-        for rec in edges:
-            a, b = rec[0], rec[1]
-            try:
-                ia, ib = self._index[a], self._index[b]
-            except KeyError as exc:
-                raise ValueError(f"edge ({a},{b}) names unknown node "
-                                 f"{exc.args[0]}") from None
-            if len(rec) > 2 and rec[2] is not None:
-                length = float(rec[2])
-            else:
-                # Scalar haversine: these lengths are written out by save(),
-                # and the array form can differ from it in the last bit.
-                length = float(haversine(self.node_lat[ia], self.node_lon[ia],
-                                         self.node_lat[ib], self.node_lon[ib]))
-            ea.append(ia)
-            eb.append(ib)
-            lengths.append(length)
-        self.edge_a = np.array(ea, dtype=int)
-        self.edge_b = np.array(eb, dtype=int)
-        self.edge_len = np.array(lengths)
-        gc = haversine(self.node_lat[self.edge_a], self.node_lon[self.edge_a],
-                       self.node_lat[self.edge_b], self.node_lon[self.edge_b])
+        ia = np.minimum(np.searchsorted(ids, edge_a), len(ids) - 1)
+        ib = np.minimum(np.searchsorted(ids, edge_b), len(ids) - 1)
+        unknown_a, unknown_b = ids[ia] != edge_a, ids[ib] != edge_b
+        if (unknown_a | unknown_b).any():
+            ei = int(np.argmax(unknown_a | unknown_b))
+            a, b = edge_a[ei], edge_b[ei]
+            raise ValueError(f"edge ({a},{b}) names unknown node "
+                             f"{a if unknown_a[ei] else b}")
+        self.edge_a, self.edge_b = ia, ib
+        self.edge_len = np.array(length, dtype=float)
+        # Pointwise: these lengths are written out by save(), equal to the
+        # scalar haversine of each edge's end nodes.
+        self.edge_len[measured] = haversine_pointwise(
+            self.node_lat[ia[measured]], self.node_lon[ia[measured]],
+            self.node_lat[ib[measured]], self.node_lon[ib[measured]])
+        gc = haversine(self.node_lat[ia], self.node_lon[ia],
+                       self.node_lat[ib], self.node_lon[ib])
         positive = np.isfinite(self.edge_len) & (self.edge_len > 0)
         off = ~positive | (np.abs(self.edge_len - gc)
                            > np.maximum(LENGTH_REL_TOL * gc, LENGTH_ABS_TOL))
         if off.any():
             ei = int(np.argmax(off))
-            a = self.node_ids[ea[ei]]
-            b = self.node_ids[eb[ei]]
+            a, b = ids[ia[ei]], ids[ib[ei]]
             if not positive[ei]:
                 raise ValueError(f"edge ({a},{b}) has non-positive or "
                                  f"non-finite length {self.edge_len[ei]}")
             raise ValueError(
                 f"edge ({a},{b}) length {self.edge_len[ei]:.2f} m deviates "
                 f"from great-circle {gc[ei]:.2f} m by more than 0.5%")
-        self._ax = self.node_x[self.edge_a]
-        self._ay = self.node_y[self.edge_a]
-        self._dx = self.node_x[self.edge_b] - self._ax
-        self._dy = self.node_y[self.edge_b] - self._ay
+        self._ax = self.node_x[ia]
+        self._ay = self.node_y[ia]
+        self._dx = self.node_x[ib] - self._ax
+        self._dy = self.node_y[ib] - self._ay
         self._seg2 = np.maximum(self._dx ** 2 + self._dy ** 2, 1e-12)
         self._cells: _CellIndex | None = None
 
-        self.adjacency: dict[int, list] = {i: [] for i in range(len(self.node_ids))}
-        for ei, (ia, ib, ln) in enumerate(zip(ea, eb, lengths)):
-            self.adjacency[ia].append((ei, ib, ln))
-            self.adjacency[ib].append((ei, ia, ln))
+        # adjacency[u]: (neighbour, length) of each edge at node u, in edge
+        # order, an edge's first node before its second: a stable sort of
+        # the interleaved ends a0, b0, a1, b1, ...
+        ends = np.column_stack((ia, ib)).ravel()
+        order = np.argsort(ends, kind="stable")
+        pairs = list(zip(np.column_stack((ib, ia)).ravel()[order].tolist(),
+                         np.repeat(self.edge_len, 2)[order].tolist()))
+        bounds = np.searchsorted(ends[order],
+                                 np.arange(len(ids) + 1)).tolist()
+        self.adjacency = [pairs[lo:hi]
+                          for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     @property
     def n_nodes(self) -> int:
@@ -111,11 +144,11 @@ class RoadNetwork:
 
     @classmethod
     def from_polyline(cls, line: Polyline, id_start: int = 0) -> "RoadNetwork":
-        nodes = {id_start + i: (float(line.lats[i]), float(line.lons[i]))
-                 for i in range(len(line.lats))}
-        edges = [(id_start + i, id_start + i + 1, None)
-                 for i in range(len(line.lats) - 1)]
-        return cls(nodes, edges)
+        lats, lons = line.lats, line.lons
+        ids = id_start + np.arange(len(lats), dtype=np.int64)
+        return cls.from_arrays(ids, lats, lons, ids[:-1], ids[1:],
+                               haversine_pointwise(lats[:-1], lons[:-1],
+                                                   lats[1:], lons[1:]))
 
     def candidates(self, lat, lon, max_candidates: int = 8,
                    radius: float = 50.0):
@@ -218,8 +251,8 @@ class RoadNetwork:
                                      side)
         return self._cells
 
-    def shortest_node_dists(self, source: int, cutoff: float,
-                            targets=None) -> dict[int, float]:
+    def shortest_node_dists(self, source: int, cutoff: float, targets=None,
+                            searches: dict | None = None) -> dict[int, float]:
         """Dijkstra distances from a node index, pruned at ``cutoff`` meters.
 
         With ``targets`` (node indices) the search stops as soon as every
@@ -228,26 +261,50 @@ class RoadNetwork:
         search, and a settled distance is final, so every returned distance
         equals the full search's. A target beyond ``cutoff`` or unreachable
         lets the search run out.
+
+        ``searches``, a dict the caller keeps, holds the state of each search
+        by (source, cutoff): a later call with the same pair resumes it, and
+        settles more nodes only if a new target is not yet settled. A node's
+        edges are relaxed before the stop test, so a resumed search pops
+        what the full search pops, in the same order. The returned dict then
+        belongs to the search: it grows as the search resumes.
         """
-        dist = {source: 0.0}
-        settled = {}
-        remaining = None if targets is None else set(targets)
-        heap = [(0.0, source)]
+        state = None if searches is None else searches.get((source, cutoff))
+        if state is None:
+            state = ([(0.0, source)], {source: 0.0}, {})
+            if searches is not None:
+                searches[(source, cutoff)] = state
+        heap, dist, settled = state
+        remaining = None
+        if targets is not None:
+            remaining = set(targets) - settled.keys()
+            if not remaining:
+                return settled
+        adjacency = self.adjacency
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u] or d > cutoff:
                 continue
+            settled[u] = d
+            for v, length in adjacency[u]:
+                nd = d + length
+                if nd < dist.get(v, math.inf) and nd <= cutoff:
+                    dist[v] = nd
+                    heapq.heappush(heap, (nd, v))
             if remaining is not None:
-                settled[u] = d
                 remaining.discard(u)
                 if not remaining:
                     break
-            for _, v, ln in self.adjacency[u]:
-                nd = d + ln
-                if nd < dist.get(v, np.inf) and nd <= cutoff:
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return dist if remaining is None else settled
+        return dist if targets is None else settled
+
+    def candidate_ends(self, cands) -> list[tuple]:
+        """(edge, a, d_a, b, d_b) of each candidate: its edge, the edge's
+        end nodes a and b, and its distances along the edge to them."""
+        edge = np.array([c.edge for c in cands], dtype=int)
+        offset = [c.offset for c in cands]
+        return [(e, a, off, b, length - off) for e, a, b, length, off in zip(
+            edge.tolist(), self.edge_a[edge].tolist(),
+            self.edge_b[edge].tolist(), self.edge_len[edge].tolist(), offset)]
 
     def route_distance(self, c1: Candidate, c2: Candidate, cutoff: float,
                        _dist_cache: dict | None = None,
@@ -259,55 +316,127 @@ class RoadNetwork:
         it must hold c2's end nodes, and those of every candidate routed to
         through the same ``_dist_cache``.
         """
-        if c1.edge == c2.edge:
-            return abs(c2.offset - c1.offset)
-        ends1 = ((int(self.edge_a[c1.edge]), c1.offset),
-                 (int(self.edge_b[c1.edge]), float(self.edge_len[c1.edge]) - c1.offset))
-        ends2 = ((int(self.edge_a[c2.edge]), c2.offset),
-                 (int(self.edge_b[c2.edge]), float(self.edge_len[c2.edge]) - c2.offset))
-        best = np.inf
-        for n1, d1 in ends1:
-            if _dist_cache is not None and n1 in _dist_cache:
-                dists = _dist_cache[n1]
-            else:
-                dists = self.shortest_node_dists(n1, cutoff, targets)
-                if _dist_cache is not None:
-                    _dist_cache[n1] = dists
-            for n2, d2 in ends2:
-                sp = dists.get(n2)
-                if sp is not None:
-                    best = min(best, d1 + sp + d2)
-        return float(best)
+        ends1, ends2 = self.candidate_ends([c1]), self.candidate_ends([c2])
+        dists = {} if _dist_cache is None else _dist_cache
+        _, a, _, b, _ = ends1[0]
+        for n1 in (a, b) if c1.edge != c2.edge else ():
+            if n1 not in dists:
+                dists[n1] = self.shortest_node_dists(n1, cutoff, targets)
+        return float(route_distances(ends1, ends2, dists)[0][0])
 
     def save(self, path) -> None:
         """Write the text format: node,<id>,<lat>,<lon> / edge,<a>,<b>,<length_m>."""
+        ids = self.node_ids.tolist()
+        lines = [f"node,{nid},{lat!r},{lon!r}\n" for nid, lat, lon in zip(
+            ids, self.node_lat.tolist(), self.node_lon.tolist())]
+        lines += [f"edge,{ids[a]},{ids[b]},{length!r}\n" for a, b, length
+                  in zip(self.edge_a.tolist(), self.edge_b.tolist(),
+                         self.edge_len.tolist())]
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            for nid in self.node_ids:
-                i = self._index[nid]
-                f.write(f"node,{nid},{float(self.node_lat[i])!r},"
-                        f"{float(self.node_lon[i])!r}\n")
-            for ei in range(self.n_edges):
-                a = self.node_ids[int(self.edge_a[ei])]
-                b = self.node_ids[int(self.edge_b[ei])]
-                f.write(f"edge,{a},{b},{float(self.edge_len[ei])!r}\n")
+            f.write("".join(lines))
 
     @classmethod
     def load(cls, path) -> "RoadNetwork":
-        nodes: dict = {}
-        edges: list = []
+        """Read the text format of save(); blank lines and lines starting
+        with '#' are skipped. Numbers are parsed by numpy's C reader, which
+        rounds correctly, as ``float`` does."""
         with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if parts[0] == "node" and len(parts) == 4:
-                    nodes[int(parts[1])] = (float(parts[2]), float(parts[3]))
-                elif parts[0] == "edge" and len(parts) == 4:
-                    edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
-                else:
-                    raise ValueError(f"{path}:{lineno}: unrecognized record {line!r}")
-        return cls(nodes, edges)
+            lines = [line.strip() for line in f.read().split("\n")]
+        try:
+            nodes, edges = (_records(lines, kind, dtype)
+                            for kind, dtype in _RECORDS.items())
+        except ValueError:
+            nodes = None
+        skipped = sum(not line or line[0] == "#" for line in lines)
+        if nodes is None or len(nodes) + len(edges) + skipped != len(lines):
+            _raise_at_first_bad_line(path, lines)
+        order = np.argsort(nodes["id"], kind="stable")
+        ids = nodes["id"][order]
+        repeat = np.flatnonzero(ids[1:] == ids[:-1])
+        if len(repeat):
+            at = np.array([n for n, line in enumerate(lines, 1)
+                           if line.startswith("node,")])[order]
+            j = repeat[np.argmin(at[repeat + 1])]  # the first in the file
+            raise ValueError(f"{path}: node {ids[j]} is defined twice, at "
+                             f"lines {at[j]} and {at[j + 1]}")
+        return cls.from_arrays(ids, nodes["lat"][order], nodes["lon"][order],
+                               edges["a"], edges["b"], edges["length"])
+
+
+# The record kinds of a network file, each with three comma-separated fields.
+_RECORDS = {"node,": [("id", np.int64), ("lat", float), ("lon", float)],
+            "edge,": [("a", np.int64), ("b", np.int64), ("length", float)]}
+
+
+# numpy's integer reader misreads some non-ASCII text: it takes "1\uc6ca"
+# for 50852, and "1\U0002c6ca" can crash it. On printable ASCII and tabs it
+# accepts exactly what ``int`` and ``float`` accept, less digit-group
+# underscores, with the same values.
+_NOT_READABLE = re.compile(r"[^\t -~]")
+
+
+def _records(lines: list, kind: str, dtype) -> np.ndarray:
+    """The fields of the lines of one record kind, as a record array."""
+    rows = [line for line in lines if line.startswith(kind)]
+    if not rows:
+        return np.zeros(0, dtype=dtype)
+    text = "".join(rows)
+    # loadtxt rejects a row with fewer than 3 fields, so with 3 per row on
+    # average no row has more.
+    if text.count(",") != 3 * len(rows) or _NOT_READABLE.search(text):
+        raise ValueError(f"unreadable {kind[:-1]} record")
+    return np.loadtxt(rows, delimiter=",", usecols=(1, 2, 3), comments=None,
+                      dtype=dtype, ndmin=1)
+
+
+def _raise_at_first_bad_line(path, lines: list):
+    """Raise a ValueError that names the first line that is not a valid
+    record, blank or comment."""
+    for lineno, line in enumerate(lines, 1):
+        if not line or line[0] == "#":
+            continue
+        dtype = _RECORDS.get(line[:5])
+        if dtype is None or line.count(",") != 3:
+            raise ValueError(f"{path}:{lineno}: unrecognized record {line!r}")
+        try:
+            _records([line], line[:5], dtype)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad number in record "
+                             f"{line!r} (numbers are ASCII, without "
+                             f"underscores)") from None
+    raise ValueError(f"{path}: unreadable network")
+
+
+def route_distances(ends1: list, ends2: list, dists: dict) -> list[list]:
+    """Shortest on-network distances from each candidate of ``ends1`` to
+    each of ``ends2`` (end tuples of RoadNetwork.candidate_ends), ``inf``
+    where there is no route. ``dists[n]`` holds the settled distances from
+    node n, for each end node n of an ``ends1`` candidate off the edge of an
+    ``ends2`` one; it must hold every end node of ``ends2`` within reach.
+
+    Two points on one edge are the difference of their offsets apart;
+    otherwise the route leaves the first edge by one of its ends and joins
+    the second by one of its ends, the shortest of the four.
+    """
+    rows = []
+    for e1, a1, da1, b1, db1 in ends1:
+        from_a, from_b = dists.get(a1), dists.get(b1)
+        row = []
+        for e2, a2, da2, b2, db2 in ends2:
+            if e1 == e2:
+                row.append(abs(da2 - da1))
+                continue
+            best = math.inf
+            for d1, settled in ((da1, from_a), (db1, from_b)):
+                sp = settled.get(a2)
+                if sp is not None and d1 + sp + da2 < best:
+                    best = d1 + sp + da2
+                sp = settled.get(b2)
+                if sp is not None and d1 + sp + db2 < best:
+                    best = d1 + sp + db2
+            row.append(best)
+        rows.append(row)
+    return rows
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:

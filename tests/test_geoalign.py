@@ -1,4 +1,6 @@
+import heapq
 import itertools
+import re
 import tempfile
 from pathlib import Path
 
@@ -124,7 +126,9 @@ class TestRoadNetwork:
 
 
 _NASTY_FIELDS = ["nan", "inf", "-inf", "1e400", "", "x", "-1", "0", "5",
-                 "99", "3.5", "1e-300", " ", "-91", "200", "12.55", "55.65"]
+                 "99", "3.5", "1e-300", " ", "-91", "200", "12.55", "55.65",
+                 "+5", " 5 ", "5.0", "1_0", "\u0661", "\xa05", "1\x1c",
+                 "1\uc6ca", "1\U0002c6ca", "99999999999999999999", "1e2"]
 
 
 @st.composite
@@ -174,6 +178,182 @@ def test_load_raises_only_value_error_on_malformed_files(text):
     assert np.all(np.isfinite(net.edge_len)) and np.all(net.edge_len > 0)
 
 
+def line_by_line_load(path) -> RoadNetwork:
+    """Each line split and parsed with ``int`` and ``float``, a repeated
+    node id replacing the earlier one: the oracle for the array loader."""
+    nodes: dict = {}
+    edges: list = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if parts[0] == "node" and len(parts) == 4:
+                nodes[int(parts[1])] = (float(parts[2]), float(parts[3]))
+            elif parts[0] == "edge" and len(parts) == 4:
+                edges.append((int(parts[1]), int(parts[2]), float(parts[3])))
+            else:
+                raise ValueError(f"{path}:{lineno}: unrecognized record "
+                                 f"{line!r}")
+    return RoadNetwork(nodes, edges)
+
+
+def _network_bits(net):
+    return (net.node_ids.tolist(), [v.hex() for v in net.node_lat.tolist()],
+            [v.hex() for v in net.node_lon.tolist()],
+            net.node_ids[net.edge_a].tolist(),
+            net.node_ids[net.edge_b].tolist(),
+            [v.hex() for v in net.edge_len.tolist()])
+
+
+def _deliberately_rejected(path) -> bool:
+    """Whether a file that the line-by-line loader reads holds what the
+    array loader rejects on purpose: a node id given twice, or a number
+    numpy does not read (digit-group underscores, a character other than
+    printable ASCII or tab). An id beyond int64 fails in both loaders, in
+    the constructor they share."""
+    ids = set()
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            parts = line.strip().split(",")
+            if parts[0] not in ("node", "edge") or len(parts) != 4:
+                continue
+            if parts[0] == "node":
+                if int(parts[1]) in ids:
+                    return True
+                ids.add(int(parts[1]))
+            if any("_" in p or re.search(r"[^\t -~]", p) for p in parts):
+                return True
+    return False
+
+
+class TestLoad:
+    def test_city_grid_equals_line_by_line_load(self, tmp_path):
+        path = tmp_path / "net.txt"
+        grid_network(60, 60).save(path)
+        assert (_network_bits(RoadNetwork.load(path))
+                == _network_bits(line_by_line_load(path)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_irregular_files_equal_line_by_line_load(self, tmp_path, seed):
+        """Records shuffled, nodes among the edges, with comments, blank and
+        padded lines, CR LF ends, and numbers written in other forms."""
+        rng = np.random.default_rng(seed)
+        net, _ = irregular_grid(rng, 5, 4, drop=0.3)
+        path = tmp_path / "net.txt"
+        net.save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+        forms = [lambda v: v, lambda v: f"  {v}\t", lambda v: f"+{v}"
+                 if not v.startswith("-") else v, lambda v: f"{float(v):.17e}"
+                 if "." in v else v]
+        out = []
+        for line in lines:
+            kind, *fields = line.split(",")
+            fields = [forms[int(rng.integers(len(forms)))](v) for v in fields]
+            pick = rng.random()
+            if pick < 0.2:
+                out.append("# " + line)
+            elif pick < 0.3:
+                out.append("   ")
+            out.append(("\t " if rng.random() < 0.2 else "")
+                       + ",".join([kind, *fields]))
+        path.write_bytes(("\r\n".join(out) + "\n").encode("utf-8"))
+        got = RoadNetwork.load(path)
+        assert _network_bits(got) == _network_bits(line_by_line_load(path))
+        assert got.n_edges == net.n_edges
+
+    def test_repeated_node_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "net.txt"
+        grid_network(3, 2).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for text, first, second in [
+                (lines + [lines[4]], 5, 14), ([lines[2], "#"] + lines, 1, 5),
+                (lines[:6] + [lines[1]] * 2 + [lines[0]] + lines[6:], 2, 7)]:
+            path.write_text("\n".join(text) + "\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=rf"net.txt: node \d+ is "
+                               rf"defined twice, at lines {first} and "
+                               rf"{second}$"):
+                RoadNetwork.load(path)
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "1\uc6ca",
+                                       "1\U0002c6ca", "1\x1c", "5.0", "x",
+                                       "99999999999999999999"])
+    def test_unreadable_id_names_its_line(self, tmp_path, field):
+        path = tmp_path / "net.txt"
+        grid_network(3, 2).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = f"node,{field},55.65,12.55"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="net.txt:4: bad number"):
+            RoadNetwork.load(path)
+
+    def test_record_with_four_fields_is_unrecognized(self, tmp_path):
+        path = tmp_path / "net.txt"
+        grid_network(3, 2).save(path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[7] += ",1"
+        lines[8] = lines[8][:lines[8].rindex(",")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="net.txt:8: unrecognized"):
+            RoadNetwork.load(path)
+
+    def test_adjacency_keeps_edge_order(self):
+        """Each node's (neighbour, length) list in edge order, an edge's
+        first node before its second, with duplicate and reversed edges."""
+        rng = np.random.default_rng(8)
+        net, _ = irregular_grid(rng, 5, 5, drop=0.2)
+        nodes = {int(i): (float(a), float(b)) for i, a, b in zip(
+            net.node_ids, net.node_lat, net.node_lon)}
+        ends = list(zip(net.node_ids[net.edge_a].tolist(),
+                        net.node_ids[net.edge_b].tolist()))
+        ends += [ends[i][::-1] if i % 2 else ends[i] for i in
+                 rng.integers(len(ends), size=15).tolist()]
+        net = RoadNetwork(nodes, [(a, b, None) for a, b in ends])
+        want = [[] for _ in range(net.n_nodes)]
+        for a, b, length in zip(net.edge_a.tolist(), net.edge_b.tolist(),
+                                net.edge_len.tolist()):
+            want[a].append((b, length))
+            want[b].append((a, length))
+        assert net.adjacency == want
+
+    def test_measured_lengths_equal_scalar_haversine(self):
+        rng = np.random.default_rng(9)
+        for lat0 in (0.0, 55.65, 70.0, -62.0):
+            lats = lat0 + np.cumsum(rng.uniform(-1e-3, 1e-3, 3000))
+            lons = 12.55 + np.cumsum(rng.uniform(-1e-3, 1e-3, 3000))
+            want = [float(haversine(lats[i], lons[i], lats[i + 1],
+                                    lons[i + 1])).hex() for i in range(2999)]
+            line = RoadNetwork.from_polyline(Polyline(lats, lons))
+            nodes = {i: (float(a), float(b))
+                     for i, (a, b) in enumerate(zip(lats, lons))}
+            edges = [(i, i + 1) if i % 2 else (i, i + 1, None)
+                     for i in range(2999)]
+            for net in (line, RoadNetwork(nodes, edges)):
+                assert [v.hex() for v in net.edge_len.tolist()] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(mangled_network_files())
+def test_load_equals_line_by_line_load_on_malformed_files(text):
+    """Equal networks, or a ValueError from both loaders, except where the
+    array loader rejects a file on purpose."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.txt"
+        path.write_text(text, encoding="utf-8")
+        try:
+            want = _network_bits(line_by_line_load(path))
+        except ValueError:
+            want = None
+        try:
+            got = _network_bits(RoadNetwork.load(path))
+        except ValueError:
+            assert want is None or _deliberately_rejected(path)
+            return
+        assert got == want
+
+
 def irregular_grid(rng, nx, ny, drop=0.0):
     """A grid with junctions moved up to 20 m and a share ``drop`` of its
     streets removed, plus one street that no grid node reaches (nodes
@@ -198,6 +378,41 @@ def irregular_grid(rng, nx, ny, drop=0.0):
 def full_search(network, source, cutoff):
     """The unbounded search, the oracle for a target-bounded one."""
     return network.shortest_node_dists(source, cutoff)
+
+
+def per_pair_transitions(network, steps, lats, lons, beta=20.0):
+    """Transition matrices pair by pair: the great-circle step by scalar
+    haversine, each route the shortest of the four ways between the two
+    edges' ends by full searches. The oracle for build_lattice."""
+    searches = {}
+    mats = []
+    for i in range(len(steps) - 1):
+        d_gc = float(haversine(lats[i], lons[i], lats[i + 1], lons[i + 1]))
+        cutoff = max(10.0 * (d_gc + 1.0), 2000.0)
+        mat = np.full((len(steps[i]), len(steps[i + 1])), -np.inf)
+        for a, c1 in enumerate(steps[i]):
+            for b, c2 in enumerate(steps[i + 1]):
+                best = abs(c2.offset - c1.offset)
+                if c1.edge != c2.edge:
+                    best = np.inf
+                    for n1, d1 in network_ends(network, c1):
+                        if (n1, cutoff) not in searches:
+                            searches[n1, cutoff] = full_search(network, n1,
+                                                               cutoff)
+                        for n2, d2 in network_ends(network, c2):
+                            sp = searches[n1, cutoff].get(n2)
+                            if sp is not None:
+                                best = min(best, d1 + sp + d2)
+                if np.isfinite(best):
+                    mat[a, b] = -abs(best - d_gc) / beta
+        mats.append(mat)
+    return mats
+
+
+def network_ends(network, c):
+    return ((int(network.edge_a[c.edge]), c.offset),
+            (int(network.edge_b[c.edge]),
+             float(network.edge_len[c.edge]) - c.offset))
 
 
 def per_fix_candidates(network, lat, lon, max_candidates=8, radius=50.0):
@@ -500,7 +715,7 @@ class TestBoundedSearch:
 
     def test_unreachable_target_runs_the_search_out(self):
         net, _ = irregular_grid(np.random.default_rng(0), 4, 4, drop=0.3)
-        far = net._index[10 ** 6]
+        far = int(np.searchsorted(net.node_ids, 10 ** 6))
         got = net.shortest_node_dists(0, 2000.0, {far})
         assert got == full_search(net, 0, 2000.0)
 
@@ -518,6 +733,50 @@ class TestBoundedSearch:
             expected = net.route_distance(a, b, cutoff)  # full search
             ends = {int(net.edge_a[b.edge]), int(net.edge_b[b.edge])}
             assert net.route_distance(a, b, cutoff, None, ends) == expected
+
+
+def settle_order(network, source, cutoff):
+    """(node, distance) in the order a textbook Dijkstra, pruned at
+    ``cutoff``, settles them: the oracle for the pop order of a search."""
+    dist, order, heap = {source: 0.0}, [], [(0.0, source)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        order.append((u, d))
+        for v, length in network.adjacency[u]:
+            if d + length <= cutoff and d + length < dist.get(v, np.inf):
+                dist[v] = d + length
+                heapq.heappush(heap, (d + length, v))
+    return order
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_resumed_searches_equal_full_search(seed, data):
+    """Searches from a few sources at a few cutoffs, kept in one dict and
+    resumed with random target sets: each call settles the head of the full
+    search's order, every target within the cutoff among it."""
+    rng = np.random.default_rng(seed)
+    net, _ = irregular_grid(rng, int(rng.integers(3, 8)),
+                            int(rng.integers(3, 8)), drop=0.3)
+    sources = rng.choice(net.n_nodes, 3).tolist()
+    cutoffs = [150.0, 400.0, 2000.0]
+    searches: dict = {}
+    for _ in range(data.draw(st.integers(1, 12))):
+        source = data.draw(st.sampled_from(sources))
+        cutoff = data.draw(st.sampled_from(cutoffs))
+        targets = data.draw(st.sets(st.integers(0, net.n_nodes - 1),
+                                    min_size=1, max_size=6))
+        got = net.shortest_node_dists(source, cutoff, targets, searches)
+        full = settle_order(net, source, cutoff)
+        assert list(got.items()) == full[:len(got)]
+        reached = dict(full)
+        assert all(t in got for t in targets if t in reached)
+    fresh = net.shortest_node_dists(source, cutoff, targets)
+    assert fresh.items() <= got.items()
 
 
 def straight_fixes(n, spacing=80.0, offset_y=0.0, noise=0.0, seed=0):
@@ -621,12 +880,14 @@ class TestMapMatching:
         bounded = build_lattice(lats, lons, net)
         matched = match_fixes(t, lats, lons, net)
         full = RoadNetwork.shortest_node_dists
+        calls = []
         monkeypatch.setattr(
             RoadNetwork, "shortest_node_dists",
-            lambda self, source, cutoff, targets=None: full(self, source,
-                                                            cutoff))
+            lambda self, source, cutoff, targets=None, searches=None:
+            calls.append(source) or full(self, source, cutoff))
         oracle = build_lattice(lats, lons, net)
         oracle_match = match_fixes(t, lats, lons, net)
+        assert calls
         assert bounded[0] == oracle[0]
         for got, want in zip(bounded[1] + bounded[2], oracle[1] + oracle[2]):
             assert np.array_equal(got, want)
@@ -634,6 +895,22 @@ class TestMapMatching:
             assert np.array_equal(getattr(matched, field),
                                   getattr(oracle_match, field))
         assert matched.log_score == oracle_match.log_score
+
+    def test_city_lattices_equal_per_pair_transitions(self):
+        """Four drives over a 60 x 60 grid, one of them with a 280 m gap
+        whose step has a wider cutoff."""
+        net = grid_network(60, 60)
+        rng = np.random.default_rng(7)
+        for drive in range(4):
+            lats, lons = city_drive(rng, 60, 100.0, 50)
+            if drive == 3:
+                lats, lons = (np.delete(v, range(1, 28)) for v in (lats, lons))
+            lattice = build_lattice(lats, lons, net)
+            want = per_pair_transitions(net, lattice[0], lats[lattice.kept],
+                                        lons[lattice.kept])
+            assert len(lattice[2]) == len(want)
+            for got, mat in zip(lattice[2], want):
+                assert np.array_equal(got, mat)
 
     def test_city_grid_lattice_equals_full_search(self, monkeypatch):
         """A 50-fix drive over a 60 x 60 grid with uneven blocks: the
