@@ -16,6 +16,7 @@ import numpy as np
 from ..core import AlignedSegment, Dataset, GeoPoint, ReferenceSegment, \
     TelemetryTrace
 from ..geoalign.match import MatchedTrace
+from ..geoalign.network import unreadable
 
 TELEMETRY_HEADER = "t_s,acc_z_ms2,speed_ms,lat,lon"
 REFERENCE_HEADER = ("seg_id,start_lat,start_lon,end_lat,end_lon,"
@@ -59,6 +60,11 @@ def read_telemetry_csv(path) -> TelemetryTrace:
     bad = np.flatnonzero(commas != 4)
     if len(bad):
         raise ValueError(f"{path}: bad column count on row {bad[0] + 1}")
+    # numpy's reader takes \x1c-\x1f for whitespace, which float rejects.
+    if unreadable("".join(rows)):
+        row = next(i for i, line in enumerate(rows, 1) if unreadable(line))
+        raise ValueError(f"{path}: character outside printable ASCII on row "
+                         f"{row}")
     t, acc, speed = _parse_columns(rows, (0, 1, 2))
     # The first three fields are parsed, so not empty: two adjacent commas
     # mean an empty lat, a row without a fix, whose lon is not read.

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -372,7 +371,14 @@ _RECORDS = {"node,": [("id", np.int64), ("lat", float), ("lon", float)],
 # for 50852, and "1\U0002c6ca" can crash it. On printable ASCII and tabs it
 # accepts exactly what ``int`` and ``float`` accept, less digit-group
 # underscores, with the same values.
-_NOT_READABLE = re.compile(r"[^\t -~]")
+_READABLE = bytes([ord("\t"), *range(ord(" "), ord("~") + 1)])
+
+
+def unreadable(text: str) -> bool:
+    """Whether ``text`` holds a character other than tab and printable
+    ASCII, which numpy's readers may take otherwise than int and float."""
+    return (not text.isascii()
+            or bool(text.encode("ascii").translate(None, _READABLE)))
 
 
 def _records(lines: list, kind: str, dtype) -> np.ndarray:
@@ -383,7 +389,7 @@ def _records(lines: list, kind: str, dtype) -> np.ndarray:
     text = "".join(rows)
     # loadtxt rejects a row with fewer than 3 fields, so with 3 per row on
     # average no row has more.
-    if text.count(",") != 3 * len(rows) or _NOT_READABLE.search(text):
+    if text.count(",") != 3 * len(rows) or unreadable(text):
         raise ValueError(f"unreadable {kind[:-1]} record")
     return np.loadtxt(rows, delimiter=",", usecols=(1, 2, 3), comments=None,
                       dtype=dtype, ndmin=1)

@@ -34,6 +34,19 @@ def init_params(layer_sizes: list[int], rng: np.random.Generator):
     return weights, biases
 
 
+def layer_views(flat: np.ndarray, layer_sizes: list[int]):
+    """Each layer's weight matrix and bias vector as views into ``flat``,
+    laid out as W0, b0, W1, b1, ..."""
+    weights, biases = [], []
+    at = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 def forward(weights, biases, x):
     """Returns the list of layer activations; last entry is the raw output."""
     acts = [x]
@@ -46,30 +59,48 @@ def forward(weights, biases, x):
     return acts
 
 
-def loss_and_grads(weights, biases, x, y, task: str, l2: float):
-    """Objective (data loss + L2 penalty) and analytic parameter gradients."""
-    n = len(x)
-    acts = forward(weights, biases, x)
-    out = acts[-1]
+def objective(weights, out, y, task: str, l2: float):
+    """Data loss of the raw outputs ``out`` plus the L2 penalty, and the
+    residual the output gradient is built from (out - y for regression,
+    softmax - onehot for classification)."""
     if task == "regression":
-        err = out[:, 0] - y
-        data_loss = float(np.mean(err ** 2))
-        delta = (2.0 * err / n)[:, None]
+        resid = out[:, 0] - y
+        data_loss = float(np.mean(resid ** 2))
     else:
         p = softmax(out)
         onehot = np.zeros_like(p)
-        onehot[np.arange(n), y.astype(int)] = 1.0
-        data_loss = float(-np.sum(onehot * np.log(np.clip(p, 1e-300, None))) / n)
-        delta = (p - onehot) / n
+        onehot[np.arange(len(out)), y.astype(int)] = 1.0
+        data_loss = float(-np.sum(onehot * np.log(np.clip(p, 1e-300, None)))
+                          / len(out))
+        resid = p - onehot
     penalty = l2 * sum(float(np.sum(w ** 2)) for w in weights)
-    grads_w = [None] * len(weights)
-    grads_b = [None] * len(weights)
+    return data_loss + penalty, resid
+
+
+def _loss_and_grads_into(weights, biases, x, y, task: str, l2: float,
+                         grads_w, grads_b) -> float:
+    """Objective on (x, y); writes its parameter gradients into the arrays
+    ``grads_w`` and ``grads_b``."""
+    n = len(x)
+    acts = forward(weights, biases, x)
+    loss, resid = objective(weights, acts[-1], y, task, l2)
+    delta = (2.0 * resid / n)[:, None] if task == "regression" else resid / n
     for i in range(len(weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta + 2.0 * l2 * weights[i]
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(acts[i].T, delta, out=grads_w[i])
+        grads_w[i] += 2.0 * l2 * weights[i]
+        np.sum(delta, axis=0, out=grads_b[i])
         if i > 0:
             delta = (delta @ weights[i].T) * (acts[i] > 0)
-    return data_loss + penalty, grads_w, grads_b
+    return loss
+
+
+def loss_and_grads(weights, biases, x, y, task: str, l2: float):
+    """Objective (data loss + L2 penalty) and analytic parameter gradients."""
+    grads_w = [np.empty_like(w) for w in weights]
+    grads_b = [np.empty_like(b) for b in biases]
+    loss = _loss_and_grads_into(weights, biases, x, y, task, l2, grads_w,
+                                grads_b)
+    return loss, grads_w, grads_b
 
 
 class MlpModel:
@@ -101,11 +132,16 @@ class MlpModel:
         out_dim = 1 if self.task == "regression" else self.n_classes
         sizes = [d, *self.layers, out_dim]
         rng = np.random.default_rng(self.seed)
-        weights, biases = init_params(sizes, rng)
-        m_w = [np.zeros_like(w) for w in weights]
-        v_w = [np.zeros_like(w) for w in weights]
-        m_b = [np.zeros_like(b) for b in biases]
-        v_b = [np.zeros_like(b) for b in biases]
+        # Every parameter is a view into one flat vector, and so is every
+        # gradient, so each Adam step is one set of whole-vector operations;
+        # theta is updated in place, under the views.
+        theta = np.concatenate([
+            a.ravel() for pair in zip(*init_params(sizes, rng)) for a in pair])
+        weights, biases = layer_views(theta, sizes)
+        grad = np.empty_like(theta)
+        grads_w, grads_b = layer_views(grad, sizes)
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
         lr = self.lr0
         best_loss = np.inf
         stall_stop = 0
@@ -116,24 +152,19 @@ class MlpModel:
             order = rng.permutation(n)
             for lo in range(0, n, self.batch_size):
                 batch = order[lo:lo + self.batch_size]
-                loss, gw, gb = loss_and_grads(weights, biases, x[batch],
-                                              y[batch], self.task, self.l2)
+                loss = _loss_and_grads_into(weights, biases, x[batch],
+                                            y[batch], self.task, self.l2,
+                                            grads_w, grads_b)
                 if not np.isfinite(loss):
                     raise ConvergenceError("training loss diverged")
                 step += 1
                 corr1 = 1.0 - ADAM_B1 ** step
                 corr2 = 1.0 - ADAM_B2 ** step
-                for i in range(len(weights)):
-                    m_w[i] = ADAM_B1 * m_w[i] + (1 - ADAM_B1) * gw[i]
-                    v_w[i] = ADAM_B2 * v_w[i] + (1 - ADAM_B2) * gw[i] ** 2
-                    m_b[i] = ADAM_B1 * m_b[i] + (1 - ADAM_B1) * gb[i]
-                    v_b[i] = ADAM_B2 * v_b[i] + (1 - ADAM_B2) * gb[i] ** 2
-                    weights[i] -= lr * (m_w[i] / corr1) / (
-                        np.sqrt(v_w[i] / corr2) + ADAM_EPS)
-                    biases[i] -= lr * (m_b[i] / corr1) / (
-                        np.sqrt(v_b[i] / corr2) + ADAM_EPS)
-            epoch_loss, _, _ = loss_and_grads(weights, biases, x, y,
-                                              self.task, self.l2)
+                m = ADAM_B1 * m + (1 - ADAM_B1) * grad
+                v = ADAM_B2 * v + (1 - ADAM_B2) * grad ** 2
+                theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
+            epoch_loss, _ = objective(weights, forward(weights, biases, x)[-1],
+                                      y, self.task, self.l2)
             if not np.isfinite(epoch_loss):
                 raise ConvergenceError("training loss diverged")
             self.loss_history.append(epoch_loss)

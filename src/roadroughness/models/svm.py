@@ -4,11 +4,13 @@ Both tasks are solved in the standard box-constrained dual
 
     min  1/2 lam' Q lam + p' lam   s.t.  z' lam = 0,  0 <= lam <= C
 
-by pairwise coordinate optimization over maximal violating pairs, stopping
-when the KKT gap m - M drops below tolerance. For regression the
-epsilon-insensitive dual is mapped onto the same form by stacking the two
-coefficient blocks; classification is one-vs-rest with argmax over the
-decision values.
+by sequential minimal optimization with second-order working-set selection
+(WSS 3 of Fan, Chen & Lin 2005, JMLR), stopping when the KKT gap m - M
+drops below tolerance. Every variable e has the kernel row k[e % n], so
+Q[e, f] = z[e] z[f] k[e % n, f % n]: classification has one variable per
+row, while the epsilon-insensitive regression dual stacks two blocks of
+coefficients over the same rows. Classification is one-vs-rest with argmax
+over the decision values; its solves share one kernel matrix.
 """
 from __future__ import annotations
 
@@ -20,53 +22,77 @@ from .tree import N_CLASSES
 KKT_TOL = 1e-3
 MAX_ITER = 500_000
 _EPS = 1e-12
+# Floor on the curvature a of a working pair (tau in WSS 3): a is 0 for two
+# equal rows, and for the two coefficients of one row in regression.
+_TAU = 1e-12
 
 
 def rbf_kernel(a, b, gamma: float) -> np.ndarray:
-    """exp(-gamma * ||x - x'||^2) for all row pairs."""
+    """exp(-gamma * ||x - x'||^2) for all row pairs, built in place in the
+    one result buffer."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    d2 = (np.sum(a ** 2, axis=1)[:, None] + np.sum(b ** 2, axis=1)[None, :]
-          - 2.0 * a @ b.T)
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    out = np.matmul(a, b.T, out=np.empty((len(a), len(b))))
+    out *= -2.0
+    out += np.sum(a ** 2, axis=1)[:, None]
+    out += np.sum(b ** 2, axis=1)[None, :]
+    np.maximum(out, 0.0, out=out)
+    out *= -gamma
+    return np.exp(out, out=out)
 
 
-def smo_solve(q_row, diag: np.ndarray, p: np.ndarray, z: np.ndarray,
-              c: float, tol: float = KKT_TOL, max_iter: int = MAX_ITER):
-    """Generic SMO loop; ``q_row(i)`` returns row i of Q on demand.
+def smo_solve(k: np.ndarray, p: np.ndarray, z: np.ndarray, c: float,
+              tol: float = KKT_TOL, max_iter: int = MAX_ITER):
+    """SMO over len(p) variables, a multiple of n = len(k), whose kernel
+    row is k[e % n]; z is +-1.
 
     Returns (lam, grad, bias, kkt_gap, n_iter).
     """
-    n = len(p)
-    lam = np.zeros(n)
-    g = p.copy()
+    n = len(k)
+    diag = k.diagonal()
+    lam = np.zeros(len(p))
+    # v = -z * grad, the quantity the working set is chosen by. A step moves
+    # lam[i] by z[i] d and lam[j] by -z[j] d, which adds d (k_i - k_j) to
+    # the gradient in every block, scaled by z: v -= d (k_i - k_j) blockwise.
+    v = -z * p
+    blocks = v.reshape(-1, n)
     pos = z > 0
+    up = pos.copy()     # lam can move by +z without leaving the box
+    low = ~pos          # ... and by -z
+    a = np.empty(n)
+    u = np.empty(n)
+    gap = np.inf
     for it in range(max_iter):
-        up = (pos & (lam < c - _EPS)) | (~pos & (lam > _EPS))
-        low = (pos & (lam > _EPS)) | (~pos & (lam < c - _EPS))
-        vals = -z * g
-        up_vals = np.where(up, vals, -np.inf)
-        low_vals = np.where(low, vals, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        m_up = up_vals[i]
-        m_low = low_vals[j]
+        i = int(np.argmax(np.where(up, v, -np.inf)))
+        low_vals = np.where(low, v, np.inf)
+        m_up = v[i]
+        m_low = low_vals.min()
         gap = m_up - m_low
         if gap <= tol:
             bias = float((m_up + m_low) / 2.0)
-            return lam, g, bias, float(gap), it
-        qi = q_row(i)
-        qj = q_row(j)
-        a = diag[i] + diag[j] - 2.0 * z[i] * z[j] * qi[j]
-        a = max(a, _EPS)
-        d = gap / a
-        d = min(d, c - lam[i] if z[i] > 0 else lam[i])
-        d = min(d, lam[j] if z[j] > 0 else c - lam[j])
-        dli = z[i] * d
-        dlj = -z[j] * d
-        lam[i] += dli
-        lam[j] += dlj
-        g += dli * qi + dlj * qj
+            return lam, -z * v, bias, float(gap), it
+        ki = k[i % n]
+        # WSS 3: j maximises b^2 / a over I_low with b = m_up - v > 0.
+        np.multiply(ki, -2.0, out=a)
+        a += diag
+        a += diag[i % n]
+        np.maximum(a, _TAU, out=a)
+        score = np.subtract(m_up, low_vals, out=low_vals).reshape(-1, n)
+        np.maximum(score, 0.0, out=score)
+        score *= score
+        score /= a
+        j = int(np.argmax(score))
+        d = (m_up - v[j]) / a[j % n]
+        d = min(d, c - lam[i] if pos[i] else lam[i])
+        d = min(d, lam[j] if pos[j] else c - lam[j])
+        lam[i] += z[i] * d
+        lam[j] -= z[j] * d
+        for t in (i, j):
+            up[t] = lam[t] < c - _EPS if pos[t] else lam[t] > _EPS
+            low[t] = lam[t] > _EPS if pos[t] else lam[t] < c - _EPS
+        np.subtract(ki, k[j % n], out=u)
+        u *= d
+        blocks -= u
     raise ConvergenceError(
         f"SMO did not converge in {max_iter} iterations "
         f"(max KKT violation {gap:.3e})")
@@ -74,34 +100,26 @@ def smo_solve(q_row, diag: np.ndarray, p: np.ndarray, z: np.ndarray,
 
 def _solve_svr(k: np.ndarray, y: np.ndarray, c: float, epsilon: float,
                tol: float, max_iter: int):
-    """Epsilon-insensitive dual via the stacked 2N formulation."""
+    """Epsilon-insensitive dual via the stacked 2N formulation.
+
+    Returns (beta, bias, dual objective, kkt_gap, n_iter).
+    """
     n = len(y)
     z = np.concatenate([np.ones(n), -np.ones(n)])
     p = np.concatenate([epsilon - y, epsilon + y])
-    diag = np.concatenate([np.diag(k), np.diag(k)])
-
-    def q_row(i):
-        base = k[i % n]
-        row = np.concatenate([base, base])
-        return z[i] * z * row
-
-    lam, g, bias, gap, _ = smo_solve(q_row, diag, p, z, c, tol, max_iter)
+    lam, g, bias, gap, n_iter = smo_solve(k, p, z, c, tol, max_iter)
     beta = lam[:n] - lam[n:]
     objective = 0.5 * float(lam @ g + lam @ p)
-    return beta, bias, objective, gap
+    return beta, bias, objective, gap, n_iter
 
 
 def _solve_binary_svc(k: np.ndarray, z: np.ndarray, c: float, tol: float,
                       max_iter: int):
-    diag = np.diag(k).copy()
-
-    def q_row(i):
-        return z[i] * z * k[i]
-
-    lam, g, bias, gap, _ = smo_solve(q_row, diag, -np.ones(len(z)), z, c,
-                                     tol, max_iter)
+    """Returns (coef, bias, dual objective, kkt_gap, n_iter)."""
+    lam, g, bias, gap, n_iter = smo_solve(k, -np.ones(len(z)), z, c, tol,
+                                          max_iter)
     objective = 0.5 * float(lam @ g) - 0.5 * float(lam.sum())
-    return lam * z, bias, objective, gap
+    return lam * z, bias, objective, gap, n_iter
 
 
 class SvmModel:
@@ -127,41 +145,44 @@ class SvmModel:
         self.sv_x: np.ndarray | None = None
         self.sv_coef: np.ndarray | None = None   # (n_sv,) or (n_sv, n_classes)
         self.bias: np.ndarray | None = None
-        self.dual_objective: float | list | None = None
+        # Solver diagnostics of the last fit: SMO iterations and final KKT
+        # gap, one per one-vs-rest class for classification.
+        self.n_iter: int | list | None = None
+        self.kkt_gap: float | list | None = None
 
     def fit(self, x, y) -> "SvmModel":
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         k = rbf_kernel(x, x, self.gamma)
         if self.kind == "svr":
-            beta, bias, obj, _ = _solve_svr(k, y, self.c, self.epsilon,
-                                            self.tol, self.max_iter)
+            beta, bias, _, self.kkt_gap, self.n_iter = _solve_svr(
+                k, y, self.c, self.epsilon, self.tol, self.max_iter)
             keep = np.abs(beta) > _EPS
             self.sv_x = x[keep]
             self.sv_coef = beta[keep]
             self.bias = np.array([bias])
-            self.dual_objective = obj
         else:
             labels = y.astype(int)
             coefs = np.zeros((len(x), self.n_classes))
             biases = np.zeros(self.n_classes)
-            objs = []
+            self.n_iter, self.kkt_gap = [], []
             for cls in range(self.n_classes):
                 z = np.where(labels == cls, 1.0, -1.0)
                 if np.all(z < 0) or np.all(z > 0):
                     biases[cls] = -np.inf if np.all(z < 0) else np.inf
-                    objs.append(0.0)
+                    self.n_iter.append(0)
+                    self.kkt_gap.append(0.0)
                     continue
-                coef, bias, obj, _ = _solve_binary_svc(k, z, self.c, self.tol,
-                                                       self.max_iter)
+                coef, bias, _, gap, n_iter = _solve_binary_svc(
+                    k, z, self.c, self.tol, self.max_iter)
                 coefs[:, cls] = coef
                 biases[cls] = bias
-                objs.append(obj)
+                self.n_iter.append(n_iter)
+                self.kkt_gap.append(gap)
             keep = np.any(np.abs(coefs) > _EPS, axis=1)
             self.sv_x = x[keep]
             self.sv_coef = coefs[keep]
             self.bias = biases
-            self.dual_objective = objs
         return self
 
     def decision_values(self, x) -> np.ndarray:

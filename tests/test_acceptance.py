@@ -293,7 +293,7 @@ def test_criterion_4_optimizers():
         p = np.concatenate([eps - ys, eps + ys])
         q = (z[:, None] * z[None, :]) * np.tile(k, (2, 2))
         _, obj_oracle = _projected_gradient(q, p, z, c)
-        _, _, obj, _ = _solve_svr(k, ys, c, eps, 1e-6, 10 ** 6)
+        _, _, obj, _, _ = _solve_svr(k, ys, c, eps, 1e-6, 10 ** 6)
         if abs(obj - obj_oracle) / abs(obj_oracle) > 1e-3:
             failures.append(f"SVR dual off oracle (seed {seed})")
 

@@ -112,11 +112,19 @@ def mangled_telemetry(draw):
         i = draw(st.integers(0, len(lines) - 1))
         parts = lines[i].split(",")
         action = draw(st.sampled_from(["field", "drop", "dup", "cut",
-                                       "extend", "text"]))
+                                       "extend", "text", "pad"]))
         if action == "field":
             parts[draw(st.integers(0, len(parts) - 1))] = draw(st.one_of(
                 st.sampled_from(_TELEMETRY_FIELDS),
-                st.text("0123456789.-+eEinfa ,", max_size=6)))
+                st.text("0123456789.-+eEinfa ,\x1c\x1d\x1e\x1f",
+                        max_size=6)))
+            lines[i] = ",".join(parts)
+        elif action == "pad":
+            # Whitespace to str.split and numpy, not all of it to float.
+            f = draw(st.integers(0, len(parts) - 1))
+            pad = draw(st.sampled_from(" \t\x1c\x1d\x1e\x1f"))
+            parts[f] = (pad + parts[f] if draw(st.booleans())
+                        else parts[f] + pad)
             lines[i] = ",".join(parts)
         elif action == "drop":
             del lines[i]
@@ -163,6 +171,16 @@ class TestTelemetryReader:
         for reader in (io.read_telemetry_csv, per_cell_telemetry):
             with pytest.raises(ValueError, match=message):
                 reader(p)
+
+    @pytest.mark.parametrize("bad", ["\x1f", "\x00", "\u00e9", "\u0661"])
+    def test_character_outside_printable_ascii_names_its_row(self, tmp_path,
+                                                              bad):
+        p = tmp_path / "telemetry.csv"
+        p.write_text(io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,,\n"
+                     f"0.02,1.0{bad},13.9,,\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="outside printable ASCII on "
+                                             "row 2"):
+            io.read_telemetry_csv(p)
 
     def test_header_only_gives_an_empty_trace(self, tmp_path):
         p = tmp_path / "telemetry.csv"

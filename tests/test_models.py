@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize
 
 from roadroughness.models import (BaselineModel, ConvergenceError,
                                   DecisionTree, GaussianNBModel, KnnModel,
@@ -14,9 +16,11 @@ from roadroughness.models import (BaselineModel, ConvergenceError,
 from roadroughness.models import neighbors
 from roadroughness.models import tree as tree_module
 from roadroughness.models.logistic import loss_and_grad as logistic_loss
-from roadroughness.models.mlp import init_params, loss_and_grads as mlp_loss
+from roadroughness.models.mlp import (ADAM_B1, ADAM_B2, ADAM_EPS, LOSS_TOL,
+                                      LR_PATIENCE, STOP_PATIENCE,
+                                      init_params, loss_and_grads as mlp_loss)
 from roadroughness.models.resample import _knn_indices
-from roadroughness.models.svm import _solve_binary_svc, _solve_svr
+from roadroughness.models.svm import _solve_binary_svc, _solve_svr, smo_solve
 from roadroughness.models.tree import (MAX_DEPTH, N_CLASSES, _Padded,
                                        _segment_sums, _splitmix64, draw_key,
                                        feature_subsets)
@@ -751,6 +755,79 @@ def _projected_gradient(q, p, z, c, iters=30_000):
     return lam, 0.5 * lam @ q @ lam + p @ lam
 
 
+def _first_order_smo(q_row, diag, p, z, c, tol, max_iter):
+    """Oracle: the SMO loop with first-order working-set selection (the
+    maximal violating pair) that the solver used before WSS 3, with Q's
+    rows built on demand. Returns lam."""
+    n = len(p)
+    lam = np.zeros(n)
+    g = p.copy()
+    pos = z > 0
+    eps = 1e-12
+    for _ in range(max_iter):
+        up = (pos & (lam < c - eps)) | (~pos & (lam > eps))
+        low = (pos & (lam > eps)) | (~pos & (lam < c - eps))
+        vals = -z * g
+        up_vals = np.where(up, vals, -np.inf)
+        low_vals = np.where(low, vals, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        gap = up_vals[i] - low_vals[j]
+        if gap <= tol:
+            return lam
+        qi = q_row(i)
+        qj = q_row(j)
+        a = max(diag[i] + diag[j] - 2.0 * z[i] * z[j] * qi[j], eps)
+        d = gap / a
+        d = min(d, c - lam[i] if z[i] > 0 else lam[i])
+        d = min(d, lam[j] if z[j] > 0 else c - lam[j])
+        dli = z[i] * d
+        dlj = -z[j] * d
+        lam[i] += dli
+        lam[j] += dlj
+        g += dli * qi + dlj * qj
+    raise AssertionError("first-order SMO oracle did not converge")
+
+
+def _slsqp_dual(q, p, z, c):
+    """Independent oracle: the dual QP handed to scipy's SLSQP."""
+    res = minimize(lambda lam: 0.5 * lam @ q @ lam + p @ lam,
+                   np.zeros(len(p)), jac=lambda lam: q @ lam + p,
+                   bounds=[(0.0, c)] * len(p), method="SLSQP",
+                   constraints=[{"type": "eq", "fun": lambda lam: z @ lam,
+                                 "jac": lambda lam: z}],
+                   options={"ftol": 1e-14, "maxiter": 2000})
+    return res.fun
+
+
+@st.composite
+def svm_duals(draw):
+    """A small SVR or SVC dual over n <= 40 rows, some of them repeated
+    (two equal rows have pair curvature a = 0), with C from 1e-2 to 1e3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 40))
+    x = rng.normal(size=(n, draw(st.integers(1, 3))))
+    dups = draw(st.integers(0, n // 2))
+    x[n - dups:] = x[rng.integers(0, n - dups, dups)]
+    k = rbf_kernel(x, x, draw(st.sampled_from([0.1, 0.5, 2.0])))
+    c = 10.0 ** draw(st.floats(-2.0, 3.0))
+    if draw(st.sampled_from(["svr", "svc"])) == "svr":
+        y = np.sin(2.0 * x[:, 0]) + 0.1 * rng.normal(size=n)
+        eps = 0.1
+        z = np.concatenate([np.ones(n), -np.ones(n)])
+        p = np.concatenate([eps - y, eps + y])
+    else:
+        z = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        z[:2] = [1.0, -1.0]
+        p = -np.ones(n)
+    return k, p, z, c
+
+
+def _dense_q(k, z):
+    reps = len(z) // len(k)
+    return (z[:, None] * z[None, :]) * np.tile(k, (reps, reps))
+
+
 class TestSvm:
     def _svr_instance(self, seed):
         rng = np.random.default_rng(seed)
@@ -768,7 +845,7 @@ class TestSvm:
         p = np.concatenate([eps - y, eps + y])
         q = (z[:, None] * z[None, :]) * np.tile(k, (2, 2))
         _, obj_oracle = _projected_gradient(q, p, z, c)
-        _, _, obj, gap = _solve_svr(k, y, c, eps, 1e-6, 10 ** 6)
+        _, _, obj, gap, _ = _solve_svr(k, y, c, eps, 1e-6, 10 ** 6)
         assert abs(obj - obj_oracle) / abs(obj_oracle) < 1e-3
 
     def test_svc_dual_matches_projected_gradient_oracle(self):
@@ -778,7 +855,7 @@ class TestSvm:
         k = rbf_kernel(x, x, 0.5)
         q = (z[:, None] * z[None, :]) * k
         _, obj_oracle = _projected_gradient(q, -np.ones(len(z)), z, c)
-        coef, bias, obj, gap = _solve_binary_svc(k, z, c, 1e-6, 10 ** 6)
+        coef, bias, obj, gap, _ = _solve_binary_svc(k, z, c, 1e-6, 10 ** 6)
         assert abs(obj - obj_oracle) / abs(obj_oracle) < 1e-3
         # Free support vectors must sit on the margin.
         f = k @ coef + bias
@@ -811,12 +888,124 @@ class TestSvm:
         m = SvmModel(task="svc", c=10.0, gamma=0.5).fit(x, y)
         assert np.mean(m.predict(x) == y) >= 0.95
 
+    @settings(max_examples=60, deadline=None)
+    @given(svm_duals())
+    def test_second_order_smo_matches_oracles(self, dual):
+        k, p, z, c = dual
+        tol = 1e-6
+        lam, g, _, gap, _ = smo_solve(k, p, z, c, tol, 10 ** 6)
+        assert gap <= tol
+        assert np.all((lam >= 0.0) & (lam <= c))
+        assert abs(z @ lam) <= 1e-9 * max(c * len(z), 1.0)
+        q = _dense_q(k, z)
+        # The gradient kept up to date step by step equals Q lam + p.
+        scale = np.max(np.abs(q) @ np.abs(lam) + np.abs(p))
+        assert np.max(np.abs(g - (q @ lam + p))) <= 1e-9 * scale
+        obj = 0.5 * lam @ q @ lam + p @ lam
+        n = len(k)
+        lam1 = _first_order_smo(
+            lambda e: q[e], np.tile(np.diag(k), len(z) // n), p, z, c, tol,
+            10 ** 7)
+        obj1 = 0.5 * lam1 @ q @ lam1 + p @ lam1
+        obj_qp = _slsqp_dual(q, p, z, c)
+        for ref in (obj1, obj_qp):
+            assert abs(obj - ref) <= 1e-3 * max(abs(ref), 1e-6)
+
+    def test_kernel_matches_pairwise_differences(self):
+        rng = np.random.default_rng(27)
+        a, b = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
+        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+        assert np.allclose(rbf_kernel(a, b, 0.3), np.exp(-0.3 * d2),
+                           rtol=0, atol=1e-13)
+
+    def test_fit_holds_one_kernel_buffer(self):
+        """The fit's peak memory is one n x n kernel plus O(n) vectors."""
+        rng = np.random.default_rng(28)
+        n = 500
+        x = rng.normal(size=(n, 2))
+        y = np.digitize(x[:, 0], [-0.5, 0.5]).astype(float)
+        tracemalloc.start()
+        try:
+            SvmModel(task="svc", c=1.0, gamma=0.5).fit(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8
+
+    def test_fit_records_solver_diagnostics(self):
+        x, y = self._svr_instance(8)
+        m = SvmModel(task="svr", c=2.0, gamma=0.5).fit(x, y)
+        assert m.n_iter > 0 and 0.0 <= m.kkt_gap <= m.tol
+        labels = np.array([0.0] * 5 + [1.0] * 5)
+        m = SvmModel(task="svc", c=2.0, gamma=0.5).fit(x, labels)
+        assert len(m.n_iter) == len(m.kkt_gap) == N_CLASSES
+        assert m.n_iter[2] == 0 and m.bias[2] == -np.inf
+        assert all(0.0 <= g <= m.tol for g in m.kkt_gap)
+
+    def test_iteration_limit_raises(self):
+        x, y = self._svr_instance(9)
+        for max_iter in (0, 3):
+            with pytest.raises(ConvergenceError):
+                SvmModel(task="svr", c=2.0, gamma=0.5,
+                         max_iter=max_iter).fit(x, y)
+
     def test_state_round_trip(self):
         x, y = self._svr_instance(7)
         m = SvmModel(task="svr", c=2.0, gamma=0.5).fit(x, y)
         m2 = SvmModel.from_state(m.state_dict())
         q = np.random.default_rng(0).normal(size=(5, 2))
         assert np.allclose(m.predict(q), m2.predict(q), atol=1e-12)
+
+
+def _reference_mlp_fit(model: MlpModel, x, y):
+    """Oracle: MlpModel.fit as a per-layer Adam loop over separate weight
+    and bias arrays, with the epoch loss taken from loss_and_grads.
+    Returns (weights, biases, loss_history)."""
+    n, d = x.shape
+    out_dim = 1 if model.task == "regression" else model.n_classes
+    rng = np.random.default_rng(model.seed)
+    weights, biases = init_params([d, *model.layers, out_dim], rng)
+    m_w = [np.zeros_like(w) for w in weights]
+    v_w = [np.zeros_like(w) for w in weights]
+    m_b = [np.zeros_like(b) for b in biases]
+    v_b = [np.zeros_like(b) for b in biases]
+    lr = model.lr0
+    best_loss = np.inf
+    stall_stop = stall_lr = step = 0
+    history = []
+    for _ in range(model.max_epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, model.batch_size):
+            batch = order[lo:lo + model.batch_size]
+            _, gw, gb = mlp_loss(weights, biases, x[batch], y[batch],
+                                 model.task, model.l2)
+            step += 1
+            corr1 = 1.0 - ADAM_B1 ** step
+            corr2 = 1.0 - ADAM_B2 ** step
+            for i in range(len(weights)):
+                m_w[i] = ADAM_B1 * m_w[i] + (1 - ADAM_B1) * gw[i]
+                v_w[i] = ADAM_B2 * v_w[i] + (1 - ADAM_B2) * gw[i] ** 2
+                m_b[i] = ADAM_B1 * m_b[i] + (1 - ADAM_B1) * gb[i]
+                v_b[i] = ADAM_B2 * v_b[i] + (1 - ADAM_B2) * gb[i] ** 2
+                weights[i] -= lr * (m_w[i] / corr1) / (
+                    np.sqrt(v_w[i] / corr2) + ADAM_EPS)
+                biases[i] -= lr * (m_b[i] / corr1) / (
+                    np.sqrt(v_b[i] / corr2) + ADAM_EPS)
+        epoch_loss, _, _ = mlp_loss(weights, biases, x, y, model.task,
+                                    model.l2)
+        history.append(epoch_loss)
+        if epoch_loss < best_loss - LOSS_TOL:
+            best_loss = epoch_loss
+            stall_stop = stall_lr = 0
+        else:
+            stall_stop += 1
+            stall_lr += 1
+            if stall_stop >= STOP_PATIENCE:
+                break
+            if stall_lr >= LR_PATIENCE:
+                lr *= 0.5
+                stall_lr = 0
+    return weights, biases, history
 
 
 class TestMlp:
@@ -851,6 +1040,22 @@ class TestMlp:
 
             fd_b = finite_difference(f_b, biases[layer].copy())
             assert np.max(np.abs(gb[layer] - fd_b)) <= 1e-4
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flat_adam_matches_per_layer_loop_bitwise(self, task, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = 437   # two full batches of 200 and a short one
+        x = rng.normal(size=(n, 3))
+        y = (np.sin(x[:, 0]) + x[:, 1] if task == "regression"
+             else rng.integers(0, N_CLASSES, n).astype(float))
+        m = MlpModel(layers=(6, 5), lr0=0.02, l2=0.01, task=task, seed=seed,
+                     max_epochs=40).fit(x, y)
+        weights, biases, history = _reference_mlp_fit(m, x, y)
+        assert m.loss_history == history
+        for got, want in zip(m.weights + m.biases, weights + biases):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_fits_linear_function(self):
         rng = np.random.default_rng(23)
