@@ -61,10 +61,15 @@ def read_telemetry_csv(path) -> TelemetryTrace:
     if len(bad):
         raise ValueError(f"{path}: bad column count on row {bad[0] + 1}")
     # numpy's reader takes \x1c-\x1f for whitespace, which float rejects.
+    # The lon of a row without a fix is not read, so any character passes.
     if unreadable("".join(rows)):
-        row = next(i for i, line in enumerate(rows, 1) if unreadable(line))
-        raise ValueError(f"{path}: character outside printable ASCII on row "
-                         f"{row}")
+        read = (line.rpartition(",")[0] if ",," in line else line
+                for line in rows)
+        row = next((i for i, line in enumerate(read, 1) if unreadable(line)),
+                   None)
+        if row is not None:
+            raise ValueError(f"{path}: character outside printable ASCII on "
+                             f"row {row}")
     t, acc, speed = _parse_columns(rows, (0, 1, 2))
     # The first three fields are parsed, so not empty: two adjacent commas
     # mean an empty lat, a row without a fix, whose lon is not read.
