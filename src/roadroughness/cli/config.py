@@ -5,6 +5,8 @@ import json
 import math
 from pathlib import Path
 
+from ..models.search import TASKS, family_record
+
 DEFAULT_CONFIG = {
     "workdir": "run",
     "seed": 7,
@@ -109,3 +111,9 @@ def validate_config(config: dict) -> None:
         raise ValueError("match.max_candidates must be a number of at least 1")
     if config["select"]["k_folds"] < 2 or config["train"]["k_folds"] < 2:
         raise ValueError("k_folds must be at least 2")
+    for task in TASKS:
+        for family in config["train"][f"{task}_families"]:
+            try:
+                family_record(family, task)
+            except ValueError as exc:
+                raise ValueError(f"train.{task}_families: {exc}") from None

@@ -8,20 +8,13 @@ from pathlib import Path
 import numpy as np
 
 from ..core import (classification_metrics, confusion_matrix,
-                    regression_metrics, to_iri_level)
+                    ordered_split, regression_metrics)
 from ..features import (build_feature_matrix, resample_segment,
                         standardize_apply, standardize_fit)
 from ..geoalign import (RoadNetwork, align_segments, interpolate_positions,
                         map_match, sliding_windows)
 from ..models import adasyn_resample, grid_search, make_model
-from ..models.baseline import BaselineModel
-from ..models.bayes import GaussianNBModel
-from ..models.linear import LinearModel
-from ..models.logistic import LogisticModel
-from ..models.mlp import MlpModel
-from ..models.neighbors import KnnModel
-from ..models.svm import SvmModel
-from ..models.tree import RandomForestModel
+from ..models.search import family_record
 from ..selection import (PcaBasis, drop_constant, pca_fit, pca_transform,
                          sfs_forward)
 from ..simkit import (GOLDEN_CAR, SimConfig, build_reference_segments,
@@ -32,19 +25,6 @@ from ..features import Standardizer
 
 STAGE_ORDER = ("simulate", "match", "align", "featurize", "select", "train",
                "evaluate")
-
-MODEL_CLASSES = {
-    "baseline": BaselineModel,
-    "ols": LinearModel, "ridge": LinearModel, "lasso": LinearModel,
-    "elastic_net": LinearModel,
-    "logistic": LogisticModel,
-    "knn": KnnModel,
-    "gaussian_nb": GaussianNBModel,
-    "random_forest": RandomForestModel,
-    "svm": SvmModel,
-    "mlp": MlpModel,
-}
-
 
 class StageError(RuntimeError):
     """Raised when a pipeline stage fails; names the offending stage."""
@@ -202,16 +182,13 @@ def stage_select(config: dict) -> dict:
     paths = _paths(config)
     sel_cfg = config["select"]
     dataset, _ = io.read_features_csv(paths["features"])
-    n_train = int(np.floor(len(dataset) * config["train_frac"]))
-    if n_train < 2 or n_train >= len(dataset):
-        raise ValueError("train split too small or empty test split")
-    x_train = dataset.X[:n_train]
-    y_train = dataset.y[:n_train]
+    train, _ = ordered_split(dataset, config["train_frac"])
+    n_train = len(train)
 
-    x_kept, kept = drop_constant(x_train)
+    x_kept, kept = drop_constant(train.X)
     scaler = standardize_fit(x_kept)
     x_std = standardize_apply(scaler, x_kept)
-    sfs = sfs_forward(x_std, y_train,
+    sfs = sfs_forward(x_std, train.y,
                       k_folds=int(sel_cfg["k_folds"]),
                       max_features=int(sel_cfg["max_features"]),
                       n_trees=int(sel_cfg["sfs_trees"]),
@@ -330,8 +307,8 @@ def stage_train(config: dict) -> dict:
 
 def bundle_model(bundle: dict):
     """Reconstruct the fitted model object stored in a bundle."""
-    cls = MODEL_CLASSES[bundle["family"]]
-    return cls.from_state(bundle["model_state"])
+    record = family_record(bundle["family"], bundle["task"])
+    return record.cls.from_state(bundle["model_state"])
 
 
 def bundle_predict(bundle: dict, x_raw: np.ndarray) -> np.ndarray:

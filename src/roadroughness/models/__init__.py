@@ -9,12 +9,12 @@ from .tree import DecisionTree, RandomForestModel
 from .svm import SvmModel, rbf_kernel
 from .mlp import MlpModel
 from .resample import adasyn_resample
-from .search import grid_search, GridSearchResult, make_model, default_grid
+from .search import grid_search, GridSearchResult, make_model
 from .errors import ConvergenceError
 
 __all__ = [
     "BaselineModel", "LinearModel", "LogisticModel", "KnnModel",
     "GaussianNBModel", "DecisionTree", "RandomForestModel", "SvmModel",
     "rbf_kernel", "MlpModel", "adasyn_resample", "grid_search",
-    "GridSearchResult", "make_model", "default_grid", "ConvergenceError",
+    "GridSearchResult", "make_model", "ConvergenceError",
 ]

@@ -2,8 +2,7 @@
 
 Minimizes mean cross-entropy plus lam * sum(W^2) (bias unpenalized) by
 gradient descent with backtracking line search, stopping when the gradient
-norm falls below tolerance. A one-vs-rest scheme is available as an
-alternative to the default multinomial softmax.
+norm falls below tolerance.
 """
 from __future__ import annotations
 
@@ -65,15 +64,11 @@ def _descend(x: np.ndarray, y_onehot: np.ndarray, lam: float, tol: float,
 class LogisticModel:
     task = "classification"
 
-    def __init__(self, lam: float = 0.1, scheme: str = "softmax",
-                 n_classes: int = 3, tol: float = GRAD_TOL,
-                 max_iter: int = MAX_ITER):
-        if scheme not in ("softmax", "ovr"):
-            raise ValueError(f"unknown scheme: {scheme}")
+    def __init__(self, lam: float = 0.1, n_classes: int = 3,
+                 tol: float = GRAD_TOL, max_iter: int = MAX_ITER):
         if lam < 0:
             raise ValueError("lam must be non-negative")
         self.lam = lam
-        self.scheme = scheme
         self.n_classes = n_classes
         self.tol = tol
         self.max_iter = max_iter
@@ -85,23 +80,10 @@ class LogisticModel:
         y = np.asarray(y, dtype=int)
         if len(np.unique(y)) < 2:
             raise ValueError("need at least 2 classes in training data")
-        if self.scheme == "softmax":
-            onehot = np.zeros((len(y), self.n_classes))
-            onehot[np.arange(len(y)), y] = 1.0
-            self.weights, self.bias = _descend(x, onehot, self.lam, self.tol,
-                                               self.max_iter)
-        else:
-            # One-vs-rest: a two-class softmax per class; column k holds the
-            # positive-class score of classifier k.
-            ws, bs = [], []
-            for k in range(self.n_classes):
-                onehot = np.zeros((len(y), 2))
-                onehot[np.arange(len(y)), (y == k).astype(int)] = 1.0
-                w, b = _descend(x, onehot, self.lam, self.tol, self.max_iter)
-                ws.append(w[:, 1] - w[:, 0])
-                bs.append(b[1] - b[0])
-            self.weights = np.column_stack(ws)
-            self.bias = np.array(bs)
+        onehot = np.zeros((len(y), self.n_classes))
+        onehot[np.arange(len(y)), y] = 1.0
+        self.weights, self.bias = _descend(x, onehot, self.lam, self.tol,
+                                           self.max_iter)
         return self
 
     def decision_values(self, x) -> np.ndarray:
@@ -110,23 +92,18 @@ class LogisticModel:
         return np.asarray(x, dtype=float) @ self.weights + self.bias
 
     def predict_proba(self, x) -> np.ndarray:
-        z = self.decision_values(x)
-        if self.scheme == "softmax":
-            return softmax(z)
-        p = 1.0 / (1.0 + np.exp(-z))
-        return p / p.sum(axis=1, keepdims=True)
+        return softmax(self.decision_values(x))
 
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.decision_values(x), axis=1).astype(float)
 
     def state_dict(self) -> dict:
-        return {"lam": self.lam, "scheme": self.scheme,
-                "n_classes": self.n_classes,
+        return {"lam": self.lam, "n_classes": self.n_classes,
                 "weights": self.weights.tolist(), "bias": self.bias.tolist()}
 
     @classmethod
     def from_state(cls, state: dict) -> "LogisticModel":
-        model = cls(state["lam"], state["scheme"], state["n_classes"])
+        model = cls(state["lam"], state["n_classes"])
         model.weights = np.array(state["weights"], dtype=float)
         model.bias = np.array(state["bias"], dtype=float)
         return model

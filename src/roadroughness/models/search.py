@@ -9,6 +9,7 @@ only; the index ranges used per round are recorded for leakage auditing.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,62 +27,79 @@ from .resample import adasyn_resample
 from .svm import SvmModel
 from .tree import RandomForestModel
 
-FAMILIES = ("baseline", "ols", "ridge", "lasso", "elastic_net", "logistic",
-            "knn", "gaussian_nb", "random_forest", "svm", "mlp")
+TASKS = ("regression", "classification")
 
-DEFAULT_GRIDS = {
-    "baseline": {},
-    "ols": {},
-    "ridge": {"lam": [60.0, 600.0, 6000.0]},
-    "lasso": {"lam": [0.01, 0.05, 0.1]},
-    "elastic_net": {"lam": [0.01, 0.05, 0.1], "l1_ratio": [0.2, 0.5, 0.8]},
-    "logistic": {"lam": [0.01, 0.1, 1.0]},
-    "knn": {"k": [5, 22, 50]},
-    "gaussian_nb": {},
-    "random_forest": {"n_trees": [100, 400], "max_depth": [5, 10],
-                      "max_features": [6, "sqrt"]},
-    "svm": {"gamma": [1e-3, 1e-2], "c": [1.0, 10.0]},
-    "mlp": {"layers": [(2, 4, 6), (16, 16)], "lr0": [0.01],
-            "l2": [0.1, 1.0]},
+
+@dataclass(frozen=True)
+class Family:
+    """One model family: the class that rebuilds it from a stored state,
+    the tasks it supports, a constructor adapter
+    ``(task, hyperparams, seed) -> model`` and its default grid."""
+    cls: type
+    tasks: tuple
+    build: Callable
+    grid: dict
+
+
+def _linear(kind: str, grid: dict) -> Family:
+    return Family(LinearModel, ("regression",),
+                  lambda task, hp, seed: LinearModel(kind=kind, **hp), grid)
+
+
+# The one place where a model family is declared.
+FAMILIES = {
+    "baseline": Family(BaselineModel, TASKS,
+                       lambda task, hp, seed: BaselineModel(task=task, **hp),
+                       {}),
+    "ols": _linear("ols", {}),
+    "ridge": _linear("ridge", {"lam": [60.0, 600.0, 6000.0]}),
+    "lasso": _linear("lasso", {"lam": [0.01, 0.05, 0.1]}),
+    "elastic_net": _linear("elastic_net", {"lam": [0.01, 0.05, 0.1],
+                                           "l1_ratio": [0.2, 0.5, 0.8]}),
+    "logistic": Family(LogisticModel, ("classification",),
+                       lambda task, hp, seed: LogisticModel(**hp),
+                       {"lam": [0.01, 0.1, 1.0]}),
+    "knn": Family(KnnModel, TASKS,
+                  lambda task, hp, seed: KnnModel(task=task, **hp),
+                  {"k": [5, 22, 50]}),
+    "gaussian_nb": Family(GaussianNBModel, ("classification",),
+                          lambda task, hp, seed: GaussianNBModel(**hp), {}),
+    "random_forest": Family(
+        RandomForestModel, TASKS,
+        lambda task, hp, seed: RandomForestModel(task=task, seed=seed, **hp),
+        {"n_trees": [100, 400], "max_depth": [5, 10],
+         "max_features": [6, "sqrt"]}),
+    "svm": Family(
+        SvmModel, TASKS,
+        lambda task, hp, seed: SvmModel(
+            task="svr" if task == "regression" else "svc", **hp),
+        {"gamma": [1e-3, 1e-2], "c": [1.0, 10.0]}),
+    "mlp": Family(MlpModel, TASKS,
+                  lambda task, hp, seed: MlpModel(task=task, seed=seed, **hp),
+                  {"layers": [(2, 4, 6), (16, 16)], "lr0": [0.01],
+                   "l2": [0.1, 1.0]}),
 }
 
 
-def default_grid(family: str) -> dict:
-    if family not in DEFAULT_GRIDS:
+def family_record(family: str, task: str) -> Family:
+    """The table's record for ``family``; raises ValueError for an unknown
+    task or family, or a family that does not support ``task``."""
+    if task not in TASKS:
+        raise ValueError(f"unknown task: {task}")
+    if family not in FAMILIES:
         raise ValueError(f"unknown model family: {family}")
-    return {k: list(v) for k, v in DEFAULT_GRIDS[family].items()}
+    record = FAMILIES[family]
+    if task not in record.tasks:
+        raise ValueError(f"{family} does not support {task}")
+    return record
 
 
 def make_model(family: str, task: str, hyperparams: dict | None = None,
                seed: int = 0):
     """Instantiates a model of the given family for ``task`` (``regression``
     or ``classification``)."""
-    hp = dict(hyperparams or {})
-    if task not in ("regression", "classification"):
-        raise ValueError(f"unknown task: {task}")
-    if family == "baseline":
-        return BaselineModel(task=task, **hp)
-    if family in ("ols", "ridge", "lasso", "elastic_net"):
-        if task != "regression":
-            raise ValueError(f"{family} supports regression only")
-        return LinearModel(kind=family, **hp)
-    if family == "logistic":
-        if task != "classification":
-            raise ValueError("logistic supports classification only")
-        return LogisticModel(**hp)
-    if family == "knn":
-        return KnnModel(task=task, **hp)
-    if family == "gaussian_nb":
-        if task != "classification":
-            raise ValueError("gaussian_nb supports classification only")
-        return GaussianNBModel(**hp)
-    if family == "random_forest":
-        return RandomForestModel(task=task, seed=seed, **hp)
-    if family == "svm":
-        return SvmModel(task="svr" if task == "regression" else "svc", **hp)
-    if family == "mlp":
-        return MlpModel(task=task, seed=seed, **hp)
-    raise ValueError(f"unknown model family: {family}")
+    return family_record(family, task).build(task, dict(hyperparams or {}),
+                                             seed)
 
 
 def grid_points(grid: dict) -> list[dict]:
@@ -137,7 +155,7 @@ def grid_search(family: str, task: str, x, y, grid: dict | None = None,
     if metric is None:
         metric = "rmse" if task == "regression" else "macro_f1"
     if grid is None:
-        grid = default_grid(family)
+        grid = family_record(family, task).grid
     candidates = grid_points(grid)
     folds = ordered_kfold(len(x), k_folds)
     fold_bounds = [((int(tr[0]), int(tr[-1]) + 1),

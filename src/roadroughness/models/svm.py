@@ -88,6 +88,8 @@ def smo_solve(k: np.ndarray, p: np.ndarray, z: np.ndarray, c: float,
         lam[i] += z[i] * d
         lam[j] -= z[j] * d
         for t in (i, j):
+            # lam + (c - lam) can round to one ulp above c.
+            lam[t] = min(lam[t], c)
             up[t] = lam[t] < c - _EPS if pos[t] else lam[t] > _EPS
             low[t] = lam[t] > _EPS if pos[t] else lam[t] < c - _EPS
         np.subtract(ki, k[j % n], out=u)

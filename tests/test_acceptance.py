@@ -26,8 +26,8 @@ from roadroughness.selection import _cv_rmse, pca_fit, sfs_forward
 from roadroughness.simkit import (IRI_SPEED_MS, compute_iri, generate_profile)
 
 from test_geoalign import PROJ, latlon
-from test_models import (_project_box_hyperplane, _projected_gradient,
-                         _stump_oracle_sse, _tree_sse, finite_difference)
+from test_models import (_slsqp_dual, _stump_oracle_sse, _tree_sse,
+                         finite_difference)
 from test_simkit import rk4_iri_oracle
 
 FULL_CONFIG = {
@@ -282,7 +282,7 @@ def test_criterion_4_optimizers():
         if wj == 0.0 and abs(grad[j]) > lam + 1e-4:
             failures.append(f"lasso zero-coordinate bound violated at {j}")
 
-    # SVR dual objective vs projected-gradient oracle on 10-point instances.
+    # SVR dual objective vs the SLSQP oracle on 10-point instances.
     for seed in (3, 4):
         rng2 = np.random.default_rng(seed)
         xs = rng2.normal(size=(10, 2))
@@ -292,7 +292,7 @@ def test_criterion_4_optimizers():
         z = np.concatenate([np.ones(10), -np.ones(10)])
         p = np.concatenate([eps - ys, eps + ys])
         q = (z[:, None] * z[None, :]) * np.tile(k, (2, 2))
-        _, obj_oracle = _projected_gradient(q, p, z, c)
+        obj_oracle = _slsqp_dual(q, p, z, c)
         _, _, obj, _, _ = _solve_svr(k, ys, c, eps, 1e-6, 10 ** 6)
         if abs(obj - obj_oracle) / abs(obj_oracle) > 1e-3:
             failures.append(f"SVR dual off oracle (seed {seed})")

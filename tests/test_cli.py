@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from roadroughness.cli import io
 from roadroughness.cli.config import DEFAULT_CONFIG, load_config
 from roadroughness.cli.main import main
-from roadroughness.cli.pipeline import (bundle_predict, export_report,
-                                        run_stage)
+from roadroughness.cli.pipeline import (StageError, bundle_predict,
+                                        export_report, run_stage)
 from roadroughness.core import (AlignedSegment, Dataset, GeoPoint,
                                 ReferenceSegment, TelemetryTrace)
 from roadroughness.geoalign.match import MatchedTrace
@@ -328,6 +328,8 @@ class TestConfig:
         {"simulate": {"route_length_m": -1.0}},
         {"simulate": {"envelope_min": 2.0, "envelope_max": 1.0}},
         {"train": {"k_folds": 1}},
+        {"train": {"regression_families": ["baseline", "logistic"]}},
+        {"train": {"classification_families": ["gausian_nb"]}},
     ])
     def test_invalid_values_rejected(self, tmp_path, override):
         p = tmp_path / "c.json"
@@ -432,6 +434,17 @@ class TestPipelineRun:
         report = io.read_json(workdir / "report.json")
         preds = (workdir / "report_predictions.csv").read_text().splitlines()
         assert len(preds) == 1 + 2 * report["n_test"]  # two families
+
+
+class TestSelectSplit:
+    def test_single_train_row_fails_in_select(self, tmp_path):
+        ds = Dataset(np.random.default_rng(5).normal(size=(2, 4)),
+                     np.array([0.5, 1.5]), np.array([0, 1]),
+                     ["f0", "f1", "f2", "f3"])
+        io.write_features_csv(tmp_path / "features.csv", ds, np.arange(2))
+        with pytest.raises(StageError) as exc:
+            run_stage("select", load_config(workdir=tmp_path))
+        assert exc.value.stage == "select"
 
 
 class TestTrainSingleWindowLevel:
