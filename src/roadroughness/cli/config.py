@@ -34,8 +34,9 @@ DEFAULT_CONFIG = {
     },
     "align": {
         "window_pieces": 10,
-        "search_back_m": 100.0,
-        "search_ahead_m": 2000.0,
+        # Samples searched before and after the previous piece boundary.
+        "search_back_samples": 100,
+        "search_ahead_samples": 2000,
     },
     "featurize": {
         "target_len": 250,
@@ -109,6 +110,16 @@ def validate_config(config: dict) -> None:
     k = match["max_candidates"]
     if not (isinstance(k, (int, float)) and math.isfinite(k) and k >= 1):
         raise ValueError("match.max_candidates must be a number of at least 1")
+    align = config["align"]
+    for old, new in (("search_back_m", "search_back_samples"),
+                     ("search_ahead_m", "search_ahead_samples")):
+        if old in align:
+            raise ValueError(f"align.{old} is a sample count, not metres: "
+                             f"it is now called align.{new}")
+    for key in ("search_back_samples", "search_ahead_samples"):
+        v = align[key]
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise ValueError(f"align.{key} must be a positive integer")
     if config["select"]["k_folds"] < 2 or config["train"]["k_folds"] < 2:
         raise ValueError("k_folds must be at least 2")
     for task in TASKS:

@@ -22,6 +22,8 @@ TELEMETRY_HEADER = "t_s,acc_z_ms2,speed_ms,lat,lon"
 REFERENCE_HEADER = ("seg_id,start_lat,start_lon,end_lat,end_lon,"
                     "length_m,iri_mkm")
 BUNDLE_SCHEMA_VERSION = 1
+# Rows formatted and written at a time: bounds the strings held at once.
+WRITE_BLOCK_ROWS = 1024
 
 
 def fmt(value: float) -> str:
@@ -40,42 +42,84 @@ def read_json(path):
 # ---------------------------------------------------------------- telemetry
 
 def write_telemetry_csv(path, trace: TelemetryTrace) -> None:
-    fix_rows = {int(i): j for j, i in enumerate(trace.gps_idx)}
-    lines = [TELEMETRY_HEADER]
-    for i in range(len(trace)):
-        j = fix_rows.get(i)
-        lat = fmt(trace.gps_lat[j]) if j is not None else ""
-        lon = fmt(trace.gps_lon[j]) if j is not None else ""
-        lines.append(f"{fmt(trace.t[i])},{fmt(trace.acc_z[i])},"
-                     f"{fmt(trace.speed[i])},{lat},{lon}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    n = len(trace)
+    lat, lon = [""] * n, [""] * n
+    for i, fix_lat, fix_lon in zip(trace.gps_idx.tolist(),
+                                   map(repr, trace.gps_lat.tolist()),
+                                   map(repr, trace.gps_lon.tolist())):
+        lat[i], lon[i] = fix_lat, fix_lon
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(TELEMETRY_HEADER + "\n")
+        for a in range(0, n, WRITE_BLOCK_ROWS):
+            b = a + WRITE_BLOCK_ROWS
+            f.write("".join(map("{!r},{!r},{!r},{},{}\n".format,
+                                trace.t[a:b].tolist(),
+                                trace.acc_z[a:b].tolist(),
+                                trace.speed[a:b].tolist(),
+                                lat[a:b], lon[a:b])))
 
 
-def read_telemetry_csv(path) -> TelemetryTrace:
+def _telemetry_rows(path) -> list[str]:
+    """The data rows of a telemetry file, each checked for its column count
+    and for characters that the float parser may read otherwise."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != TELEMETRY_HEADER:
         raise ValueError(f"{path}: bad telemetry header")
     rows = lines[1:]
-    commas = np.fromiter(map(str.count, rows, repeat(",")), int, len(rows))
-    bad = np.flatnonzero(commas != 4)
-    if len(bad):
-        raise ValueError(f"{path}: bad column count on row {bad[0] + 1}")
+    _check_rows(path, rows, 4)
     # numpy's reader takes \x1c-\x1f for whitespace, which float rejects.
     # The lon of a row without a fix is not read, so any character passes.
     if unreadable("".join(rows)):
-        read = (line.rpartition(",")[0] if ",," in line else line
-                for line in rows)
-        row = next((i for i, line in enumerate(read, 1) if unreadable(line)),
-                   None)
-        if row is not None:
-            raise ValueError(f"{path}: character outside printable ASCII on "
-                             f"row {row}")
+        read = (line if fix else line.rpartition(",")[0]
+                for line, fix in zip(rows, _has_fix(rows)))
+        _check_readable(path, read)
+    return rows
+
+
+def _has_fix(rows: list[str]) -> list[bool]:
+    """Whether each 5-column row has a lat, that is, carries a GPS fix.
+    Most rows end in an empty lat and lon, which the first test sees."""
+    return [not (line.endswith(",,") or line.rpartition(",")[0].endswith(","))
+            for line in rows]
+
+
+def read_telemetry_csv(path) -> TelemetryTrace:
+    rows = _telemetry_rows(path)
     t, acc, speed = _parse_columns(rows, (0, 1, 2))
-    # The first three fields are parsed, so not empty: two adjacent commas
-    # mean an empty lat, a row without a fix, whose lon is not read.
-    gps_idx = np.flatnonzero([",," not in line for line in rows])
+    gps_idx = np.flatnonzero(_has_fix(rows))
     gps_lat, gps_lon = _parse_columns([rows[i] for i in gps_idx], (3, 4))
     return TelemetryTrace(t, acc, speed, gps_idx, gps_lat, gps_lon)
+
+
+def read_gps_fixes(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Time, lat and lon of the rows of a telemetry file that carry a fix.
+
+    The file is checked as ``read_telemetry_csv`` checks it, but only these
+    three fields of the fix rows are parsed: a bad acceleration or speed
+    number is left for the reader of the whole trace to name.
+    """
+    rows = _telemetry_rows(path)
+    fixes = [line for line, fix in zip(rows, _has_fix(rows)) if fix]
+    t, lat, lon = _parse_columns(fixes, (0, 3, 4))
+    return t, lat, lon
+
+
+def _check_rows(path, rows: list[str], commas: int) -> None:
+    """Name the first row without exactly ``commas`` commas."""
+    counts = np.fromiter(map(str.count, rows, repeat(",")), int, len(rows))
+    bad = np.flatnonzero(counts != commas)
+    if len(bad):
+        raise ValueError(f"{path}: bad column count on row {bad[0] + 1}")
+
+
+def _check_readable(path, rows) -> None:
+    """Name the first row holding a character outside tab and printable
+    ASCII, if any."""
+    row = next((i for i, line in enumerate(rows, 1) if unreadable(line)),
+               None)
+    if row is not None:
+        raise ValueError(f"{path}: character outside printable ASCII on "
+                         f"row {row}")
 
 
 def _parse_columns(rows: list[str], columns: tuple) -> np.ndarray:
@@ -180,31 +224,35 @@ def read_windows(dirpath) -> list[AlignedSegment]:
 
 def write_features_csv(path, dataset: Dataset, window_ids) -> None:
     names = ",".join(dataset.feature_names)
-    lines = [f"window_id,{names},iri_mkm,level"]
-    for i in range(len(dataset)):
-        feats = ",".join(fmt(v) for v in dataset.X[i])
-        lines.append(f"{int(window_ids[i])},{feats},{fmt(dataset.y[i])},"
-                     f"{int(dataset.level[i])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(f"window_id,{names},iri_mkm,level\n")
+        f.writelines(f"{i},{','.join(map(repr, x.tolist()))},{y!r},{level}\n"
+                     for i, x, y, level in zip(map(int, window_ids),
+                                               dataset.X, dataset.y.tolist(),
+                                               dataset.level.tolist()))
 
 
 def read_features_csv(path) -> tuple[Dataset, np.ndarray]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    header = lines[0].split(",")
-    if header[0] != "window_id" or header[-2:] != ["iri_mkm", "level"]:
+    header = lines[0].split(",") if lines else []
+    if header[:1] != ["window_id"] or header[-2:] != ["iri_mkm", "level"]:
         raise ValueError(f"{path}: bad features header")
     names = header[1:-2]
-    ids, x, y, level = [], [], [], []
-    for i, line in enumerate(lines[1:]):
-        cols = line.split(",")
-        if len(cols) != len(header):
-            raise ValueError(f"{path}: bad column count on row {i + 1}")
-        ids.append(int(cols[0]))
-        x.append([float(v) for v in cols[1:-2]])
-        y.append(float(cols[-2]))
-        level.append(int(cols[-1]))
-    return (Dataset(np.array(x), np.array(y), np.array(level), names),
-            np.array(ids, dtype=int))
+    rows = lines[1:]
+    if not rows:
+        raise ValueError(f"{path}: no feature rows")
+    _check_rows(path, rows, len(header) - 1)
+    # numpy's reader takes \x1c-\x1f for whitespace, which int and float
+    # reject. It also rejects '_' between digits, and non-ASCII digits and
+    # spaces, which int and float accept.
+    if unreadable("".join(rows)):
+        _check_readable(path, rows)
+    table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
+                       dtype=[("id", np.int64), ("x", float, (len(names),)),
+                              ("y", float), ("level", np.int64)])
+    return (Dataset(table["x"].copy(), table["y"].copy(),
+                    table["level"].copy(), names),
+            table["id"].copy())
 
 
 # ------------------------------------------------------------ model bundles

@@ -12,7 +12,7 @@ from ..core import (classification_metrics, confusion_matrix,
 from ..features import (build_feature_matrix, resample_segment,
                         standardize_apply, standardize_fit)
 from ..geoalign import (RoadNetwork, align_segments, interpolate_positions,
-                        map_match, sliding_windows)
+                        match_fixes, sliding_windows)
 from ..models import adasyn_resample, grid_search, make_model
 from ..models.search import family_record
 from ..selection import (PcaBasis, drop_constant, pca_fit, pca_transform,
@@ -125,12 +125,12 @@ def stage_simulate(config: dict) -> dict:
 def stage_match(config: dict) -> dict:
     paths = _paths(config)
     m = config["match"]
-    trace = io.read_telemetry_csv(paths["telemetry"])
+    t, lats, lons = io.read_gps_fixes(paths["telemetry"])
     network = RoadNetwork.load(paths["network"])
-    matched = map_match(trace, network, sigma=float(m["sigma_m"]),
-                        beta=float(m["beta_m"]),
-                        max_candidates=int(m["max_candidates"]),
-                        radius=float(m["radius_m"]))
+    matched = match_fixes(t, lats, lons, network, sigma=float(m["sigma_m"]),
+                          beta=float(m["beta_m"]),
+                          max_candidates=int(m["max_candidates"]),
+                          radius=float(m["radius_m"]))
     io.write_matched_json(paths["matched"], matched)
     summary = {"n_fixes": len(matched),
                "n_unmatched_fixes": matched.n_unmatched,
@@ -149,8 +149,8 @@ def stage_align(config: dict) -> dict:
     positions = interpolate_positions(trace, matched)
     pieces, n_dropped_pieces = align_segments(
         reference, positions, trace,
-        search_back=int(a["search_back_m"]),
-        search_ahead=int(a["search_ahead_m"]))
+        search_back=a["search_back_samples"],
+        search_ahead=a["search_ahead_samples"])
     windows = sliding_windows(pieces, window=int(a["window_pieces"]))
     io.write_windows(paths["windows"], windows)
     summary = {"n_positions": len(positions),

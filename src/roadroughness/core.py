@@ -81,6 +81,9 @@ class TelemetryTrace:
             raise ValueError("speed must be non-negative")
         if not (len(self.gps_idx) == len(self.gps_lat) == len(self.gps_lon)):
             raise ValueError("gps arrays differ in length")
+        if len(self.gps_idx) and not (0 <= self.gps_idx.min()
+                                      and self.gps_idx.max() < n):
+            raise ValueError("gps_idx holds an index outside the samples")
 
     def __len__(self) -> int:
         return len(self.t)

@@ -12,9 +12,17 @@ def haversine(lat1, lon1, lat2, lon2):
     """Great-circle distance in meters; accepts scalars or arrays."""
     lat1, lon1, lat2, lon2 = (np.radians(np.asarray(a, dtype=float))
                               for a in (lat1, lon1, lat2, lon2))
+    return haversine_radians(lat1, lon1, np.cos(lat1), lat2, lon2,
+                             np.cos(lat2))
+
+
+def haversine_radians(lat1, lon1, cos_lat1, lat2, lon2, cos_lat2):
+    """``haversine`` of positions given in radians, with the cosine of each
+    latitude, so that a caller measuring from the same positions many times
+    converts them once."""
     dlat = lat2 - lat1
     dlon = lon2 - lon1
-    h = np.sin(dlat / 2) ** 2 + np.cos(lat1) * np.cos(lat2) * np.sin(dlon / 2) ** 2
+    h = np.sin(dlat / 2) ** 2 + cos_lat1 * cos_lat2 * np.sin(dlon / 2) ** 2
     return 2 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 

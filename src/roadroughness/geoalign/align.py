@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import AlignedSegment, ReferenceSegment, TelemetryTrace
-from ..geo import haversine
+from ..geo import haversine_radians
 from .match import MatchedTrace
 
 WINDOW_PIECES = 10  # 100 m window out of 10 m pieces
@@ -62,14 +62,36 @@ def interpolate_positions(trace: TelemetryTrace,
     return InterpolatedPositions(idx, lat, lon, n_dropped)
 
 
-def _closest_point(positions: InterpolatedPositions, lat: float, lon: float,
-                   lo: int, hi: int) -> int:
-    """Index (into positions) of the closest sample within [lo, hi); ties go
-    to the earlier timestamp via argmin's first-occurrence rule."""
-    lo = max(0, lo)
-    hi = min(len(positions), hi)
-    d = haversine(positions.lat[lo:hi], positions.lon[lo:hi], lat, lon)
-    return lo + int(np.argmin(d))
+def piece_boundaries(reference: list[ReferenceSegment],
+                     positions: InterpolatedPositions, search_back: int,
+                     search_ahead: int) -> list[int]:
+    """Index (into positions) of the sample nearest to the start of the
+    first reference segment and to the end of every segment.
+
+    Both the samples and the reference segments run in route order, so each
+    end is searched for from ``search_back`` samples before to
+    ``search_ahead`` samples after the previous match. Ties go to the
+    earlier timestamp, by argmin's first-occurrence rule.
+    """
+    # Every search measures from these samples: convert them once.
+    lat = np.radians(positions.lat)
+    lon = np.radians(positions.lon)
+    cos_lat = np.cos(lat)
+    ends = [reference[0].start] + [seg.end for seg in reference]
+    end_lat = np.radians([p.lat for p in ends])
+    end_lon = np.radians([p.lon for p in ends])
+    end_cos = np.cos(end_lat)
+    n = len(positions)
+    boundaries = []
+    lo, hi = 0, n
+    for k in range(len(ends)):
+        d = haversine_radians(lat[lo:hi], lon[lo:hi], cos_lat[lo:hi],
+                              end_lat[k], end_lon[k], end_cos[k])
+        cursor = lo + int(np.argmin(d))
+        boundaries.append(cursor)
+        lo = max(0, cursor - search_back)
+        hi = min(n, cursor + search_ahead)
+    return boundaries
 
 
 def align_segments(reference: list[ReferenceSegment],
@@ -77,22 +99,14 @@ def align_segments(reference: list[ReferenceSegment],
                    trace: TelemetryTrace,
                    search_back: int = 100,
                    search_ahead: int = 2000) -> tuple[list[MatchedPiece], int]:
-    """Assign samples to each reference segment between its matched endpoints.
-
-    Both the samples and the reference segments run in route order, so each
-    endpoint is matched by a windowed search around the previous match.
-    Pieces with fewer than 2 samples are dropped; the drop count is returned.
+    """Assign samples to each reference segment between its matched endpoints
+    (``piece_boundaries``). Pieces with fewer than 2 samples are dropped;
+    the drop count is returned.
     """
     if len(positions) == 0:
         raise ValueError("no positioned samples")
-    start0 = _closest_point(positions, reference[0].start.lat,
-                            reference[0].start.lon, 0, len(positions))
-    boundaries = [start0]
-    cursor = start0
-    for seg in reference:
-        cursor = _closest_point(positions, seg.end.lat, seg.end.lon,
-                                cursor - search_back, cursor + search_ahead)
-        boundaries.append(cursor)
+    boundaries = piece_boundaries(reference, positions, search_back,
+                                  search_ahead)
     pieces: list[MatchedPiece] = []
     n_dropped = 0
     for i, seg in enumerate(reference):

@@ -177,10 +177,3 @@ def match_fixes(t, lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGM
         n_unmatched=len(lats) - len(kept),
     )
 
-
-def map_match(trace, network: RoadNetwork, sigma: float = DEFAULT_SIGMA,
-              beta: float = DEFAULT_BETA, max_candidates: int = 8,
-              radius: float = 50.0) -> MatchedTrace:
-    """Match the GPS fixes of a telemetry trace to the road network."""
-    return match_fixes(trace.gps_t, trace.gps_lat, trace.gps_lon, network,
-                       sigma, beta, max_candidates, radius)

@@ -285,16 +285,11 @@ def build_reference_segments(profile: RoadProfile, route: Polyline,
     n_segs = int(np.floor(profile.length / seg_len + 1e-9))
     seg_idx = np.minimum((mid_x / seg_len).astype(int), n_segs - 1)
     travel = np.bincount(seg_idx, weights=contrib, minlength=n_segs)
-    segments = []
-    for i in range(n_segs):
-        s0, s1 = i * seg_len, (i + 1) * seg_len
-        lat0, lon0 = route.point_at(s0)
-        lat1, lon1 = route.point_at(s1)
-        iri = float(travel[i] / (seg_len / 1000.0))
-        segments.append(ReferenceSegment(GeoPoint(float(lat0), float(lon0)),
-                                         GeoPoint(float(lat1), float(lon1)),
-                                         seg_len, iri))
-    return segments
+    iri = (travel / (seg_len / 1000.0)).tolist()
+    lat, lon = route.point_at(np.arange(n_segs + 1) * seg_len)
+    ends = list(map(GeoPoint, lat.tolist(), lon.tolist()))
+    return [ReferenceSegment(ends[i], ends[i + 1], seg_len, iri[i])
+            for i in range(n_segs)]
 
 
 def synthesize_telemetry(profile: RoadProfile, route: Polyline,

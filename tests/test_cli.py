@@ -91,6 +91,76 @@ def _read_both(path):
     return out
 
 
+def per_element_telemetry_writer(path, trace: TelemetryTrace) -> None:
+    """The writer that formats every number on its own: the oracle for the
+    one that formats whole columns."""
+    fix_rows = {int(i): j for j, i in enumerate(trace.gps_idx)}
+    lines = [io.TELEMETRY_HEADER]
+    for i in range(len(trace)):
+        j = fix_rows.get(i)
+        lat = io.fmt(trace.gps_lat[j]) if j is not None else ""
+        lon = io.fmt(trace.gps_lon[j]) if j is not None else ""
+        lines.append(f"{io.fmt(trace.t[i])},{io.fmt(trace.acc_z[i])},"
+                     f"{io.fmt(trace.speed[i])},{lat},{lon}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def per_element_features_writer(path, dataset: Dataset, window_ids) -> None:
+    """The features writer that formats every number on its own."""
+    names = ",".join(dataset.feature_names)
+    lines = [f"window_id,{names},iri_mkm,level"]
+    for i in range(len(dataset)):
+        feats = ",".join(io.fmt(v) for v in dataset.X[i])
+        lines.append(f"{int(window_ids[i])},{feats},{io.fmt(dataset.y[i])},"
+                     f"{int(dataset.level[i])}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def per_cell_features(path) -> tuple[Dataset, np.ndarray]:
+    """The features reader that converts every cell with ``int`` or
+    ``float``: the oracle for the one that parses with numpy."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    if header[0] != "window_id" or header[-2:] != ["iri_mkm", "level"]:
+        raise ValueError(f"{path}: bad features header")
+    names = header[1:-2]
+    ids, x, y, level = [], [], [], []
+    for i, line in enumerate(lines[1:]):
+        cols = line.split(",")
+        if len(cols) != len(header):
+            raise ValueError(f"{path}: bad column count on row {i + 1}")
+        ids.append(int(cols[0]))
+        x.append([float(v) for v in cols[1:-2]])
+        y.append(float(cols[-2]))
+        level.append(int(cols[-1]))
+    return (Dataset(np.array(x), np.array(y), np.array(level), names),
+            np.array(ids, dtype=int))
+
+
+def features_bits(result) -> tuple:
+    """A features reader's result, every float as ``float.hex``."""
+    ds, ids = result
+    return ([[v.hex() for v in row] for row in ds.X.tolist()],
+            [v.hex() for v in ds.y.tolist()], ds.level.dtype,
+            ds.level.tolist(), ds.feature_names, ids.dtype, ids.tolist())
+
+
+def extreme_values(rng, n) -> np.ndarray:
+    """Normal draws scaled by 1e-300 to 1e300, with signed zeros and the
+    smallest subnormal mixed in."""
+    v = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, n)
+    v[rng.integers(0, n, max(1, n // 50))] = -0.0
+    v[rng.integers(0, n, max(1, n // 50))] = 0.0
+    v[rng.integers(0, n, max(1, n // 50))] = 5e-324
+    return v
+
+
+def random_table(rng, n, k=5) -> Dataset:
+    return Dataset(extreme_values(rng, n * k).reshape(n, k),
+                   extreme_values(rng, n), rng.integers(-3, 4, n),
+                   [f"f{j}" for j in range(k)])
+
+
 # Fields that either reader may meet; numpy rejects '_' in numbers and
 # non-ASCII digits, which float accepts, so neither is drawn.
 _TELEMETRY_FIELDS = ["nan", "inf", "-inf", "Infinity", "1e400", "", " ", "x",
@@ -190,14 +260,233 @@ class TestTelemetryReader:
     @settings(max_examples=300, deadline=None)
     @given(mangled_telemetry())
     def test_mangled_files_read_as_the_per_cell_reader(self, text):
+        """Both whole-trace readers agree; the fix reader gives the trace's
+        fixes bit for bit where they succeed, and raises only where they
+        raise."""
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "telemetry.csv"
             p.write_text(text, encoding="utf-8")
             got, want = _read_both(p)
+            try:
+                fixes = io.read_gps_fixes(p)
+            except ValueError as exc:
+                fixes = exc
         if isinstance(want, ValueError):
             assert isinstance(got, ValueError)
+            return
+        assert_same_trace(got, want)
+        assert not isinstance(fixes, ValueError), fixes
+        for a, b in zip(fixes, (want.gps_t, want.gps_lat, want.gps_lon)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_gps_fixes_equal_the_trace_fixes(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n = 3 * io.WRITE_BLOCK_ROWS + 11
+        gps_idx = np.sort(rng.choice(n, 400, replace=False))
+        trace = TelemetryTrace(np.arange(n) * 0.02, extreme_values(rng, n),
+                               rng.uniform(0.0, 40.0, n), gps_idx,
+                               rng.uniform(-90.0, 90.0, 400),
+                               rng.uniform(-180.0, 180.0, 400))
+        p = tmp_path / "telemetry.csv"
+        io.write_telemetry_csv(p, trace)
+        for a, b in zip(io.read_gps_fixes(p),
+                        (trace.gps_t, trace.gps_lat, trace.gps_lon)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_gps_fixes_skip_the_other_channels(self, tmp_path):
+        p = tmp_path / "telemetry.csv"
+        p.write_text(io.TELEMETRY_HEADER + "\n0.0,x,13.9,55.65,12.55\n"
+                     "0.02,1.0,,,\n1.0,1.0,13.9,55.66,12.56\n",
+                     encoding="utf-8")
+        t, lat, lon = io.read_gps_fixes(p)
+        assert t.tolist() == [0.0, 1.0] and lat.tolist() == [55.65, 55.66]
+        assert lon.tolist() == [12.55, 12.56]
+        with pytest.raises(ValueError, match="could not convert"):
+            io.read_telemetry_csv(p)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "bad telemetry header"),
+        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,55.65,12.55,\n",
+         "bad column count on row 1"),
+        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,55.65,12.55\n"
+         "0.02,1.0\x1f,13.9,,\n", "outside printable ASCII on row 2"),
+        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,55.65,x\n",
+         "could not convert"),
+    ])
+    def test_gps_fixes_check_the_file_as_the_trace_reader(self, tmp_path,
+                                                          text, message):
+        p = tmp_path / "telemetry.csv"
+        p.write_text(text, encoding="utf-8")
+        for reader in (io.read_gps_fixes, io.read_telemetry_csv):
+            with pytest.raises(ValueError, match=message):
+                reader(p)
+
+
+class TestWriters:
+    """The column-wise writers against the per-element ones."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_telemetry_equals_per_element_writer(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * io.WRITE_BLOCK_ROWS + 1 + seed
+        gps_idx = np.sort(rng.choice(n, 300, replace=False))
+        trace = TelemetryTrace(
+            np.cumsum(rng.uniform(1e-300, 1.0, n)), extreme_values(rng, n),
+            np.abs(extreme_values(rng, n)), gps_idx,
+            extreme_values(rng, 300), extreme_values(rng, 300))
+        trace.acc_z[:3] = [np.nan, np.inf, -np.inf]
+        self._assert_same_bytes(tmp_path, io.write_telemetry_csv,
+                                per_element_telemetry_writer, trace)
+
+    @pytest.mark.parametrize("n", [0, 1, io.WRITE_BLOCK_ROWS])
+    def test_telemetry_at_block_edges(self, tmp_path, n):
+        trace = TelemetryTrace(np.arange(n) * 0.02, np.full(n, -0.0),
+                               np.full(n, 13.9), np.arange(0, n, 50),
+                               np.full(len(range(0, n, 50)), 55.65),
+                               np.full(len(range(0, n, 50)), 12.55))
+        self._assert_same_bytes(tmp_path, io.write_telemetry_csv,
+                                per_element_telemetry_writer, trace)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats(), st.floats(),
+                              st.booleans()), max_size=30))
+    def test_telemetry_on_any_floats(self, samples):
+        n = len(samples)
+        acc, lat, lon, fix = (list(v) for v in zip(*samples)) if n else \
+            ([], [], [], [])
+        gps_idx = np.flatnonzero(fix)
+        trace = TelemetryTrace(np.arange(n) * 0.02, acc, np.full(n, 13.9),
+                               gps_idx, np.array(lat)[gps_idx],
+                               np.array(lon)[gps_idx])
+        with tempfile.TemporaryDirectory() as tmp:
+            self._assert_same_bytes(Path(tmp), io.write_telemetry_csv,
+                                    per_element_telemetry_writer, trace)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_features_equal_per_element_writer(self, tmp_path, seed):
+        rng = np.random.default_rng(10 + seed)
+        ds = random_table(rng, 500, k=68)
+        self._assert_same_bytes(tmp_path, io.write_features_csv,
+                                per_element_features_writer, ds,
+                                np.arange(500) * 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=3, max_size=3), min_size=1, max_size=8))
+    def test_features_on_any_finite_floats(self, rows):
+        x = np.array(rows)
+        ds = Dataset(x[:, :2], x[:, 2], np.arange(len(rows)) % 3,
+                     ["a", "b"])
+        with tempfile.TemporaryDirectory() as tmp:
+            self._assert_same_bytes(Path(tmp), io.write_features_csv,
+                                    per_element_features_writer, ds,
+                                    list(range(len(rows))))
+
+    @staticmethod
+    def _assert_same_bytes(tmp_path, writer, oracle, *args):
+        writer(tmp_path / "got.csv", *args)
+        oracle(tmp_path / "want.csv", *args)
+        assert ((tmp_path / "got.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+
+# Fields that either features reader may meet. '1_0' and non-ASCII digits
+# or spaces are read by int and float and rejected by numpy (and by the
+# printable-ASCII check); an integer beyond int64 is rejected by both, with
+# OverflowError by the per-cell reader.
+_FEATURE_FIELDS = ["nan", "inf", "-inf", "Infinity", "1e400", "", " ", "x",
+                   "-1", "0", "-0", "-0.0", " 5", "5 ", "\t5", "+3", ".5",
+                   "5.", "5.0", "1e3", "1e-300", "4.9e-324", "00", "#",
+                   "0x10", "1_0", "\u0661", "\xa05", "1\x1f",
+                   "99999999999999999999"]
+
+
+@st.composite
+def mangled_features(draw):
+    """The text of a valid 4-row features table with a few data fields or
+    rows replaced, dropped, duplicated, cut short or extended."""
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    lines = ["window_id,a,b,c,iri_mkm,level"] + [
+        f"{i},{a!r},{b!r},{c!r},{y!r},{level}" for i, (a, b, c, y, level) in
+        enumerate(zip(*rng.normal(size=(4, 4)).tolist(),
+                      rng.integers(0, 3, 4).tolist()))]
+    for _ in range(draw(st.integers(1, 3))):
+        if len(lines) < 2:
+            break
+        i = draw(st.integers(1, len(lines) - 1))
+        parts = lines[i].split(",")
+        action = draw(st.sampled_from(["field", "drop", "dup", "cut",
+                                       "extend", "text"]))
+        if action == "field":
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.one_of(
+                st.sampled_from(_FEATURE_FIELDS),
+                st.text("0123456789.-+eEinfa _\t\x1f", max_size=6)))
+            lines[i] = ",".join(parts)
+        elif action == "drop":
+            del lines[i]
+        elif action == "dup":
+            lines.insert(i, lines[i])
+        elif action == "cut":
+            lines[i] = ",".join(parts[:draw(st.integers(0, len(parts) - 1))])
+        elif action == "extend":
+            lines[i] += "," + draw(st.sampled_from(_FEATURE_FIELDS))
         else:
-            assert_same_trace(got, want)
+            lines[i] = draw(st.text("0123456789.,-e \r", max_size=12))
+    return "\n".join(lines) + "\n"
+
+
+class TestFeaturesReader:
+    def test_equals_per_cell_reader_on_a_long_table(self, tmp_path):
+        rng = np.random.default_rng(5)
+        ds = random_table(rng, 3000, k=68)
+        p = tmp_path / "features.csv"
+        io.write_features_csv(p, ds, np.arange(3000) + 7)
+        got = io.read_features_csv(p)
+        assert features_bits(got) == features_bits(per_cell_features(p))
+        assert got[0].X.flags["C_CONTIGUOUS"]
+        assert got[1].dtype == np.int64 and got[0].level.dtype == np.int64
+
+    def test_header_only_is_rejected_by_both(self, tmp_path):
+        p = tmp_path / "features.csv"
+        p.write_text("window_id,a,b,iri_mkm,level\n", encoding="utf-8")
+        for reader in (io.read_features_csv, per_cell_features):
+            with pytest.raises(ValueError):
+                reader(p)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "bad features header"),
+        ("id,a,iri_mkm,level\n0,1.0,1.0,0\n", "bad features header"),
+        ("window_id,a,iri_mkm,level\n0,1.0,1.0,0\n0,1.0,1.0\n",
+         "bad column count on row 2"),
+        ("window_id,a,iri_mkm,level\n0,1.0,1.0,0\n0,1\x1f,1.0,0\n",
+         "outside printable ASCII on row 2"),
+        ("window_id,a,iri_mkm,level\n0,1.0,1.0,1.0\n", "could not convert"),
+    ])
+    def test_errors_are_named(self, tmp_path, text, message):
+        p = tmp_path / "features.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            io.read_features_csv(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mangled_features())
+    def test_mangled_files_read_as_the_per_cell_reader(self, text):
+        """Equal tables, or an error from both readers, except where the
+        numpy reader rejects a number that int or float reads: one with
+        '_' between digits, or with a character beyond ASCII."""
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "features.csv"
+            p.write_text(text, encoding="utf-8")
+            try:
+                want = features_bits(per_cell_features(p))
+            except (ValueError, OverflowError):
+                want = None
+            try:
+                got = features_bits(io.read_features_csv(p))
+            except ValueError:
+                assert want is None or "_" in text or not text.isascii()
+                return
+        assert got == want
 
 
 class TestArtifactRoundTrips:
@@ -350,6 +639,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"match.{key}"):
             load_config(p)
 
+    @pytest.mark.parametrize("key", ["search_back_m", "search_ahead_m"])
+    def test_old_align_search_key_is_named(self, tmp_path, key):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"align": {key: 100.0}}))
+        with pytest.raises(ValueError, match=f"align.{key} is a sample "
+                                             f"count"):
+            load_config(p)
+
+    @pytest.mark.parametrize("key", ["search_back_samples",
+                                     "search_ahead_samples"])
+    @pytest.mark.parametrize("value", [0, -5, 100.0, 1.5, "100", True, None])
+    def test_align_search_count_must_be_a_positive_integer(self, tmp_path,
+                                                           key, value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"align": {key: value}}))
+        with pytest.raises(ValueError, match=f"align.{key} must be a "
+                                             f"positive integer"):
+            load_config(p)
+
 
 class TestMainExitCodes:
     def test_missing_config_is_error(self, tmp_path, capsys):
@@ -434,6 +742,27 @@ class TestPipelineRun:
         report = io.read_json(workdir / "report.json")
         preds = (workdir / "report_predictions.csv").read_text().splitlines()
         assert len(preds) == 1 + 2 * report["n_test"]  # two families
+
+
+class TestTelemetryStages:
+    def test_bad_acc_in_a_row_without_a_fix_fails_align(self, tmp_path):
+        """match parses only the fix rows; align parses every row and names
+        the bad number."""
+        config = load_config(workdir=tmp_path)
+        config["simulate"]["route_length_m"] = 300.0
+        run_stage("simulate", config)
+        p = tmp_path / "telemetry.csv"
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert lines[2].endswith(",,")
+        cols = lines[2].split(",")
+        cols[1] = "0.1x"
+        lines[2] = ",".join(cols)
+        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        run_stage("match", config)
+        with pytest.raises(StageError, match="could not convert string "
+                                             "'0.1x'") as exc:
+            run_stage("align", config)
+        assert exc.value.stage == "align"
 
 
 class TestSelectSplit:

@@ -53,6 +53,12 @@ class TestTelemetryTrace:
         with pytest.raises(ValueError):
             TelemetryTrace([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [], [], [])
 
+    @pytest.mark.parametrize("gps_idx", [[-1], [2], [0, 5]])
+    def test_fix_index_outside_the_samples_rejected(self, gps_idx):
+        with pytest.raises(ValueError, match="gps_idx"):
+            TelemetryTrace([0.0, 0.1], [0.0, 0.0], [1.0, 1.0], gps_idx,
+                           [55.0] * len(gps_idx), [12.0] * len(gps_idx))
+
 
 class TestAlignedSegment:
     def test_requires_two_points(self):

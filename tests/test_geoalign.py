@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from roadroughness.core import GeoPoint, ReferenceSegment, TelemetryTrace
 from roadroughness.geo import LocalProjection, Polyline, haversine
-from roadroughness.geoalign import (BrokenTraceError, Candidate, RoadNetwork,
+from roadroughness.geoalign import (BrokenTraceError, Candidate,
+                                    InterpolatedPositions, RoadNetwork,
                                     UnmatchedFixError, align_segments,
                                     build_lattice, interpolate_positions,
-                                    map_match, match_fixes, sliding_windows,
+                                    match_fixes, sliding_windows,
                                     viterbi_path)
+from roadroughness.geoalign.align import piece_boundaries
 from roadroughness.topk import smallest_k
 
 ORIGIN = (55.65, 12.55)
@@ -944,16 +946,6 @@ class TestMapMatching:
         self._assert_equals_full_search(net, np.arange(len(xs), dtype=float),
                                         lats, lons, monkeypatch)
 
-    def test_map_match_uses_trace_fixes(self):
-        net = grid_network(6, 2)
-        lats, lons = straight_fixes(3)
-        trace = TelemetryTrace(np.arange(0.0, 3.0, 0.5),
-                               np.zeros(6), np.full(6, 10.0),
-                               [0, 2, 4], lats, lons)
-        matched = map_match(trace, net)
-        assert len(matched) == 3
-        assert list(matched.t) == [0.0, 1.0, 2.0]
-
     def test_noisy_recovery_rate(self):
         """Edge recovery under 3 m GPS noise on a straight run."""
         net = grid_network(8, 2, spacing=100.0)
@@ -1046,3 +1038,102 @@ class TestAlignment:
         pieces, _ = align_segments(_line_reference(5), pos, trace)
         with pytest.warns(UserWarning):
             assert sliding_windows(pieces, window=10) == []
+
+
+def closest_point_oracle(positions, lat, lon, lo, hi) -> int:
+    """Nearest sample within [lo, hi) by a ``geo.haversine`` call per
+    search: the oracle for the searches of ``piece_boundaries``."""
+    lo = max(0, lo)
+    hi = min(len(positions), hi)
+    d = haversine(positions.lat[lo:hi], positions.lon[lo:hi], lat, lon)
+    return lo + int(np.argmin(d))
+
+
+def boundaries_oracle(reference, positions, search_back=100,
+                      search_ahead=2000) -> list:
+    cursor = closest_point_oracle(positions, reference[0].start.lat,
+                                  reference[0].start.lon, 0, len(positions))
+    out = [cursor]
+    for seg in reference:
+        cursor = closest_point_oracle(positions, seg.end.lat, seg.end.lon,
+                                      cursor - search_back,
+                                      cursor + search_ahead)
+        out.append(cursor)
+    return out
+
+
+def assert_alignment_equals_oracle(reference, positions, trace,
+                                   search_back=100, search_ahead=2000):
+    want = boundaries_oracle(reference, positions, search_back, search_ahead)
+    assert piece_boundaries(reference, positions, search_back,
+                            search_ahead) == want
+    pieces, n_dropped = align_segments(reference, positions, trace,
+                                       search_back, search_ahead)
+    kept = [i for i in range(len(reference)) if want[i + 1] - want[i] >= 2]
+    assert n_dropped == len(reference) - len(kept)
+    assert [p.seg_index for p in pieces] == kept
+    for p in pieces:
+        rows = positions.idx[want[p.seg_index]:want[p.seg_index + 1]]
+        for got, channel in ((p.t, trace.t), (p.acc_z, trace.acc_z),
+                             (p.speed, trace.speed)):
+            assert got.tobytes() == channel[rows].tobytes()
+        assert p.iri == reference[p.seg_index].iri
+
+
+class TestAlignmentOracle:
+    def test_survey_drive_equals_per_search_haversine(self, tmp_path):
+        from roadroughness.cli import io
+        from roadroughness.cli.config import load_config
+        from roadroughness.cli.pipeline import run_stage
+        config = load_config(workdir=tmp_path)
+        config["simulate"]["route_length_m"] = 2000.0
+        for stage in ("simulate", "match"):
+            run_stage(stage, config)
+        trace = io.read_telemetry_csv(tmp_path / "telemetry.csv")
+        reference = io.read_reference_csv(tmp_path / "reference.csv")
+        with pytest.warns(UserWarning, match="outside GPS fix range"):
+            positions = interpolate_positions(
+                trace, io.read_matched_json(tmp_path / "matched.json"))
+        assert len(reference) == 200
+        assert_alignment_equals_oracle(reference, positions, trace)
+        assert_alignment_equals_oracle(reference, positions, trace, 7, 300)
+
+
+@st.composite
+def curved_drives(draw):
+    """A meandering route, samples along it that stop now and then (runs of
+    repeated positions, so argmin ties) and step back now and then (as GPS
+    noise does), reference pieces cut from it by chainage, and search
+    windows short enough to be clipped at both ends."""
+    from roadroughness.simkit import generate_route
+    length = draw(st.floats(40.0, 400.0))
+    route = generate_route(length, draw(st.integers(0, 2**16)),
+                           vertex_spacing=draw(st.floats(5.0, 60.0)),
+                           max_turn_deg=draw(st.floats(0.0, 90.0)))
+    steps = np.array(draw(st.lists(st.sampled_from([-3.0, 0.0, 0.0, 0.5, 1.0,
+                                                    2.5, 4.0]),
+                                   min_size=2, max_size=150)))
+    s = np.cumsum(steps) * route.length / max(np.abs(steps).sum(), 1e-9)
+    lat, lon = route.point_at(s)
+    n = len(s)
+    seg_len = draw(st.floats(3.0, 50.0))
+    cuts = np.arange(int(route.length // seg_len) + 1) * seg_len
+    if len(cuts) < 2:
+        cuts = np.array([0.0, route.length])
+    clat, clon = route.point_at(cuts)
+    reference = [ReferenceSegment(GeoPoint(clat[i], clon[i]),
+                                  GeoPoint(clat[i + 1], clon[i + 1]),
+                                  float(cuts[i + 1] - cuts[i]), float(i))
+                 for i in range(len(cuts) - 1)]
+    positions = InterpolatedPositions(np.arange(n) + 3, lat, lon, 3)
+    trace = TelemetryTrace(np.arange(n + 3) * 0.02,
+                           np.sin(np.arange(n + 3.0)), np.full(n + 3, 10.0),
+                           [0], [lat[0]], [lon[0]])
+    return (reference, positions, trace, draw(st.integers(1, 40)),
+            draw(st.integers(1, 60)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(curved_drives())
+def test_alignment_equals_per_search_haversine_on_curved_drives(case):
+    assert_alignment_equals_oracle(*case)

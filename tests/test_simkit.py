@@ -241,7 +241,47 @@ class TestIri:
             compute_iri(RoadProfile(0.05, np.zeros(100)))
 
 
+def per_piece_reference_segments(profile, route, seg_len):
+    """Two scalar ``point_at`` calls and one IRI division per piece: the
+    oracle for ``build_reference_segments``."""
+    from roadroughness.core import GeoPoint, ReferenceSegment
+    resp = quarter_car_response(profile, IRI_SPEED_MS, GOLDEN_CAR)
+    dt = float(resp.t[1] - resp.t[0])
+    rect = np.abs(resp.v_s - resp.v_u)
+    contrib = 0.5 * (rect[:-1] + rect[1:]) * dt
+    mid_x = IRI_SPEED_MS * 0.5 * (resp.t[:-1] + resp.t[1:])
+    n_segs = int(np.floor(profile.length / seg_len + 1e-9))
+    seg_idx = np.minimum((mid_x / seg_len).astype(int), n_segs - 1)
+    travel = np.bincount(seg_idx, weights=contrib, minlength=n_segs)
+    segments = []
+    for i in range(n_segs):
+        s0, s1 = i * seg_len, (i + 1) * seg_len
+        lat0, lon0 = route.point_at(s0)
+        lat1, lon1 = route.point_at(s1)
+        iri = float(travel[i] / (seg_len / 1000.0))
+        segments.append(ReferenceSegment(GeoPoint(float(lat0), float(lon0)),
+                                         GeoPoint(float(lat1), float(lon1)),
+                                         seg_len, iri))
+    return segments
+
+
+def _segment_bits(segments):
+    return [tuple(float(v).hex() for v in (s.start.lat, s.start.lon,
+                                           s.end.lat, s.end.lon, s.length,
+                                           s.iri)) for s in segments]
+
+
 class TestReferenceSegments:
+    @pytest.mark.parametrize("length,seg_len,seed", [
+        (2000.0, 10.0, 1), (1003.7, 10.0, 2), (150.0, 7.3, 3),
+        (400.0, 400.0, 4), (612.5, 0.5, 5)])
+    def test_equals_per_piece_loop(self, length, seg_len, seed):
+        p = generate_profile(length, 0.05, 16e-6, seed=seed)
+        route = generate_route(p.length, seed=seed, max_turn_deg=40.0)
+        assert (_segment_bits(build_reference_segments(p, route, seg_len))
+                == _segment_bits(per_piece_reference_segments(p, route,
+                                                              seg_len)))
+
     def test_segment_iris_average_to_route_iri(self):
         p = generate_profile(500.0, 0.05, 16e-6, seed=9)
         route = generate_route(p.length, seed=1)
