@@ -2,8 +2,9 @@
 
 All text artifacts are UTF-8 with LF line endings and '.' decimals; floats
 are rendered with ``repr``, the shortest string that round-trips exactly, so
-write -> read -> write is byte-identical. Window arrays are stored as .npy
-files plus a JSON manifest.
+write -> read -> write is byte-identical. The ``Windows`` record is stored
+as one .npy file per field (``t``, ``acc_z``, ``speed``, ``offsets``,
+``window_id`` and ``iri``) plus a JSON manifest holding the window count.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import AlignedSegment, Dataset, GeoPoint, ReferenceSegment, \
-    TelemetryTrace
+from ..core import Dataset, GeoPoint, ReferenceSegment, TelemetryTrace, \
+    Windows
 from ..geoalign.match import MatchedTrace
 from ..geoalign.network import unreadable
 
@@ -134,41 +135,41 @@ def _parse_columns(rows: list[str], columns: tuple) -> np.ndarray:
 # ------------------------------------------------------- reference segments
 
 def write_reference_csv(path, segments: list[ReferenceSegment]) -> None:
-    lines = [REFERENCE_HEADER]
-    for i, s in enumerate(segments):
-        lines.append(f"{i},{fmt(s.start.lat)},{fmt(s.start.lon)},"
-                     f"{fmt(s.end.lat)},{fmt(s.end.lon)},"
-                     f"{fmt(s.length)},{fmt(s.iri)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cols = np.array([(s.start.lat, s.start.lon, s.end.lat, s.end.lon,
+                      s.length, s.iri) for s in segments],
+                    dtype=float).reshape(-1, 6)
+    rows = map("{},{!r},{!r},{!r},{!r},{!r},{!r}\n".format,
+               range(len(cols)), *cols.T.tolist())
+    Path(path).write_text(REFERENCE_HEADER + "\n" + "".join(rows),
+                          encoding="utf-8")
 
 
 def read_reference_csv(path) -> list[ReferenceSegment]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != REFERENCE_HEADER:
         raise ValueError(f"{path}: bad reference header")
-    segments = []
-    for line in lines[1:]:
-        cols = line.split(",")
-        if len(cols) != 7:
-            raise ValueError(f"{path}: bad column count")
-        segments.append(ReferenceSegment(
-            GeoPoint(float(cols[1]), float(cols[2])),
-            GeoPoint(float(cols[3]), float(cols[4])),
-            float(cols[5]), float(cols[6])))
-    return segments
+    rows = lines[1:]
+    _check_rows(path, rows, 6)
+    # numpy's reader takes \x1c-\x1f for whitespace, which float rejects.
+    # The seg_id is not read, so any character passes there.
+    if unreadable("".join(rows)):
+        _check_readable(path, (line.partition(",")[2] for line in rows))
+    cols = _parse_columns(rows, (1, 2, 3, 4, 5, 6))
+    return [ReferenceSegment(GeoPoint(a, b), GeoPoint(c, d), length, iri)
+            for a, b, c, d, length, iri in zip(*cols.tolist())]
 
 
 # ------------------------------------------------------------ matched trace
 
 def write_matched_json(path, matched: MatchedTrace) -> None:
     write_json(path, {
-        "t": list(map(float, matched.t)),
-        "fix_lat": list(map(float, matched.fix_lat)),
-        "fix_lon": list(map(float, matched.fix_lon)),
-        "edge": list(map(int, matched.edge)),
-        "offset": list(map(float, matched.offset)),
-        "lat": list(map(float, matched.lat)),
-        "lon": list(map(float, matched.lon)),
+        "t": matched.t.tolist(),
+        "fix_lat": matched.fix_lat.tolist(),
+        "fix_lon": matched.fix_lon.tolist(),
+        "edge": matched.edge.tolist(),
+        "offset": matched.offset.tolist(),
+        "lat": matched.lat.tolist(),
+        "lon": matched.lon.tolist(),
         "log_score": float(matched.log_score),
     })
 
@@ -184,39 +185,24 @@ def read_matched_json(path) -> MatchedTrace:
 
 # ----------------------------------------------------------------- windows
 
-def write_windows(dirpath, windows: list[AlignedSegment]) -> None:
+WINDOW_FIELDS = ("t", "acc_z", "speed", "offsets", "window_id", "iri")
+
+
+def write_windows(dirpath, windows: Windows) -> None:
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
-    offsets = np.zeros(len(windows) + 1, dtype=np.int64)
-    for i, w in enumerate(windows):
-        offsets[i + 1] = offsets[i] + w.n_points
-    np.save(d / "t.npy", np.concatenate([w.t for w in windows])
-            if windows else np.zeros(0))
-    np.save(d / "acc_z.npy", np.concatenate([w.acc_z for w in windows])
-            if windows else np.zeros(0))
-    np.save(d / "speed.npy", np.concatenate([w.speed for w in windows])
-            if windows else np.zeros(0))
-    np.save(d / "offsets.npy", offsets)
-    np.save(d / "window_id.npy",
-            np.array([w.window_id for w in windows], dtype=np.int64))
-    np.save(d / "iri.npy", np.array([w.iri for w in windows]))
+    for name in WINDOW_FIELDS:
+        np.save(d / f"{name}.npy", getattr(windows, name))
     write_json(d / "meta.json", {"format": 1, "n_windows": len(windows)})
 
 
-def read_windows(dirpath) -> list[AlignedSegment]:
+def read_windows(dirpath) -> Windows:
     d = Path(dirpath)
     meta = read_json(d / "meta.json")
-    t = np.load(d / "t.npy")
-    acc = np.load(d / "acc_z.npy")
-    speed = np.load(d / "speed.npy")
-    offsets = np.load(d / "offsets.npy")
-    window_id = np.load(d / "window_id.npy")
-    iri = np.load(d / "iri.npy")
-    windows = []
-    for i in range(meta["n_windows"]):
-        a, b = offsets[i], offsets[i + 1]
-        windows.append(AlignedSegment(int(window_id[i]), t[a:b], acc[a:b],
-                                      speed[a:b], float(iri[i])))
+    windows = Windows(*(np.load(d / f"{name}.npy") for name in WINDOW_FIELDS))
+    if len(windows) != meta["n_windows"]:
+        raise ValueError(f"{d}: {len(windows)} windows stored, meta.json "
+                         f"says {meta['n_windows']}")
     return windows
 
 

@@ -148,10 +148,10 @@ def stage_align(config: dict) -> dict:
     reference = io.read_reference_csv(paths["reference"])
     positions = interpolate_positions(trace, matched)
     pieces, n_dropped_pieces = align_segments(
-        reference, positions, trace,
-        search_back=a["search_back_samples"],
+        reference, positions, search_back=a["search_back_samples"],
         search_ahead=a["search_ahead_samples"])
-    windows = sliding_windows(pieces, window=int(a["window_pieces"]))
+    windows = sliding_windows(pieces, positions, trace,
+                              window=int(a["window_pieces"]))
     io.write_windows(paths["windows"], windows)
     summary = {"n_positions": len(positions),
                "n_dropped_samples": positions.n_dropped,
@@ -168,10 +168,8 @@ def stage_featurize(config: dict) -> dict:
     windows = io.read_windows(paths["windows"])
     if not windows:
         raise ValueError("no windows to featurize")
-    resampled = [resample_segment(w, target_len) for w in windows]
-    dataset = build_feature_matrix(resampled)
-    window_ids = [w.window_id for w in windows]
-    io.write_features_csv(paths["features"], dataset, window_ids)
+    dataset = build_feature_matrix(resample_segment(windows, target_len))
+    io.write_features_csv(paths["features"], dataset, windows.window_id)
     summary = {"n_rows": len(dataset), "n_features": dataset.X.shape[1],
                "target_len": target_len}
     _write_summary(paths, "featurize", summary)

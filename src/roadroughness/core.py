@@ -25,15 +25,15 @@ class IriLevel(enum.IntEnum):
     HIGH = 2
 
 
-def to_iri_level(iri: float) -> IriLevel:
-    """Map a continuous IRI value (m/km) onto its severity level."""
-    if not np.isfinite(iri) or iri < 0:
-        raise ValueError(f"IRI must be finite and non-negative, got {iri}")
-    if iri <= IRI_LOW_MAX:
-        return IriLevel.LOW
-    if iri <= IRI_MEDIUM_MAX:
-        return IriLevel.MEDIUM
-    return IriLevel.HIGH
+def iri_levels(iri) -> np.ndarray:
+    """Map continuous IRI values (m/km) onto their severity levels, the
+    ``IriLevel`` values as ints, in one comparison per boundary."""
+    iri = np.asarray(iri, dtype=float)
+    bad = ~np.isfinite(iri) | (iri < 0)
+    if bad.any():
+        raise ValueError(f"IRI must be finite and non-negative, got "
+                         f"{iri[bad][0]}")
+    return (iri > IRI_LOW_MAX).astype(int) + (iri > IRI_MEDIUM_MAX)
 
 
 @dataclass(frozen=True)
@@ -110,29 +110,44 @@ class ReferenceSegment:
 
 
 @dataclass
-class AlignedSegment:
-    """A road window holding resampled sensor channels and an IRI label."""
+class Windows:
+    """Road windows as one ragged record: window ``i`` holds the samples
+    ``offsets[i]:offsets[i + 1]`` of the flat channels ``t``, ``acc_z`` and
+    ``speed``, the route window id ``window_id[i]`` and the IRI label
+    ``iri[i]``. The fields are the arrays of the ``windows/`` artifact."""
 
-    window_id: int
     t: np.ndarray
     acc_z: np.ndarray
     speed: np.ndarray
-    iri: float
+    offsets: np.ndarray
+    window_id: np.ndarray
+    iri: np.ndarray
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
         self.acc_z = np.asarray(self.acc_z, dtype=float)
         self.speed = np.asarray(self.speed, dtype=float)
-        if not (len(self.t) == len(self.acc_z) == len(self.speed)):
-            raise ValueError("channel lengths differ")
-        if self.n_points < 2:
-            raise ValueError("aligned segment needs at least 2 points")
-        if self.iri < 0:
-            raise ValueError(f"IRI must be non-negative, got {self.iri}")
+        self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        self.window_id = np.asarray(self.window_id, dtype=np.int64)
+        self.iri = np.asarray(self.iri, dtype=float)
+        if self.offsets.ndim != 1 or self.offsets[:1].tolist() != [0]:
+            raise ValueError("offsets must be a 1-D array starting at 0")
+        lengths = np.diff(self.offsets)
+        if np.any(lengths < 0):
+            raise ValueError("offsets must not decrease")
+        if np.any(lengths < 2):
+            raise ValueError("every window needs at least 2 samples")
+        if not (len(self.t) == len(self.acc_z) == len(self.speed)
+                == self.offsets[-1]):
+            raise ValueError("channel lengths differ from offsets[-1]")
+        if not (len(self.window_id) == len(self.iri) == len(lengths)):
+            raise ValueError("window_id and iri lengths differ from the "
+                             "window count")
+        if not np.all(np.isfinite(self.iri) & (self.iri >= 0)):
+            raise ValueError("IRI must be finite and non-negative")
 
-    @property
-    def n_points(self) -> int:
-        return len(self.t)
+    def __len__(self) -> int:
+        return len(self.window_id)
 
 
 @dataclass

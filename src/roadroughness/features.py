@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import AlignedSegment, Dataset, to_iri_level
+from .core import Dataset, Windows, iri_levels
 
 ENTROPY_BINS = 10
 PEAK_NEIGHBOURHOOD = 10
@@ -49,21 +49,26 @@ N_CHANNEL_FEATURES = len(EXTRACTOR_NAMES)
 CHANNELS = ("acc_z", "speed")
 
 
-def resample_segment(segment: AlignedSegment, target_len: int) -> AlignedSegment:
-    """Linearly interpolate each channel onto ``target_len`` uniform time
-    points spanning the original extent; endpoints are preserved exactly."""
+def resample_segment(windows: Windows, target_len: int) -> Windows:
+    """Linearly interpolate each channel of every window onto
+    ``target_len`` uniform time points spanning the window's extent;
+    endpoints are preserved exactly."""
     if target_len < 2:
         raise ValueError(f"target_len must be at least 2, got {target_len}")
-    if segment.n_points < 2:
-        raise ValueError("segment needs at least 2 samples per channel")
-    t_new = np.linspace(segment.t[0], segment.t[-1], target_len)
-    return AlignedSegment(
-        window_id=segment.window_id,
-        t=t_new,
-        acc_z=np.interp(t_new, segment.t, segment.acc_z),
-        speed=np.interp(t_new, segment.t, segment.speed),
-        iri=segment.iri,
-    )
+    lo, hi = windows.offsets[:-1], windows.offsets[1:]
+    # linspace along axis 1 returns a Fortran-ordered matrix. The extractors
+    # reduce along its rows, and numpy sums a strided row in another order
+    # than a contiguous one, so the grid is made C-ordered.
+    t_new = np.ascontiguousarray(np.linspace(windows.t[lo], windows.t[hi - 1],
+                                             target_len, axis=1))
+    acc_z, speed = np.empty_like(t_new), np.empty_like(t_new)
+    for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+        t = windows.t[a:b]
+        acc_z[i] = np.interp(t_new[i], t, windows.acc_z[a:b])
+        speed[i] = np.interp(t_new[i], t, windows.speed[a:b])
+    return Windows(t_new.ravel(), acc_z.ravel(), speed.ravel(),
+                   np.arange(len(windows) + 1) * target_len,
+                   windows.window_id, windows.iri)
 
 
 def _ecdf_percentile(x: np.ndarray, p: float) -> np.ndarray:
@@ -203,35 +208,32 @@ def feature_names() -> list[str]:
     return [f"{name}@{ch}" for ch in CHANNELS for name in EXTRACTOR_NAMES]
 
 
-def build_feature_matrix(segments: list[AlignedSegment]) -> Dataset:
-    """One row per segment, in route order, with IRI and level targets.
+def build_feature_matrix(windows: Windows) -> Dataset:
+    """One row per window, in route order, with IRI and level targets.
 
-    Segments of equal length (all of them, once resampled) are stacked into
-    one matrix per channel, BLOCK_WINDOWS rows at a time, and featurized
-    together."""
-    if not segments:
-        raise ValueError("no segments given")
+    The windows must be of equal length (``resample_segment`` makes them
+    so). Each channel is viewed as one (n_windows x n_points) matrix and
+    featurized BLOCK_WINDOWS rows at a time."""
+    n = len(windows)
+    if not n:
+        raise ValueError("no windows given")
+    lengths = np.diff(windows.offsets)
+    if np.any(lengths != lengths[0]):
+        raise ValueError("windows differ in length; resample them first")
+    t = windows.t.reshape(n, -1)
+    channels = [getattr(windows, ch).reshape(n, -1) for ch in CHANNELS]
     names = feature_names()
-    rows = np.empty((len(segments), len(names)))
-    by_length: dict[int, list[int]] = {}
-    for i, seg in enumerate(segments):
-        by_length.setdefault(seg.n_points, []).append(i)
-    for same_length in by_length.values():
-        for lo in range(0, len(same_length), BLOCK_WINDOWS):
-            idx = same_length[lo:lo + BLOCK_WINDOWS]
-            t = np.stack([segments[i].t for i in idx])
-            rows[idx] = np.hstack([
-                _channel_matrix(
-                    np.stack([getattr(segments[i], ch) for i in idx]), t)
-                for ch in CHANNELS])
+    rows = np.empty((n, len(names)))
+    for lo in range(0, n, BLOCK_WINDOWS):
+        block = slice(lo, lo + BLOCK_WINDOWS)
+        rows[block] = np.hstack([_channel_matrix(x[block], t[block])
+                                 for x in channels])
     bad = ~np.isfinite(rows)
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueError(f"non-finite feature {names[j]} in segment "
-                         f"{segments[i].window_id}")
-    y = np.array([seg.iri for seg in segments], dtype=float)
-    level = np.array([int(to_iri_level(v)) for v in y], dtype=int)
-    return Dataset(rows, y, level, names)
+                         f"{windows.window_id[i]}")
+    return Dataset(rows, windows.iri, iri_levels(windows.iri), names)
 
 
 @dataclass(frozen=True)

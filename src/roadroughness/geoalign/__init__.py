@@ -3,12 +3,12 @@
 from .network import RoadNetwork, Candidate
 from .match import MatchedTrace, match_fixes, viterbi_path, build_lattice
 from .match import UnmatchedFixError, BrokenTraceError
-from .align import (InterpolatedPositions, MatchedPiece, interpolate_positions,
+from .align import (InterpolatedPositions, Pieces, interpolate_positions,
                     align_segments, sliding_windows)
 
 __all__ = [
     "RoadNetwork", "Candidate", "MatchedTrace", "match_fixes",
     "viterbi_path", "build_lattice", "UnmatchedFixError", "BrokenTraceError",
-    "InterpolatedPositions", "MatchedPiece", "interpolate_positions",
+    "InterpolatedPositions", "Pieces", "interpolate_positions",
     "align_segments", "sliding_windows",
 ]

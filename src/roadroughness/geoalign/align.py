@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import AlignedSegment, ReferenceSegment, TelemetryTrace
+from ..core import ReferenceSegment, TelemetryTrace, Windows
 from ..geo import haversine_radians
 from .match import MatchedTrace
 
@@ -28,18 +28,18 @@ class InterpolatedPositions:
 
 
 @dataclass
-class MatchedPiece:
-    """Sensor samples assigned to one reference segment."""
+class Pieces:
+    """The reference segments that kept their samples: segment ``seg[k]``
+    holds the positioned samples ``start[k]:stop[k]`` (indices into
+    ``InterpolatedPositions``) and has the IRI ``iri[k]``."""
 
-    seg_index: int
-    t: np.ndarray
-    acc_z: np.ndarray
-    speed: np.ndarray
-    iri: float
+    seg: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    iri: np.ndarray
 
-    @property
-    def n_points(self) -> int:
-        return len(self.t)
+    def __len__(self) -> int:
+        return len(self.seg)
 
 
 def interpolate_positions(trace: TelemetryTrace,
@@ -96,50 +96,44 @@ def piece_boundaries(reference: list[ReferenceSegment],
 
 def align_segments(reference: list[ReferenceSegment],
                    positions: InterpolatedPositions,
-                   trace: TelemetryTrace,
                    search_back: int = 100,
-                   search_ahead: int = 2000) -> tuple[list[MatchedPiece], int]:
+                   search_ahead: int = 2000) -> tuple[Pieces, int]:
     """Assign samples to each reference segment between its matched endpoints
     (``piece_boundaries``). Pieces with fewer than 2 samples are dropped;
     the drop count is returned.
     """
     if len(positions) == 0:
         raise ValueError("no positioned samples")
-    boundaries = piece_boundaries(reference, positions, search_back,
-                                  search_ahead)
-    pieces: list[MatchedPiece] = []
-    n_dropped = 0
-    for i, seg in enumerate(reference):
-        a, b = boundaries[i], boundaries[i + 1]
-        if b - a < MIN_PIECE_SAMPLES:
-            n_dropped += 1
-            continue
-        rows = positions.idx[a:b]
-        pieces.append(MatchedPiece(i, trace.t[rows], trace.acc_z[rows],
-                                   trace.speed[rows], seg.iri))
-    return pieces, n_dropped
+    bounds = np.array(piece_boundaries(reference, positions, search_back,
+                                       search_ahead))
+    start, stop = bounds[:-1], bounds[1:]
+    keep = np.flatnonzero(stop - start >= MIN_PIECE_SAMPLES)
+    iri = np.array([seg.iri for seg in reference], dtype=float)
+    return (Pieces(keep, start[keep], stop[keep], iri[keep]),
+            len(reference) - len(keep))
 
 
-def sliding_windows(pieces: list[MatchedPiece],
-                    window: int = WINDOW_PIECES) -> list[AlignedSegment]:
+def sliding_windows(pieces: Pieces, positions: InterpolatedPositions,
+                    trace: TelemetryTrace,
+                    window: int = WINDOW_PIECES) -> Windows:
     """Overlapping windows of ``window`` consecutive pieces, step one piece.
 
     The window IRI is the unweighted mean of the piece IRIs and the channels
-    are the concatenated samples. Windows spanning a dropped piece are
-    skipped so every window covers the full nominal length.
+    are the concatenated samples of the pieces. Consecutive pieces share
+    their boundary, so these are the samples from the first piece's start
+    to the last piece's stop. Windows spanning a dropped piece are skipped
+    so every window covers the full nominal length.
     """
-    segments: list[AlignedSegment] = []
-    for i in range(len(pieces) - window + 1):
-        run = pieces[i:i + window]
-        if run[-1].seg_index - run[0].seg_index != window - 1:
-            continue  # a dropped piece interrupts this window
-        segments.append(AlignedSegment(
-            window_id=run[0].seg_index,
-            t=np.concatenate([p.t for p in run]),
-            acc_z=np.concatenate([p.acc_z for p in run]),
-            speed=np.concatenate([p.speed for p in run]),
-            iri=float(np.mean([p.iri for p in run])),
-        ))
-    if not segments:
+    n_runs = max(len(pieces) - window + 1, 0)
+    first = np.flatnonzero(pieces.seg[window - 1:window - 1 + n_runs]
+                           - pieces.seg[:n_runs] == window - 1)
+    start = pieces.start[first]
+    lengths = pieces.stop[first + window - 1] - start
+    offsets = np.concatenate([[0], np.cumsum(lengths)])
+    rows = positions.idx[np.repeat(start - offsets[:-1], lengths)
+                         + np.arange(offsets[-1])]
+    if not len(first):
         warnings.warn("no complete windows could be formed", stacklevel=2)
-    return segments
+    return Windows(trace.t[rows], trace.acc_z[rows], trace.speed[rows],
+                   offsets, pieces.seg[first],
+                   pieces.iri[first[:, None] + np.arange(window)].mean(axis=1))

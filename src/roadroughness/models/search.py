@@ -120,10 +120,6 @@ class GridSearchResult:
     cv_table: list = field(default_factory=list)
     fold_bounds: list = field(default_factory=list)
 
-    @property
-    def n_candidates(self) -> int:
-        return len(self.cv_table)
-
 
 def _fold_score(family, task, params, seed, x_tr, y_tr, x_val, y_val,
                 metric, standardize, adasyn):

@@ -428,10 +428,18 @@ def test_criterion_6_protocol_hygiene(full_run, monkeypatch):
 
 def test_criterion_7_determinism(full_run, repeat_run):
     failures = []
-    first = (full_run["workdir"] / "report.json").read_bytes()
-    second = (repeat_run["workdir"] / "report.json").read_bytes()
-    if first != second:
-        failures.append("two seeded runs produced different reports")
+    first, second = full_run["workdir"], repeat_run["workdir"]
+    files = sorted(p.relative_to(first) for p in first.rglob("*")
+                   if p.is_file())
+    if files != sorted(p.relative_to(second) for p in second.rglob("*")
+                       if p.is_file()):
+        failures.append("two seeded runs wrote different files")
+    for rel in files:
+        if (first / rel).read_bytes() != (second / rel).read_bytes():
+            failures.append(f"two seeded runs wrote different {rel}")
+    if not {"report.json", "features.csv", "training.json",
+            "windows/t.npy"} <= {str(rel) for rel in files}:
+        failures.append("a run wrote fewer artifacts than expected")
 
     report = full_run["report"]
     ds, _ = io.read_features_csv(full_run["workdir"] / "features.csv")

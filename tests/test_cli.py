@@ -12,8 +12,8 @@ from roadroughness.cli.config import DEFAULT_CONFIG, load_config
 from roadroughness.cli.main import main
 from roadroughness.cli.pipeline import (StageError, bundle_predict,
                                         export_report, run_stage)
-from roadroughness.core import (AlignedSegment, Dataset, GeoPoint,
-                                ReferenceSegment, TelemetryTrace)
+from roadroughness.core import (Dataset, GeoPoint, ReferenceSegment,
+                                TelemetryTrace, Windows)
 from roadroughness.geoalign.match import MatchedTrace
 
 SMOKE_CONFIG = {
@@ -137,6 +137,68 @@ def per_cell_features(path) -> tuple[Dataset, np.ndarray]:
             np.array(ids, dtype=int))
 
 
+def per_element_reference_writer(path, segments) -> None:
+    """The reference writer that formats every number on its own."""
+    lines = [io.REFERENCE_HEADER]
+    for i, s in enumerate(segments):
+        lines.append(f"{i},{io.fmt(s.start.lat)},{io.fmt(s.start.lon)},"
+                     f"{io.fmt(s.end.lat)},{io.fmt(s.end.lon)},"
+                     f"{io.fmt(s.length)},{io.fmt(s.iri)}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def per_cell_reference(path) -> list[ReferenceSegment]:
+    """The reference reader that converts every cell with ``float``: the
+    oracle for the one that parses whole columns with numpy."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != io.REFERENCE_HEADER:
+        raise ValueError(f"{path}: bad reference header")
+    segments = []
+    for i, line in enumerate(lines[1:]):
+        cols = line.split(",")
+        if len(cols) != 7:
+            raise ValueError(f"{path}: bad column count on row {i + 1}")
+        segments.append(ReferenceSegment(
+            GeoPoint(float(cols[1]), float(cols[2])),
+            GeoPoint(float(cols[3]), float(cols[4])),
+            float(cols[5]), float(cols[6])))
+    return segments
+
+
+def reference_bits(segments) -> list:
+    """Every float of a list of reference segments, as ``float.hex``."""
+    return [tuple(float(v).hex() for v in (s.start.lat, s.start.lon,
+                                           s.end.lat, s.end.lon, s.length,
+                                           s.iri)) for s in segments]
+
+
+def per_element_matched_writer(path, matched: MatchedTrace) -> None:
+    """The matched-trace writer that converts every number on its own."""
+    io.write_json(path, {
+        "t": list(map(float, matched.t)),
+        "fix_lat": list(map(float, matched.fix_lat)),
+        "fix_lon": list(map(float, matched.fix_lon)),
+        "edge": list(map(int, matched.edge)),
+        "offset": list(map(float, matched.offset)),
+        "lat": list(map(float, matched.lat)),
+        "lon": list(map(float, matched.lon)),
+        "log_score": float(matched.log_score),
+    })
+
+
+def random_reference(rng, n) -> list[ReferenceSegment]:
+    """Segments with extreme positive lengths and non-negative IRIs."""
+    lat = rng.uniform(-90.0, 90.0, (2, n))
+    lon = rng.uniform(-180.0, 180.0, (2, n))
+    length = np.abs(extreme_values(rng, n))
+    length[length == 0.0] = 5e-324
+    iri = np.abs(extreme_values(rng, n))
+    return [ReferenceSegment(GeoPoint(lat[0, i], lon[0, i]),
+                             GeoPoint(lat[1, i], lon[1, i]),
+                             float(length[i]), float(iri[i]))
+            for i in range(n)]
+
+
 def features_bits(result) -> tuple:
     """A features reader's result, every float as ``float.hex``."""
     ds, ids = result
@@ -148,6 +210,8 @@ def features_bits(result) -> tuple:
 def extreme_values(rng, n) -> np.ndarray:
     """Normal draws scaled by 1e-300 to 1e300, with signed zeros and the
     smallest subnormal mixed in."""
+    if not n:
+        return np.zeros(0)
     v = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301, n)
     v[rng.integers(0, n, max(1, n // 50))] = -0.0
     v[rng.integers(0, n, max(1, n // 50))] = 0.0
@@ -382,6 +446,21 @@ class TestWriters:
                                     per_element_features_writer, ds,
                                     list(range(len(rows))))
 
+    @pytest.mark.parametrize("n", [0, 1, 500])
+    def test_reference_equals_per_element_writer(self, tmp_path, n):
+        segments = random_reference(np.random.default_rng(20 + n), n)
+        self._assert_same_bytes(tmp_path, io.write_reference_csv,
+                                per_element_reference_writer, segments)
+
+    @pytest.mark.parametrize("n", [0, 1, 300])
+    def test_matched_equals_per_element_writer(self, tmp_path, n):
+        rng = np.random.default_rng(30 + n)
+        m = MatchedTrace(*extreme_values(rng, 3 * n).reshape(3, n),
+                         rng.integers(0, 2**40, n), *extreme_values(
+                             rng, 3 * n).reshape(3, n), -1e300)
+        self._assert_same_bytes(tmp_path, io.write_matched_json,
+                                per_element_matched_writer, m)
+
     @staticmethod
     def _assert_same_bytes(tmp_path, writer, oracle, *args):
         writer(tmp_path / "got.csv", *args)
@@ -433,6 +512,101 @@ def mangled_features(draw):
         else:
             lines[i] = draw(st.text("0123456789.,-e \r", max_size=12))
     return "\n".join(lines) + "\n"
+
+
+# Fields that either reference reader may meet: those of the features
+# table, less the integer-only ones, and a latitude out of range.
+_REFERENCE_FIELDS = [f for f in _FEATURE_FIELDS if f != "99999999999999999999"
+                     ] + ["91.0", "-0.0"]
+
+
+@st.composite
+def mangled_reference(draw):
+    """The text of a valid 4-segment reference file with a few fields or
+    rows replaced, dropped, duplicated, cut short or extended."""
+    rng = np.random.default_rng(draw(st.integers(0, 99)))
+    lines = [io.REFERENCE_HEADER] + [
+        f"{i},{a!r},{b!r},{c!r},{d!r},{length!r},{iri!r}"
+        for i, (a, b, c, d, length, iri) in enumerate(zip(
+            *rng.uniform(-80.0, 80.0, (4, 4)).tolist(),
+            *rng.uniform(0.1, 20.0, (2, 4)).tolist()))]
+    for _ in range(draw(st.integers(1, 3))):
+        if len(lines) < 2:
+            break
+        i = draw(st.integers(1, len(lines) - 1))
+        parts = lines[i].split(",")
+        action = draw(st.sampled_from(["field", "drop", "dup", "cut",
+                                       "extend", "text"]))
+        if action == "field":
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(st.one_of(
+                st.sampled_from(_REFERENCE_FIELDS),
+                st.text("0123456789.-+eEinfa _\t\x1f\x00\u0661",
+                        max_size=6)))
+            lines[i] = ",".join(parts)
+        elif action == "drop":
+            del lines[i]
+        elif action == "dup":
+            lines.insert(i, lines[i])
+        elif action == "cut":
+            lines[i] = ",".join(parts[:draw(st.integers(0, len(parts) - 1))])
+        elif action == "extend":
+            lines[i] += "," + draw(st.sampled_from(_REFERENCE_FIELDS))
+        else:
+            lines[i] = draw(st.text("0123456789.,-e \r", max_size=14))
+    return "\n".join(lines) + "\n"
+
+
+class TestReferenceReader:
+    def test_equals_per_cell_reader_on_a_long_file(self, tmp_path):
+        segments = random_reference(np.random.default_rng(6), 4000)
+        p = tmp_path / "reference.csv"
+        io.write_reference_csv(p, segments)
+        got = reference_bits(io.read_reference_csv(p))
+        assert got == reference_bits(per_cell_reference(p))
+        assert got == reference_bits(segments)
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "bad reference header"),
+        (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,6\n0,1,2,3,4,5\n",
+         "bad column count on row 2"),
+        (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,6\n0,1,2,3,4,5\x1f,6\n",
+         "outside printable ASCII on row 2"),
+        (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,x\n", "could not convert"),
+        (io.REFERENCE_HEADER + "\n0,91,2,3,4,5,6\n", "latitude out of range"),
+        (io.REFERENCE_HEADER + "\n0,1,2,3,4,0,6\n", "length must be positive"),
+    ])
+    def test_errors_are_named(self, tmp_path, text, message):
+        p = tmp_path / "reference.csv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            io.read_reference_csv(p)
+
+    def test_seg_id_is_not_read(self, tmp_path):
+        p = tmp_path / "reference.csv"
+        p.write_text(io.REFERENCE_HEADER + "\nx\x1f\u0661,1,2,3,4,5,6\n",
+                     encoding="utf-8")
+        assert reference_bits(io.read_reference_csv(p)) == reference_bits(
+            per_cell_reference(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(mangled_reference())
+    def test_mangled_files_read_as_the_per_cell_reader(self, text):
+        """Equal segments, or an error from both readers, except where the
+        numpy reader rejects a number that float reads: one with '_'
+        between digits, or with a character beyond ASCII."""
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "reference.csv"
+            p.write_text(text, encoding="utf-8")
+            try:
+                want = reference_bits(per_cell_reference(p))
+            except ValueError:
+                want = None
+            try:
+                got = reference_bits(io.read_reference_csv(p))
+            except ValueError:
+                assert want is None or "_" in text or not text.isascii()
+                return
+        assert got == want
 
 
 class TestFeaturesReader:
@@ -531,17 +705,21 @@ class TestArtifactRoundTrips:
 
     def test_windows_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
-        windows = [AlignedSegment(i, np.arange(10 + i) * 0.02,
-                                  rng.normal(size=10 + i),
-                                  np.full(10 + i, 13.9), 1.0 + i)
-                   for i in range(4)]
+        n = np.arange(10, 14)
+        windows = Windows(rng.normal(size=n.sum()), rng.normal(size=n.sum()),
+                          np.full(n.sum(), 13.9),
+                          np.concatenate([[0], np.cumsum(n)]),
+                          np.arange(4) * 3, 1.0 + np.arange(4))
         io.write_windows(tmp_path / "w", windows)
         back = io.read_windows(tmp_path / "w")
         assert len(back) == 4
-        for w, b in zip(windows, back):
-            assert b.window_id == w.window_id
-            assert np.array_equal(b.acc_z, w.acc_z)
-            assert b.iri == w.iri
+        for name in io.WINDOW_FIELDS:
+            a, b = getattr(back, name), getattr(windows, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        io.write_windows(tmp_path / "v", back)
+        for name in [f"{f}.npy" for f in io.WINDOW_FIELDS] + ["meta.json"]:
+            assert ((tmp_path / "v" / name).read_bytes()
+                    == (tmp_path / "w" / name).read_bytes())
 
     def test_features_byte_identical(self, tmp_path):
         rng = np.random.default_rng(2)

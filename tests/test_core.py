@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from roadroughness.core import (AlignedSegment, Dataset, GeoPoint, IriLevel,
-                                TelemetryTrace, classification_metrics,
-                                confusion_matrix, ordered_kfold,
-                                ordered_split, regression_metrics,
-                                to_iri_level)
+from roadroughness.core import (Dataset, GeoPoint, IriLevel, TelemetryTrace,
+                                classification_metrics, confusion_matrix,
+                                iri_levels, ordered_kfold, ordered_split,
+                                regression_metrics)
 
 
 class TestIriLevel:
@@ -18,7 +17,8 @@ class TestIriLevel:
         (10.0, IriLevel.HIGH),
     ])
     def test_thresholds(self, iri, expected):
-        assert to_iri_level(iri) == expected
+        assert iri_levels(iri) == expected
+        assert iri_levels([0.5, iri, 3.0]).tolist() == [0, expected, 2]
 
     def test_ordinal_values(self):
         assert int(IriLevel.LOW) == 0
@@ -26,8 +26,14 @@ class TestIriLevel:
         assert int(IriLevel.HIGH) == 2
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            to_iri_level(-0.1)
+        for iri in (-0.1, [1.0, -0.1]):
+            with pytest.raises(ValueError, match="non-negative, got -0.1"):
+                iri_levels(iri)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            iri_levels([1.0, bad])
 
 
 class TestGeoPoint:
@@ -58,16 +64,6 @@ class TestTelemetryTrace:
         with pytest.raises(ValueError, match="gps_idx"):
             TelemetryTrace([0.0, 0.1], [0.0, 0.0], [1.0, 1.0], gps_idx,
                            [55.0] * len(gps_idx), [12.0] * len(gps_idx))
-
-
-class TestAlignedSegment:
-    def test_requires_two_points(self):
-        with pytest.raises(ValueError):
-            AlignedSegment(0, [0.0], [1.0], [10.0], 1.0)
-
-    def test_channel_lengths(self):
-        with pytest.raises(ValueError):
-            AlignedSegment(0, [0.0, 1.0], [1.0], [10.0, 10.0], 1.0)
 
 
 def _toy_dataset(n=10):

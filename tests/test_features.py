@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from roadroughness.core import AlignedSegment
+from roadroughness.core import Windows
 from roadroughness.features import (CHANNELS, EXTRACTOR_NAMES,
                                     _channel_matrix, _ecdf_percentile,
                                     build_feature_matrix,
@@ -138,15 +138,30 @@ COUNT_FEATURES = ("pos_turning_points", "neg_turning_points",
                   "neighbourhood_peaks")
 
 
-def reference_row(seg):
-    """The 68 features of one segment from the reference catalog."""
-    return np.array([fn(getattr(seg, ch), seg.t) for ch in CHANNELS
-                     for _, fn in REFERENCE_CATALOG])
+def make_windows(ts, accs, speeds, iris=None, ids=None) -> Windows:
+    """A Windows record of the given per-window channels."""
+    def flat(rows):
+        return np.concatenate([np.zeros(0)] + [np.asarray(r, dtype=float)
+                                               for r in rows])
+    n = len(ts)
+    return Windows(flat(ts), flat(accs), flat(speeds),
+                   np.concatenate([[0], np.cumsum([len(t) for t in ts],
+                                                  dtype=np.int64)]),
+                   np.arange(n) if ids is None else ids,
+                   np.ones(n) if iris is None else iris)
 
 
-def assert_matches_reference(segments):
+def reference_row(windows, i):
+    """The 68 features of window ``i`` from the reference catalog."""
+    rows = slice(windows.offsets[i], windows.offsets[i + 1])
+    return np.array([fn(getattr(windows, ch)[rows], windows.t[rows])
+                     for ch in CHANNELS for _, fn in REFERENCE_CATALOG])
+
+
+def assert_matches_reference(windows):
     with np.errstate(all="ignore"):
-        expected = np.array([reference_row(seg) for seg in segments])
+        expected = np.array([reference_row(windows, i)
+                             for i in range(len(windows))])
     names = feature_names()
     bad = ~np.isfinite(expected)
     if bad.any():
@@ -155,9 +170,9 @@ def assert_matches_reference(segments):
         with pytest.raises(ValueError, match=f"non-finite feature {names[j]} "
                                              f"in segment {i}$"):
             with np.errstate(all="ignore"):
-                build_feature_matrix(segments)
+                build_feature_matrix(windows)
         return
-    batch = build_feature_matrix(segments).X
+    batch = build_feature_matrix(windows).X
     for j, name in enumerate(names):
         if name.split("@")[0] in COUNT_FEATURES:
             assert np.array_equal(batch[:, j], expected[:, j]), name
@@ -166,33 +181,40 @@ def assert_matches_reference(segments):
                                        rtol=1e-12, atol=0.0, err_msg=name)
 
 
-def _segment(acc, speed=None, dt=0.1, iri=1.0, window_id=0):
-    acc = np.asarray(acc, dtype=float)
-    if speed is None:
-        speed = np.full(len(acc), 10.0)
-    t = np.arange(len(acc)) * dt
-    return AlignedSegment(window_id, t, acc, speed, iri)
+def _windows(accs, dt=0.1, iris=None):
+    """Windows of the given acc_z rows at a constant 10 m/s."""
+    return make_windows([np.arange(len(a)) * dt for a in accs], accs,
+                        [np.full(len(a), 10.0) for a in accs], iris)
 
 
 class TestResample:
     def test_preserves_endpoints_and_length(self):
-        seg = _segment(np.sin(np.arange(30)))
-        out = resample_segment(seg, 250)
-        assert out.n_points == 250
-        assert out.t[0] == seg.t[0]
-        assert out.t[-1] == seg.t[-1]
-        assert out.acc_z[0] == seg.acc_z[0]
-        assert out.acc_z[-1] == seg.acc_z[-1]
+        win = _windows([np.sin(np.arange(30)), np.cos(np.arange(7))])
+        out = resample_segment(win, 250)
+        assert out.offsets.tolist() == [0, 250, 500]
+        assert out.window_id.tolist() == [0, 1]
+        for w in range(2):
+            a, b = win.offsets[w], win.offsets[w + 1]
+            for ch in ("t", "acc_z"):
+                got = getattr(out, ch)[250 * w:250 * (w + 1)]
+                assert got[0] == getattr(win, ch)[a]
+                assert got[-1] == getattr(win, ch)[b - 1]
 
     def test_linear_signal_invariant(self):
         t = np.arange(11) * 0.5
-        seg = AlignedSegment(0, t, 2.0 * t + 1.0, np.full(11, 5.0), 1.0)
-        out = resample_segment(seg, 101)
+        win = make_windows([t], [2.0 * t + 1.0], [np.full(11, 5.0)])
+        out = resample_segment(win, 101)
         assert np.allclose(out.acc_z, 2.0 * out.t + 1.0)
 
     def test_too_short_target_rejected(self):
         with pytest.raises(ValueError):
-            resample_segment(_segment(np.zeros(5)), 1)
+            resample_segment(_windows([np.zeros(5)]), 1)
+
+    def test_grid_is_c_ordered(self):
+        # The extractors sum along rows; a strided row sums in another order.
+        out = resample_segment(_windows([np.zeros(5)] * 3), 40)
+        assert out.t.flags.c_contiguous
+        assert out.t.reshape(3, -1).flags.c_contiguous
 
 
 class TestEcdfPercentile:
@@ -310,9 +332,9 @@ class TestFeatureMatrix:
         assert len(set(names)) == 68
 
     def test_matrix_row_order(self):
-        segs = [_segment(np.sin(np.arange(30)) * (i + 1), iri=0.5 + 1.25 * i,
-                         window_id=i) for i in range(3)]
-        ds = build_feature_matrix(segs)
+        win = _windows([np.sin(np.arange(30)) * (i + 1) for i in range(3)],
+                       iris=[0.5, 1.75, 3.0])
+        ds = build_feature_matrix(win)
         assert ds.X.shape == (3, 68)
         assert list(ds.y) == [0.5, 1.75, 3.0]
         assert list(ds.level) == [0, 1, 2]
@@ -320,8 +342,12 @@ class TestFeatureMatrix:
         assert ds.X[0, col] < ds.X[2, col]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            build_feature_matrix([])
+        with pytest.raises(ValueError, match="no windows"):
+            build_feature_matrix(_windows([]))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            build_feature_matrix(_windows([np.zeros(5), np.zeros(6)]))
 
 
 class TestStandardizer:
@@ -353,13 +379,13 @@ class TestBatchEquivalence:
     """The whole-matrix kernel against the per-window reference catalog."""
 
     def _segments(self, channels, dt=0.02, t0=3.0):
-        segs = []
-        for i, acc in enumerate(channels):
-            acc = np.asarray(acc, dtype=float)
-            t = t0 + i * 0.7 + np.arange(len(acc)) * dt
-            speed = 13.9 + 0.01 * np.cos(np.arange(len(acc)) * (i + 1))
-            segs.append(AlignedSegment(i, t, acc, speed, 0.5 + 0.3 * i))
-        return segs
+        n = np.array([len(acc) for acc in channels])
+        return make_windows(
+            [t0 + i * 0.7 + np.arange(k) * dt for i, k in enumerate(n)],
+            channels,
+            [13.9 + 0.01 * np.cos(np.arange(k) * (i + 1))
+             for i, k in enumerate(n)],
+            0.5 + 0.3 * np.arange(len(n)))
 
     def test_catalog_order(self):
         assert [name for name, _ in REFERENCE_CATALOG] == EXTRACTOR_NAMES
@@ -391,19 +417,18 @@ class TestBatchEquivalence:
         assert_matches_reference(self._segments(rows))
 
     def test_zero_time_span(self):
-        seg = AlignedSegment(0, np.full(30, 4.0), np.arange(30.0),
-                             np.full(30, 5.0), 1.0)
-        assert_matches_reference([seg])
+        assert_matches_reference(make_windows(
+            [np.full(30, 4.0)], [np.arange(30.0)], [np.full(30, 5.0)]))
 
-    def test_unequal_lengths_featurized_per_length(self):
+    def test_unequal_lengths_featurized_once_resampled(self):
         rng = np.random.default_rng(5)
         rows = [rng.normal(size=n) for n in (30, 250, 30, 7, 250)]
-        assert_matches_reference(self._segments(rows))
+        assert_matches_reference(resample_segment(self._segments(rows), 40))
 
     def test_blocks_match_one_pass(self, monkeypatch):
         from roadroughness import features
         rng = np.random.default_rng(7)
-        segs = self._segments([rng.normal(size=n) for n in [40] * 17 + [9]])
+        segs = self._segments([rng.normal(size=40) for _ in range(18)])
         whole = build_feature_matrix(segs).X
         monkeypatch.setattr(features, "BLOCK_WINDOWS", 5)
         assert np.array_equal(build_feature_matrix(segs).X, whole)

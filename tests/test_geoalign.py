@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from roadroughness.core import GeoPoint, ReferenceSegment, TelemetryTrace
 from roadroughness.geo import LocalProjection, Polyline, haversine
 from roadroughness.geoalign import (BrokenTraceError, Candidate,
-                                    InterpolatedPositions, RoadNetwork,
+                                    InterpolatedPositions, Pieces,
+                                    RoadNetwork,
                                     UnmatchedFixError, align_segments,
                                     build_lattice, interpolate_positions,
                                     match_fixes, sliding_windows,
@@ -1006,38 +1007,41 @@ class TestAlignment:
         trace, matched = _line_trace_and_match(51)
         pos = interpolate_positions(trace, matched)
         reference = _line_reference(5)
-        pieces, dropped = align_segments(reference, pos, trace)
+        pieces, dropped = align_segments(reference, pos)
         assert dropped == 0
-        assert [p.seg_index for p in pieces] == [0, 1, 2, 3, 4]
+        assert pieces.seg.tolist() == [0, 1, 2, 3, 4]
         # 10 m at 10 m/s and 10 Hz -> 10 samples per piece.
-        assert {p.n_points for p in pieces[:-1]} == {10}
-        assert pieces[2].iri == 3.0
+        assert set((pieces.stop - pieces.start)[:-1].tolist()) == {10}
+        assert pieces.iri[2] == 3.0
 
     def test_windows_concatenate_and_average(self):
         trace, matched = _line_trace_and_match(51)
         pos = interpolate_positions(trace, matched)
-        pieces, _ = align_segments(_line_reference(5), pos, trace)
-        windows = sliding_windows(pieces, window=3)
+        pieces, _ = align_segments(_line_reference(5), pos)
+        windows = sliding_windows(pieces, pos, trace, window=3)
         assert len(windows) == 3
-        assert windows[0].window_id == 0
-        assert windows[0].iri == pytest.approx(np.mean([1.0, 2.0, 3.0]))
-        assert windows[0].n_points == sum(p.n_points for p in pieces[:3])
+        assert windows.window_id[0] == 0
+        assert windows.iri[0] == pytest.approx(np.mean([1.0, 2.0, 3.0]))
+        rows = pos.idx[pieces.start[0]:pieces.stop[2]]
+        assert windows.offsets[1] == len(rows)
+        assert np.array_equal(windows.acc_z[:len(rows)], trace.acc_z[rows])
 
     def test_windows_skip_gaps(self):
         trace, matched = _line_trace_and_match(51)
         pos = interpolate_positions(trace, matched)
-        pieces, _ = align_segments(_line_reference(5), pos, trace)
-        del pieces[2]
-        windows = sliding_windows(pieces, window=2)
-        ids = [w.window_id for w in windows]
-        assert ids == [0, 3]
+        pieces, _ = align_segments(_line_reference(5), pos)
+        pieces = Pieces(*(np.delete(a, 2) for a in (
+            pieces.seg, pieces.start, pieces.stop, pieces.iri)))
+        windows = sliding_windows(pieces, pos, trace, window=2)
+        assert windows.window_id.tolist() == [0, 3]
 
     def test_no_windows_warns(self):
         trace, matched = _line_trace_and_match(51)
         pos = interpolate_positions(trace, matched)
-        pieces, _ = align_segments(_line_reference(5), pos, trace)
+        pieces, _ = align_segments(_line_reference(5), pos)
         with pytest.warns(UserWarning):
-            assert sliding_windows(pieces, window=10) == []
+            windows = sliding_windows(pieces, pos, trace, window=10)
+        assert len(windows) == 0 and windows.offsets.tolist() == [0]
 
 
 def closest_point_oracle(positions, lat, lon, lo, hi) -> int:
@@ -1062,22 +1066,19 @@ def boundaries_oracle(reference, positions, search_back=100,
     return out
 
 
-def assert_alignment_equals_oracle(reference, positions, trace,
-                                   search_back=100, search_ahead=2000):
+def assert_alignment_equals_oracle(reference, positions, search_back=100,
+                                   search_ahead=2000):
     want = boundaries_oracle(reference, positions, search_back, search_ahead)
     assert piece_boundaries(reference, positions, search_back,
                             search_ahead) == want
-    pieces, n_dropped = align_segments(reference, positions, trace,
-                                       search_back, search_ahead)
+    pieces, n_dropped = align_segments(reference, positions, search_back,
+                                       search_ahead)
     kept = [i for i in range(len(reference)) if want[i + 1] - want[i] >= 2]
     assert n_dropped == len(reference) - len(kept)
-    assert [p.seg_index for p in pieces] == kept
-    for p in pieces:
-        rows = positions.idx[want[p.seg_index]:want[p.seg_index + 1]]
-        for got, channel in ((p.t, trace.t), (p.acc_z, trace.acc_z),
-                             (p.speed, trace.speed)):
-            assert got.tobytes() == channel[rows].tobytes()
-        assert p.iri == reference[p.seg_index].iri
+    assert pieces.seg.tolist() == kept
+    assert pieces.start.tolist() == [want[i] for i in kept]
+    assert pieces.stop.tolist() == [want[i + 1] for i in kept]
+    assert pieces.iri.tolist() == [reference[i].iri for i in kept]
 
 
 class TestAlignmentOracle:
@@ -1095,8 +1096,8 @@ class TestAlignmentOracle:
             positions = interpolate_positions(
                 trace, io.read_matched_json(tmp_path / "matched.json"))
         assert len(reference) == 200
-        assert_alignment_equals_oracle(reference, positions, trace)
-        assert_alignment_equals_oracle(reference, positions, trace, 7, 300)
+        assert_alignment_equals_oracle(reference, positions)
+        assert_alignment_equals_oracle(reference, positions, 7, 300)
 
 
 @st.composite
@@ -1126,10 +1127,7 @@ def curved_drives(draw):
                                   float(cuts[i + 1] - cuts[i]), float(i))
                  for i in range(len(cuts) - 1)]
     positions = InterpolatedPositions(np.arange(n) + 3, lat, lon, 3)
-    trace = TelemetryTrace(np.arange(n + 3) * 0.02,
-                           np.sin(np.arange(n + 3.0)), np.full(n + 3, 10.0),
-                           [0], [lat[0]], [lon[0]])
-    return (reference, positions, trace, draw(st.integers(1, 40)),
+    return (reference, positions, draw(st.integers(1, 40)),
             draw(st.integers(1, 60)))
 
 

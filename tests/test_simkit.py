@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from roadroughness.core import to_iri_level
+from roadroughness.core import iri_levels
 from roadroughness.simkit import (GOLDEN_CAR, IRI_SPEED_MS, RoadProfile,
                                   SimConfig, _foh_matrices, _initial_state,
                                   _run_series, _state_matrices,
@@ -307,7 +307,7 @@ class TestReferenceSegments:
         p = modulate_profile(p, [0.0, 500.0, 1000.0], [0.3, 1.0, 2.0])
         route = generate_route(p.length, seed=3)
         segments = build_reference_segments(p, route, 10.0)
-        levels = {int(to_iri_level(s.iri)) for s in segments}
+        levels = set(iri_levels([s.iri for s in segments]).tolist())
         assert len(levels) >= 2
 
 
