@@ -2,20 +2,21 @@
 
 All text artifacts are UTF-8 with LF line endings and '.' decimals; floats
 are rendered with ``repr``, the shortest string that round-trips exactly, so
-write -> read -> write is byte-identical. The ``Windows`` record is stored
-as one .npy file per field (``t``, ``acc_z``, ``speed``, ``offsets``,
-``window_id`` and ``iri``) plus a JSON manifest holding the window count.
+write -> read -> write is byte-identical. ``reference.csv`` holds a
+``Reference`` record after an unread ``seg_id`` column, and ``windows/`` a
+``Windows`` record, one .npy file per field plus a JSON manifest holding
+the window count.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from ..core import Dataset, GeoPoint, ReferenceSegment, TelemetryTrace, \
-    Windows
+from ..core import Dataset, Reference, TelemetryTrace, Windows
 from ..geoalign.match import MatchedTrace
 from ..geoalign.network import unreadable
 
@@ -134,17 +135,16 @@ def _parse_columns(rows: list[str], columns: tuple) -> np.ndarray:
 
 # ------------------------------------------------------- reference segments
 
-def write_reference_csv(path, segments: list[ReferenceSegment]) -> None:
-    cols = np.array([(s.start.lat, s.start.lon, s.end.lat, s.end.lon,
-                      s.length, s.iri) for s in segments],
-                    dtype=float).reshape(-1, 6)
+def write_reference_csv(path, reference: Reference) -> None:
     rows = map("{},{!r},{!r},{!r},{!r},{!r},{!r}\n".format,
-               range(len(cols)), *cols.T.tolist())
+               range(len(reference)),
+               *(getattr(reference, f.name).tolist()
+                 for f in fields(reference)))
     Path(path).write_text(REFERENCE_HEADER + "\n" + "".join(rows),
                           encoding="utf-8")
 
 
-def read_reference_csv(path) -> list[ReferenceSegment]:
+def read_reference_csv(path) -> Reference:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != REFERENCE_HEADER:
         raise ValueError(f"{path}: bad reference header")
@@ -154,9 +154,7 @@ def read_reference_csv(path) -> list[ReferenceSegment]:
     # The seg_id is not read, so any character passes there.
     if unreadable("".join(rows)):
         _check_readable(path, (line.partition(",")[2] for line in rows))
-    cols = _parse_columns(rows, (1, 2, 3, 4, 5, 6))
-    return [ReferenceSegment(GeoPoint(a, b), GeoPoint(c, d), length, iri)
-            for a, b, c, d, length, iri in zip(*cols.tolist())]
+    return Reference(*_parse_columns(rows, (1, 2, 3, 4, 5, 6)))
 
 
 # ------------------------------------------------------------ matched trace

@@ -112,12 +112,12 @@ def stage_simulate(config: dict) -> dict:
                                          float(sim["segment_length_m"]))
     io.write_reference_csv(paths["reference"], reference)
 
-    iris = np.array([s.iri for s in reference])
     summary = {"n_samples": len(trace), "n_fixes": len(trace.gps_idx),
                "n_segments": len(reference),
                "route_length_m": float(route.length),
-               "iri_min": float(iris.min()), "iri_max": float(iris.max()),
-               "iri_mean": float(iris.mean())}
+               "iri_min": float(reference.iri.min()),
+               "iri_max": float(reference.iri.max()),
+               "iri_mean": float(reference.iri.mean())}
     _write_summary(paths, "simulate", summary)
     return summary
 

@@ -6,7 +6,7 @@ workers; the metric functions are pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,20 +34,6 @@ def iri_levels(iri) -> np.ndarray:
         raise ValueError(f"IRI must be finite and non-negative, got "
                          f"{iri[bad][0]}")
     return (iri > IRI_LOW_MAX).astype(int) + (iri > IRI_MEDIUM_MAX)
-
-
-@dataclass(frozen=True)
-class GeoPoint:
-    """A WGS84 coordinate in degrees."""
-
-    lat: float
-    lon: float
-
-    def __post_init__(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude out of range: {self.lon}")
 
 
 @dataclass
@@ -93,20 +79,42 @@ class TelemetryTrace:
         return self.t[self.gps_idx]
 
 
-@dataclass(frozen=True)
-class ReferenceSegment:
-    """A geo-referenced road piece with a ground-truth IRI label."""
+@dataclass
+class Reference:
+    """Road pieces with ground-truth IRI labels, one row per piece: piece
+    ``i`` runs from (``start_lat[i]``, ``start_lon[i]``) to (``end_lat[i]``,
+    ``end_lon[i]``), in WGS84 degrees, over ``length[i]`` m and has the IRI
+    ``iri[i]`` in m/km. The fields are the columns of ``reference.csv``."""
 
-    start: GeoPoint
-    end: GeoPoint
-    length: float
-    iri: float
+    start_lat: np.ndarray
+    start_lon: np.ndarray
+    end_lat: np.ndarray
+    end_lon: np.ndarray
+    length: np.ndarray
+    iri: np.ndarray
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError(f"length must be positive, got {self.length}")
-        if self.iri < 0:
-            raise ValueError(f"IRI must be non-negative, got {self.iri}")
+        for f in fields(self):
+            setattr(self, f.name, np.asarray(getattr(self, f.name), float))
+        if self.iri.ndim != 1 or any(getattr(self, f.name).shape
+                                     != self.iri.shape for f in fields(self)):
+            raise ValueError("reference fields must be 1-D, of one length")
+        lat = np.stack([self.start_lat, self.end_lat], axis=1)
+        lon = np.stack([self.start_lon, self.end_lon], axis=1)
+        for message, values, ok in (
+                ("latitude out of range", lat, np.abs(lat) <= 90.0),
+                ("longitude out of range", lon, np.abs(lon) <= 180.0),
+                ("length must be positive and finite", self.length,
+                 np.isfinite(self.length) & (self.length > 0)),
+                ("IRI must be finite and non-negative", self.iri,
+                 np.isfinite(self.iri) & (self.iri >= 0))):
+            bad = np.argwhere(~ok)
+            if len(bad):
+                raise ValueError(f"{message} in segment {bad[0][0]}: "
+                                 f"{values[tuple(bad[0])]}")
+
+    def __len__(self) -> int:
+        return len(self.iri)
 
 
 @dataclass

@@ -56,11 +56,13 @@ def resample_segment(windows: Windows, target_len: int) -> Windows:
     if target_len < 2:
         raise ValueError(f"target_len must be at least 2, got {target_len}")
     lo, hi = windows.offsets[:-1], windows.offsets[1:]
-    # linspace along axis 1 returns a Fortran-ordered matrix. The extractors
-    # reduce along its rows, and numpy sums a strided row in another order
-    # than a contiguous one, so the grid is made C-ordered.
-    t_new = np.ascontiguousarray(np.linspace(windows.t[lo], windows.t[hi - 1],
-                                             target_len, axis=1))
+    t0, t1 = windows.t[lo], windows.t[hi - 1]
+    # Once one row's step is 0, linspace grids all rows by another formula:
+    # grid such rows apart. C order, as numpy sums strided rows otherwise.
+    t_new = np.empty((len(windows), target_len))
+    flat = (t1 - t0) / (target_len - 1) == 0
+    for rows in (flat, ~flat):
+        t_new[rows] = np.linspace(t0[rows], t1[rows], target_len, axis=1)
     acc_z, speed = np.empty_like(t_new), np.empty_like(t_new)
     for i, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
         t = windows.t[a:b]

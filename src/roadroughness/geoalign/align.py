@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ReferenceSegment, TelemetryTrace, Windows
+from ..core import Reference, TelemetryTrace, Windows
 from ..geo import haversine_radians
 from .match import MatchedTrace
 
@@ -62,7 +62,7 @@ def interpolate_positions(trace: TelemetryTrace,
     return InterpolatedPositions(idx, lat, lon, n_dropped)
 
 
-def piece_boundaries(reference: list[ReferenceSegment],
+def piece_boundaries(reference: Reference,
                      positions: InterpolatedPositions, search_back: int,
                      search_ahead: int) -> list[int]:
     """Index (into positions) of the sample nearest to the start of the
@@ -77,14 +77,13 @@ def piece_boundaries(reference: list[ReferenceSegment],
     lat = np.radians(positions.lat)
     lon = np.radians(positions.lon)
     cos_lat = np.cos(lat)
-    ends = [reference[0].start] + [seg.end for seg in reference]
-    end_lat = np.radians([p.lat for p in ends])
-    end_lon = np.radians([p.lon for p in ends])
+    end_lat = np.radians(np.append(reference.start_lat[:1], reference.end_lat))
+    end_lon = np.radians(np.append(reference.start_lon[:1], reference.end_lon))
     end_cos = np.cos(end_lat)
     n = len(positions)
     boundaries = []
     lo, hi = 0, n
-    for k in range(len(ends)):
+    for k in range(len(end_lat)):
         d = haversine_radians(lat[lo:hi], lon[lo:hi], cos_lat[lo:hi],
                               end_lat[k], end_lon[k], end_cos[k])
         cursor = lo + int(np.argmin(d))
@@ -94,7 +93,7 @@ def piece_boundaries(reference: list[ReferenceSegment],
     return boundaries
 
 
-def align_segments(reference: list[ReferenceSegment],
+def align_segments(reference: Reference,
                    positions: InterpolatedPositions,
                    search_back: int = 100,
                    search_ahead: int = 2000) -> tuple[Pieces, int]:
@@ -102,14 +101,15 @@ def align_segments(reference: list[ReferenceSegment],
     (``piece_boundaries``). Pieces with fewer than 2 samples are dropped;
     the drop count is returned.
     """
+    if len(reference) == 0:
+        raise ValueError("no reference segments")
     if len(positions) == 0:
         raise ValueError("no positioned samples")
     bounds = np.array(piece_boundaries(reference, positions, search_back,
                                        search_ahead))
     start, stop = bounds[:-1], bounds[1:]
     keep = np.flatnonzero(stop - start >= MIN_PIECE_SAMPLES)
-    iri = np.array([seg.iri for seg in reference], dtype=float)
-    return (Pieces(keep, start[keep], stop[keep], iri[keep]),
+    return (Pieces(keep, start[keep], stop[keep], reference.iri[keep]),
             len(reference) - len(keep))
 
 

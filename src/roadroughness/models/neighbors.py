@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..topk import smallest_k
-from .tree import N_CLASSES
+from .tree import N_CLASSES, _training_data
 
 # Bytes of the (query chunk x n_train x d) difference tensor built per chunk
 # of a brute-force neighbour search.
@@ -16,6 +16,19 @@ def query_chunk(train_shape: tuple[int, ...]) -> int:
     matrix of ``train_shape`` stays within CHUNK_BYTES."""
     n_train, d = train_shape
     return max(1, CHUNK_BYTES // (8 * max(1, n_train * d)))
+
+
+def nearest_neighbours(x_train: np.ndarray, query: np.ndarray,
+                       k: int) -> np.ndarray:
+    """Indices into ``x_train`` of each query row's ``k`` nearest rows by
+    Euclidean distance, nearest first, ties to the lower index."""
+    chunk = query_chunk(x_train.shape)
+    out = np.empty((len(query), min(k, len(x_train))), dtype=np.intp)
+    for lo in range(0, len(query), chunk):
+        q = query[lo:lo + chunk]
+        d2 = ((q[:, None, :] - x_train[None, :, :]) ** 2).sum(axis=2)
+        out[lo:lo + chunk] = smallest_k(d2, k)
+    return out
 
 
 class KnnModel:
@@ -36,32 +49,24 @@ class KnnModel:
         self.y_train: np.ndarray | None = None
 
     def fit(self, x, y) -> "KnnModel":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, _ = _training_data(x, y, self.task, self.n_classes)
         if self.k > len(x):
             raise ValueError(f"k={self.k} exceeds {len(x)} training rows")
         self.x_train = x
-        self.y_train = y
+        self.y_train = np.asarray(y, dtype=float)
         return self
 
     def predict(self, x) -> np.ndarray:
         if self.x_train is None:
             raise ValueError("model is not fitted")
-        x = np.asarray(x, dtype=float)
-        out = np.empty(len(x))
-        chunk = query_chunk(self.x_train.shape)
-        for lo in range(0, len(x), chunk):
-            q = x[lo:lo + chunk]
-            d2 = ((q[:, None, :] - self.x_train[None, :, :]) ** 2).sum(axis=2)
-            nearest = smallest_k(d2, self.k)
-            vals = self.y_train[nearest]
-            if self.task == "regression":
-                out[lo:lo + chunk] = vals.mean(axis=1)
-            else:
-                for i, row in enumerate(vals.astype(int)):
-                    counts = np.bincount(row, minlength=self.n_classes)
-                    out[lo + i] = float(np.argmax(counts))
-        return out
+        nearest = nearest_neighbours(self.x_train,
+                                     np.asarray(x, dtype=float), self.k)
+        vals = self.y_train[nearest]
+        if self.task == "regression":
+            return vals.mean(axis=1)
+        votes = (vals.astype(int)[:, :, None]
+                 == np.arange(self.n_classes)).sum(axis=1)
+        return np.argmax(votes, axis=1).astype(float)
 
     def state_dict(self) -> dict:
         return {"k": self.k, "task": self.task, "n_classes": self.n_classes,
@@ -70,7 +75,5 @@ class KnnModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "KnnModel":
-        model = cls(state["k"], state["task"], state["n_classes"])
-        model.x_train = np.array(state["x_train"], dtype=float)
-        model.y_train = np.array(state["y_train"], dtype=float)
-        return model
+        return cls(state["k"], state["task"], state["n_classes"]).fit(
+            state["x_train"], state["y_train"])

@@ -11,8 +11,7 @@ import warnings
 
 import numpy as np
 
-from ..topk import smallest_k
-from .neighbors import query_chunk
+from .neighbors import nearest_neighbours
 
 DEFAULT_K = 5
 
@@ -28,18 +27,6 @@ def _largest_remainder(weights: np.ndarray, total: int) -> np.ndarray:
         order = np.argsort(-(quota - counts), kind="stable")
         counts[order[:short]] += 1
     return counts
-
-
-def _knn_indices(x: np.ndarray, query: np.ndarray, k: int,
-                 exclude_self: bool) -> np.ndarray:
-    first = 1 if exclude_self else 0
-    chunk = query_chunk(x.shape)
-    out = np.empty((len(query), k), dtype=np.intp)
-    for lo in range(0, len(query), chunk):
-        q = query[lo:lo + chunk]
-        d2 = ((q[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-        out[lo:lo + chunk] = smallest_k(d2, first + k)[:, first:]
-    return out
 
 
 def adasyn_resample(x, y, k_neighbors: int = DEFAULT_K, seed: int = 0):
@@ -73,12 +60,12 @@ def adasyn_resample(x, y, k_neighbors: int = DEFAULT_K, seed: int = 0):
                 f"reducing k_neighbors to {min(k_all, k_cls)} for class {cls}"
                 " (not enough samples)", stacklevel=2)
         # Hardness ratio: share of other-class rows among the k nearest
-        # neighbors in the full dataset.
-        nn_all = _knn_indices(x, x[members], k_all, exclude_self=True)
+        # neighbors in the full dataset. A query row is at distance 0 from
+        # itself, so the nearest of k + 1 neighbours is dropped.
+        nn_all = nearest_neighbours(x, x[members], k_all + 1)[:, 1:]
         ratio = np.mean(y[nn_all] != cls, axis=1)
         alloc = _largest_remainder(ratio, deficit)
-        nn_cls = _knn_indices(x[members], x[members], k_cls,
-                              exclude_self=True)
+        nn_cls = nearest_neighbours(x[members], x[members], k_cls + 1)[:, 1:]
         for m, n_new in enumerate(alloc):
             if n_new == 0:
                 continue

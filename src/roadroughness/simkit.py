@@ -17,6 +17,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.signal import lfilter, lfiltic, ss2tf
 
+from .core import Reference, TelemetryTrace
 from .geo import LocalProjection, Polyline
 
 IRI_SPEED_MS = 80.0 / 3.6
@@ -263,15 +264,14 @@ def compute_iri(profile: RoadProfile, params: QuarterCarParams = GOLDEN_CAR) -> 
 
 def build_reference_segments(profile: RoadProfile, route: Polyline,
                              seg_len: float,
-                             params: QuarterCarParams = GOLDEN_CAR) -> list:
+                             params: QuarterCarParams = GOLDEN_CAR
+                             ) -> Reference:
     """Cut the profile into consecutive ``seg_len`` pieces with per-piece IRI.
 
     The quarter car is integrated once over the whole profile so the filter
     state carries across piece boundaries; each piece is geo-referenced on
     ``route`` by chainage.
     """
-    from .core import GeoPoint, ReferenceSegment
-
     if seg_len <= 0:
         raise ValueError(f"seg_len must be positive, got {seg_len}")
     if profile.length < seg_len:
@@ -285,19 +285,15 @@ def build_reference_segments(profile: RoadProfile, route: Polyline,
     n_segs = int(np.floor(profile.length / seg_len + 1e-9))
     seg_idx = np.minimum((mid_x / seg_len).astype(int), n_segs - 1)
     travel = np.bincount(seg_idx, weights=contrib, minlength=n_segs)
-    iri = (travel / (seg_len / 1000.0)).tolist()
     lat, lon = route.point_at(np.arange(n_segs + 1) * seg_len)
-    ends = list(map(GeoPoint, lat.tolist(), lon.tolist()))
-    return [ReferenceSegment(ends[i], ends[i + 1], seg_len, iri[i])
-            for i in range(n_segs)]
+    return Reference(lat[:-1], lon[:-1], lat[1:], lon[1:],
+                     np.full(n_segs, seg_len), travel / (seg_len / 1000.0))
 
 
 def synthesize_telemetry(profile: RoadProfile, route: Polyline,
                          config: SimConfig):
     """Emulate one survey run: quarter-car acceleration plus sensor noise at
     ``acc_rate``, speed channel, and noisy GPS fixes at ``gps_rate``."""
-    from .core import TelemetryTrace
-
     if abs(route.length - profile.length) > 0.01 * profile.length:
         raise ValueError(
             f"route length {route.length:.1f} m does not match profile "

@@ -12,8 +12,8 @@ from roadroughness.cli.config import DEFAULT_CONFIG, load_config
 from roadroughness.cli.main import main
 from roadroughness.cli.pipeline import (StageError, bundle_predict,
                                         export_report, run_stage)
-from roadroughness.core import (Dataset, GeoPoint, ReferenceSegment,
-                                TelemetryTrace, Windows)
+from roadroughness.core import (Dataset, Reference, TelemetryTrace,
+                                Windows)
 from roadroughness.geoalign.match import MatchedTrace
 
 SMOKE_CONFIG = {
@@ -137,39 +137,40 @@ def per_cell_features(path) -> tuple[Dataset, np.ndarray]:
             np.array(ids, dtype=int))
 
 
-def per_element_reference_writer(path, segments) -> None:
+REFERENCE_COLUMNS = ("start_lat", "start_lon", "end_lat", "end_lon",
+                     "length", "iri")
+
+
+def per_element_reference_writer(path, reference: Reference) -> None:
     """The reference writer that formats every number on its own."""
     lines = [io.REFERENCE_HEADER]
-    for i, s in enumerate(segments):
-        lines.append(f"{i},{io.fmt(s.start.lat)},{io.fmt(s.start.lon)},"
-                     f"{io.fmt(s.end.lat)},{io.fmt(s.end.lon)},"
-                     f"{io.fmt(s.length)},{io.fmt(s.iri)}")
+    for i in range(len(reference)):
+        lines.append(",".join([str(i)] + [
+            io.fmt(getattr(reference, name)[i])
+            for name in REFERENCE_COLUMNS]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def per_cell_reference(path) -> list[ReferenceSegment]:
+def per_cell_reference(path) -> Reference:
     """The reference reader that converts every cell with ``float``: the
     oracle for the one that parses whole columns with numpy."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != io.REFERENCE_HEADER:
         raise ValueError(f"{path}: bad reference header")
-    segments = []
+    rows = []
     for i, line in enumerate(lines[1:]):
         cols = line.split(",")
         if len(cols) != 7:
             raise ValueError(f"{path}: bad column count on row {i + 1}")
-        segments.append(ReferenceSegment(
-            GeoPoint(float(cols[1]), float(cols[2])),
-            GeoPoint(float(cols[3]), float(cols[4])),
-            float(cols[5]), float(cols[6])))
-    return segments
+        rows.append([float(v) for v in cols[1:]])
+    return Reference(*np.array(rows, dtype=float).reshape(-1, 6).T)
 
 
-def reference_bits(segments) -> list:
-    """Every float of a list of reference segments, as ``float.hex``."""
-    return [tuple(float(v).hex() for v in (s.start.lat, s.start.lon,
-                                           s.end.lat, s.end.lon, s.length,
-                                           s.iri)) for s in segments]
+def reference_bits(reference: Reference) -> dict:
+    """Every float of a reference record, field by field, as
+    ``float.hex``."""
+    return {name: [v.hex() for v in getattr(reference, name).tolist()]
+            for name in REFERENCE_COLUMNS}
 
 
 def per_element_matched_writer(path, matched: MatchedTrace) -> None:
@@ -186,17 +187,14 @@ def per_element_matched_writer(path, matched: MatchedTrace) -> None:
     })
 
 
-def random_reference(rng, n) -> list[ReferenceSegment]:
+def random_reference(rng, n) -> Reference:
     """Segments with extreme positive lengths and non-negative IRIs."""
     lat = rng.uniform(-90.0, 90.0, (2, n))
     lon = rng.uniform(-180.0, 180.0, (2, n))
     length = np.abs(extreme_values(rng, n))
     length[length == 0.0] = 5e-324
     iri = np.abs(extreme_values(rng, n))
-    return [ReferenceSegment(GeoPoint(lat[0, i], lon[0, i]),
-                             GeoPoint(lat[1, i], lon[1, i]),
-                             float(length[i]), float(iri[i]))
-            for i in range(n)]
+    return Reference(lat[0], lon[0], lat[1], lon[1], length, iri)
 
 
 def features_bits(result) -> tuple:
@@ -451,6 +449,10 @@ class TestWriters:
         segments = random_reference(np.random.default_rng(20 + n), n)
         self._assert_same_bytes(tmp_path, io.write_reference_csv,
                                 per_element_reference_writer, segments)
+        io.write_reference_csv(tmp_path / "again.csv",
+                               io.read_reference_csv(tmp_path / "got.csv"))
+        assert ((tmp_path / "again.csv").read_bytes()
+                == (tmp_path / "got.csv").read_bytes())
 
     @pytest.mark.parametrize("n", [0, 1, 300])
     def test_matched_equals_per_element_writer(self, tmp_path, n):
@@ -574,6 +576,12 @@ class TestReferenceReader:
         (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,x\n", "could not convert"),
         (io.REFERENCE_HEADER + "\n0,91,2,3,4,5,6\n", "latitude out of range"),
         (io.REFERENCE_HEADER + "\n0,1,2,3,4,0,6\n", "length must be positive"),
+        (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,6\n1,1,2,3,4,inf,6\n",
+         "length must be positive and finite in segment 1"),
+        (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,6\n1,1,2,3,4,5,nan\n",
+         "IRI must be finite and non-negative in segment 1"),
+        (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,inf\n",
+         "IRI must be finite and non-negative in segment 0"),
     ])
     def test_errors_are_named(self, tmp_path, text, message):
         p = tmp_path / "reference.csv"
@@ -685,9 +693,9 @@ class TestArtifactRoundTrips:
             io.read_telemetry_csv(p)
 
     def test_reference_byte_identical(self, tmp_path):
-        segs = [ReferenceSegment(GeoPoint(55.65, 12.55),
-                                 GeoPoint(55.6501, 12.55), 10.0, 1.0 + i / 7)
-                for i in range(5)]
+        segs = Reference(np.full(5, 55.65), np.full(5, 12.55),
+                         np.full(5, 55.6501), np.full(5, 12.55),
+                         np.full(5, 10.0), 1.0 + np.arange(5) / 7)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         io.write_reference_csv(p1, segs)
         io.write_reference_csv(p2, io.read_reference_csv(p1))

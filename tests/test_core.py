@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roadroughness.core import (Dataset, GeoPoint, IriLevel, TelemetryTrace,
+from roadroughness.core import (Dataset, IriLevel, Reference, TelemetryTrace,
                                 classification_metrics, confusion_matrix,
                                 iri_levels, ordered_kfold, ordered_split,
                                 regression_metrics)
@@ -36,16 +36,68 @@ class TestIriLevel:
             iri_levels([1.0, bad])
 
 
-class TestGeoPoint:
+def _reference(n=4, **columns) -> Reference:
+    """A valid n-segment reference, with the given columns replaced."""
+    cols = {"start_lat": np.full(n, 55.0), "start_lon": np.full(n, 12.0),
+            "end_lat": np.full(n, 55.0001), "end_lon": np.full(n, 12.0),
+            "length": np.full(n, 10.0), "iri": np.linspace(0.0, 3.0, n)}
+    return Reference(**(cols | columns))
+
+
+def _with(value, row, n=4) -> np.ndarray:
+    """A column of valid values 1.0 with ``value`` in ``row``."""
+    col = np.ones(n)
+    col[row] = value
+    return col
+
+
+class TestReference:
     def test_valid(self):
-        p = GeoPoint(55.0, 12.0)
-        assert p.lat == 55.0
+        r = _reference(end_lat=[-90.0, 90.0, 0.0, 0.0],
+                       end_lon=[-180.0, 180.0, 0.0, 0.0], iri=np.zeros(4))
+        assert len(r) == 4 and r.end_lat.tolist() == [-90.0, 90.0, 0.0, 0.0]
+        assert len(_reference(0)) == 0
 
     @pytest.mark.parametrize("lat,lon", [(91.0, 0.0), (-91.0, 0.0),
                                          (0.0, 181.0), (0.0, -181.0)])
     def test_out_of_range(self, lat, lon):
-        with pytest.raises(ValueError):
-            GeoPoint(lat, lon)
+        for point in ("start", "end"):
+            with pytest.raises(ValueError, match="itude out of range in "
+                                                 "segment 2"):
+                _reference(**{f"{point}_lat": _with(lat, 2),
+                              f"{point}_lon": _with(lon, 2)})
+
+    @pytest.mark.parametrize("column,value,message", [
+        ("start_lat", np.nan, "latitude out of range in segment 1: nan"),
+        ("end_lon", np.nan, "longitude out of range in segment 1: nan"),
+        ("end_lat", np.inf, "latitude out of range in segment 1: inf"),
+        ("length", 0.0, "length must be positive and finite in segment 1"),
+        ("length", -10.0, "length must be positive and finite in segment 1"),
+        ("length", np.inf, "length must be positive and finite in segment 1"),
+        ("length", np.nan, "length must be positive and finite in segment 1"),
+        ("iri", -0.1, "IRI must be finite and non-negative in segment 1"),
+        ("iri", np.inf, "IRI must be finite and non-negative in segment 1"),
+        ("iri", np.nan, "IRI must be finite and non-negative in segment 1"),
+    ])
+    def test_bad_values_name_the_first_bad_segment(self, column, value,
+                                                   message):
+        col = _with(value, 1)
+        col[3] = value
+        with pytest.raises(ValueError, match=message):
+            _reference(**{column: col})
+
+    def test_first_bad_segment_counts_start_and_end(self):
+        with pytest.raises(ValueError, match="segment 1: -95.0"):
+            _reference(start_lat=_with(-99.0, 3), end_lat=_with(-95.0, 1))
+
+    @pytest.mark.parametrize("columns", [
+        {"iri": np.zeros(3)}, {"start_lon": np.ones(5)},
+        {"length": np.ones((4, 1))}, {"start_lat": 1.0, "start_lon": 1.0,
+                                      "end_lat": 1.0, "end_lon": 1.0,
+                                      "length": 1.0, "iri": 1.0}])
+    def test_fields_of_unequal_length_rejected(self, columns):
+        with pytest.raises(ValueError, match="1-D, of one length"):
+            _reference(**columns)
 
 
 class TestTelemetryTrace:

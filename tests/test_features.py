@@ -210,6 +210,19 @@ class TestResample:
         with pytest.raises(ValueError):
             resample_segment(_windows([np.zeros(5)]), 1)
 
+    @pytest.mark.parametrize("flat_t", [np.full(5, 3.0), [0.0, 5e-324]])
+    def test_each_grid_equals_linspace_on_its_window_alone(self, flat_t):
+        # A window whose grid step is 0 (no time span, or one that
+        # underflows) must not change the last bits of the others' grids.
+        t = [np.asarray(flat_t), 2.0 + np.cumsum(
+            np.random.default_rng(3).uniform(0.01, 0.05, 40))]
+        win = make_windows(t, [np.zeros(len(r)) for r in t],
+                           [np.ones(len(r)) for r in t])
+        grids = resample_segment(win, 250).t.reshape(2, -1)
+        for grid, ts in zip(grids, t):
+            assert grid.tobytes() == np.linspace(ts[0], ts[-1],
+                                                 250).tobytes()
+
     def test_grid_is_c_ordered(self):
         # The extractors sum along rows; a strided row sums in another order.
         out = resample_segment(_windows([np.zeros(5)] * 3), 40)

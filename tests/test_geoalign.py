@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadroughness.core import GeoPoint, ReferenceSegment, TelemetryTrace
+from roadroughness.core import Reference, TelemetryTrace
 from roadroughness.geo import LocalProjection, Polyline, haversine
 from roadroughness.geoalign import (BrokenTraceError, Candidate,
                                     InterpolatedPositions, Pieces,
@@ -963,13 +963,10 @@ class TestMapMatching:
 
 
 def _line_reference(n_segs, seg_len=10.0):
-    segs = []
-    for i in range(n_segs):
-        segs.append(ReferenceSegment(
-            GeoPoint(*latlon(i * seg_len, 0.0)),
-            GeoPoint(*latlon((i + 1) * seg_len, 0.0)),
-            seg_len, 1.0 + i))
-    return segs
+    lat, lon = PROJ.to_latlon(np.arange(n_segs + 1) * seg_len,
+                              np.zeros(n_segs + 1))
+    return Reference(lat[:-1], lon[:-1], lat[1:], lon[1:],
+                     np.full(n_segs, seg_len), 1.0 + np.arange(n_segs))
 
 
 def _line_trace_and_match(n, dt=0.1, speed=10.0):
@@ -1035,6 +1032,12 @@ class TestAlignment:
         windows = sliding_windows(pieces, pos, trace, window=2)
         assert windows.window_id.tolist() == [0, 3]
 
+    def test_empty_reference_is_a_named_error(self):
+        trace, matched = _line_trace_and_match(51)
+        pos = interpolate_positions(trace, matched)
+        with pytest.raises(ValueError, match="no reference segments"):
+            align_segments(_line_reference(0), pos)
+
     def test_no_windows_warns(self):
         trace, matched = _line_trace_and_match(51)
         pos = interpolate_positions(trace, matched)
@@ -1055,11 +1058,11 @@ def closest_point_oracle(positions, lat, lon, lo, hi) -> int:
 
 def boundaries_oracle(reference, positions, search_back=100,
                       search_ahead=2000) -> list:
-    cursor = closest_point_oracle(positions, reference[0].start.lat,
-                                  reference[0].start.lon, 0, len(positions))
+    cursor = closest_point_oracle(positions, reference.start_lat[0],
+                                  reference.start_lon[0], 0, len(positions))
     out = [cursor]
-    for seg in reference:
-        cursor = closest_point_oracle(positions, seg.end.lat, seg.end.lon,
+    for lat, lon in zip(reference.end_lat, reference.end_lon):
+        cursor = closest_point_oracle(positions, lat, lon,
                                       cursor - search_back,
                                       cursor + search_ahead)
         out.append(cursor)
@@ -1078,7 +1081,7 @@ def assert_alignment_equals_oracle(reference, positions, search_back=100,
     assert pieces.seg.tolist() == kept
     assert pieces.start.tolist() == [want[i] for i in kept]
     assert pieces.stop.tolist() == [want[i + 1] for i in kept]
-    assert pieces.iri.tolist() == [reference[i].iri for i in kept]
+    assert pieces.iri.tolist() == [reference.iri.tolist()[i] for i in kept]
 
 
 class TestAlignmentOracle:
@@ -1122,10 +1125,8 @@ def curved_drives(draw):
     if len(cuts) < 2:
         cuts = np.array([0.0, route.length])
     clat, clon = route.point_at(cuts)
-    reference = [ReferenceSegment(GeoPoint(clat[i], clon[i]),
-                                  GeoPoint(clat[i + 1], clon[i + 1]),
-                                  float(cuts[i + 1] - cuts[i]), float(i))
-                 for i in range(len(cuts) - 1)]
+    reference = Reference(clat[:-1], clon[:-1], clat[1:], clon[1:],
+                          np.diff(cuts), np.arange(len(cuts) - 1.0))
     positions = InterpolatedPositions(np.arange(n) + 3, lat, lon, 3)
     return (reference, positions, draw(st.integers(1, 40)),
             draw(st.integers(1, 60)))

@@ -21,7 +21,6 @@ from roadroughness.models.logistic import loss_and_grad as logistic_loss
 from roadroughness.models.mlp import (ADAM_B1, ADAM_B2, ADAM_EPS, LOSS_TOL,
                                       LR_PATIENCE, STOP_PATIENCE,
                                       init_params, loss_and_grads as mlp_loss)
-from roadroughness.models.resample import _knn_indices
 from roadroughness.models.search import FAMILIES, grid_points
 from roadroughness.models.svm import _solve_binary_svc, _solve_svr, smo_solve
 from roadroughness.models.tree import (MAX_DEPTH, N_CLASSES, _Padded,
@@ -210,6 +209,18 @@ class TestKnn:
     def test_k_exceeding_rows_rejected(self):
         with pytest.raises(ValueError):
             KnnModel(k=5).fit(np.zeros((3, 1)), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_class_label_out_of_range_rejected(self, bad):
+        message = r"class labels must lie in 0\.\.2"
+        with pytest.raises(ValueError, match=message):
+            KnnModel(k=1, task="classification").fit(
+                np.zeros((3, 1)), np.array([0, 1, bad]))
+        state = KnnModel(k=1, task="classification").fit(
+            np.zeros((3, 1)), np.array([0, 1, 2])).state_dict()
+        state["y_train"][2] = float(bad)
+        with pytest.raises(ValueError, match=message):
+            KnnModel.from_state(state)
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_chunks_match_unchunked_brute_force(self, task, monkeypatch):
@@ -1140,9 +1151,9 @@ class TestAdasyn:
         d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         order = np.argsort(d2, axis=1, kind="stable")
         monkeypatch.setattr(neighbors, "CHUNK_BYTES", 1 << 13)
-        assert np.array_equal(_knn_indices(x, x, 5, exclude_self=True),
+        assert np.array_equal(neighbors.nearest_neighbours(x, x, 6)[:, 1:],
                               order[:, 1:6])
-        assert np.array_equal(_knn_indices(x, x[:50], 4, exclude_self=False),
+        assert np.array_equal(neighbors.nearest_neighbours(x, x[:50], 4),
                               order[:50, :4])
 
     def test_tiny_class_warns(self):

@@ -244,7 +244,7 @@ class TestIri:
 def per_piece_reference_segments(profile, route, seg_len):
     """Two scalar ``point_at`` calls and one IRI division per piece: the
     oracle for ``build_reference_segments``."""
-    from roadroughness.core import GeoPoint, ReferenceSegment
+    from roadroughness.core import Reference
     resp = quarter_car_response(profile, IRI_SPEED_MS, GOLDEN_CAR)
     dt = float(resp.t[1] - resp.t[0])
     rect = np.abs(resp.v_s - resp.v_u)
@@ -253,22 +253,23 @@ def per_piece_reference_segments(profile, route, seg_len):
     n_segs = int(np.floor(profile.length / seg_len + 1e-9))
     seg_idx = np.minimum((mid_x / seg_len).astype(int), n_segs - 1)
     travel = np.bincount(seg_idx, weights=contrib, minlength=n_segs)
-    segments = []
+    rows = []
     for i in range(n_segs):
         s0, s1 = i * seg_len, (i + 1) * seg_len
         lat0, lon0 = route.point_at(s0)
         lat1, lon1 = route.point_at(s1)
         iri = float(travel[i] / (seg_len / 1000.0))
-        segments.append(ReferenceSegment(GeoPoint(float(lat0), float(lon0)),
-                                         GeoPoint(float(lat1), float(lon1)),
-                                         seg_len, iri))
-    return segments
+        rows.append((float(lat0), float(lon0), float(lat1), float(lon1),
+                     seg_len, iri))
+    return Reference(*np.array(rows).T)
 
 
-def _segment_bits(segments):
-    return [tuple(float(v).hex() for v in (s.start.lat, s.start.lon,
-                                           s.end.lat, s.end.lon, s.length,
-                                           s.iri)) for s in segments]
+def _segment_bits(reference):
+    """Every float of a reference record, field by field, as
+    ``float.hex``."""
+    return {name: [v.hex() for v in getattr(reference, name).tolist()]
+            for name in ("start_lat", "start_lon", "end_lat", "end_lon",
+                         "length", "iri")}
 
 
 class TestReferenceSegments:
@@ -288,18 +289,17 @@ class TestReferenceSegments:
         segments = build_reference_segments(p, route, 10.0)
         assert len(segments) == 50
         total = compute_iri(p)
-        assert np.mean([s.iri for s in segments]) == pytest.approx(total,
-                                                                   rel=1e-6)
+        assert np.mean(segments.iri) == pytest.approx(total, rel=1e-6)
 
     def test_segments_follow_route(self):
         p = generate_profile(200.0, 0.05, 16e-6, seed=4)
         route = generate_route(p.length, seed=2)
         segments = build_reference_segments(p, route, 10.0)
-        d = haversine(segments[0].start.lat, segments[0].start.lon,
+        d = haversine(segments.start_lat[0], segments.start_lon[0],
                       route.lats[0], route.lons[0])
         assert d < 1e-6
-        gap = haversine(segments[0].end.lat, segments[0].end.lon,
-                        segments[1].start.lat, segments[1].start.lon)
+        gap = haversine(segments.end_lat[0], segments.end_lon[0],
+                        segments.start_lat[1], segments.start_lon[1])
         assert gap < 1e-6
 
     def test_levels_cover_modulated_profile(self):
@@ -307,7 +307,7 @@ class TestReferenceSegments:
         p = modulate_profile(p, [0.0, 500.0, 1000.0], [0.3, 1.0, 2.0])
         route = generate_route(p.length, seed=3)
         segments = build_reference_segments(p, route, 10.0)
-        levels = set(iri_levels([s.iri for s in segments]).tolist())
+        levels = set(iri_levels(segments.iri).tolist())
         assert len(levels) >= 2
 
 

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadroughness.models.neighbors import KnnModel
-from roadroughness.models.resample import _knn_indices
+from roadroughness.models.neighbors import KnnModel, nearest_neighbours
 from roadroughness.topk import smallest_k
 
 
@@ -70,7 +69,8 @@ def test_knn_indices_equal_argsort_oracle(case, exclude_self):
     d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
     first = 1 if exclude_self else 0
     expected = np.argsort(d2, axis=1, kind="stable")[:, first:first + k]
-    assert np.array_equal(_knn_indices(x, x, k, exclude_self), expected)
+    assert np.array_equal(nearest_neighbours(x, x, first + k)[:, first:],
+                          expected)
 
 
 @settings(max_examples=100, deadline=None)

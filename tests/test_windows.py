@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadroughness.cli import io
-from roadroughness.core import (Dataset, GeoPoint, ReferenceSegment,
-                                TelemetryTrace, Windows, iri_levels)
+from roadroughness.core import (Dataset, Reference, TelemetryTrace,
+                                Windows, iri_levels)
 from roadroughness.features import (BLOCK_WINDOWS, CHANNELS, _channel_matrix,
                                     build_feature_matrix, feature_names,
                                     resample_segment)
@@ -47,14 +47,14 @@ class AlignedSegment:
 
 def oracle_align_segments(reference, positions, trace, boundaries):
     pieces, n_dropped = [], 0
-    for i, seg in enumerate(reference):
+    for i, iri in enumerate(reference.iri.tolist()):
         a, b = boundaries[i], boundaries[i + 1]
         if b - a < 2:
             n_dropped += 1
             continue
         rows = positions.idx[a:b]
         pieces.append(MatchedPiece(i, trace.t[rows], trace.acc_z[rows],
-                                   trace.speed[rows], seg.iri))
+                                   trace.speed[rows], iri))
     return pieces, n_dropped
 
 
@@ -242,9 +242,9 @@ def piece_layouts(draw):
                           min_size=n_seg, max_size=n_seg))
     boundaries = np.clip(draw(st.integers(0, n - 1)) + np.cumsum([0] + steps),
                          0, n - 1)
-    point = GeoPoint(55.65, 12.55)
-    reference = [ReferenceSegment(point, point, 10.0, iri) for iri in
-                 rng.uniform(0.0, 4.0, n_seg).tolist()]
+    point = np.full(n_seg, 55.65), np.full(n_seg, 12.55)
+    reference = Reference(*point, *point, np.full(n_seg, 10.0),
+                          rng.uniform(0.0, 4.0, n_seg))
     return (reference, positions, trace, draw(st.integers(1, 8)),
             draw(st.integers(3, 30)), boundaries.tolist())
 
