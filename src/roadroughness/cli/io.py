@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import Dataset, Reference, TelemetryTrace, Windows
+from ..core import (BadSegmentError, Dataset, Reference, TelemetryTrace,
+                    Windows)
 from ..geoalign.match import MatchedTrace
 from ..geoalign.network import unreadable
 
@@ -154,7 +155,10 @@ def read_reference_csv(path) -> Reference:
     # The seg_id is not read, so any character passes there.
     if unreadable("".join(rows)):
         _check_readable(path, (line.partition(",")[2] for line in rows))
-    return Reference(*_parse_columns(rows, (1, 2, 3, 4, 5, 6)))
+    try:
+        return Reference(*_parse_columns(rows, (1, 2, 3, 4, 5, 6)))
+    except BadSegmentError as exc:
+        raise ValueError(f"{path}: row {exc.segment + 1}: {exc}") from None
 
 
 # ------------------------------------------------------------ matched trace

@@ -61,6 +61,13 @@ class TelemetryTrace:
         n = len(self.t)
         if not (len(self.acc_z) == len(self.speed) == n):
             raise ValueError("channel lengths differ")
+        # A fix position may be non-finite: map matching drops such fixes.
+        for name in ("t", "acc_z", "speed"):
+            values = getattr(self, name)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise ValueError(f"{name} must be finite: sample {bad[0]} "
+                                 f"is {values[bad[0]]}")
         if n > 1 and np.any(np.diff(self.t) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         if np.any(self.speed < 0):
@@ -77,6 +84,14 @@ class TelemetryTrace:
     @property
     def gps_t(self) -> np.ndarray:
         return self.t[self.gps_idx]
+
+
+class BadSegmentError(ValueError):
+    """A reference segment holds a bad value; ``segment`` is its index."""
+
+    def __init__(self, message: str, segment: int):
+        super().__init__(message)
+        self.segment = segment
 
 
 @dataclass
@@ -110,8 +125,9 @@ class Reference:
                  np.isfinite(self.iri) & (self.iri >= 0))):
             bad = np.argwhere(~ok)
             if len(bad):
-                raise ValueError(f"{message} in segment {bad[0][0]}: "
-                                 f"{values[tuple(bad[0])]}")
+                raise BadSegmentError(f"{message} in segment {bad[0][0]}: "
+                                      f"{values[tuple(bad[0])]}",
+                                      int(bad[0][0]))
 
     def __len__(self) -> int:
         return len(self.iri)

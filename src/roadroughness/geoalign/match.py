@@ -112,7 +112,7 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
     # consecutive fixes share most of their candidate edges, so a node is a
     # source step after step.
     searches: dict = {}
-    transitions: list[np.ndarray] = []
+    d_route: list[float] = []
     for i, d_gc in enumerate(d_gcs):
         cutoff = max(10.0 * (d_gc + 1.0), 2000.0)
         here, there = step_ends[i], step_ends[i + 1]
@@ -125,13 +125,22 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
                 if n not in dists:
                     dists[n] = network.shortest_node_dists(n, cutoff, targets,
                                                            searches)
-        d_route = np.array(route_distances(here, there, dists))
-        mat = np.full(d_route.shape, -np.inf)
-        routed = np.isfinite(d_route)
-        mat[routed] = -np.abs(d_route[routed] - d_gc) / beta
-        if not routed.any():
-            raise BrokenTraceError(kept[i + 1], kept[i])
-        transitions.append(mat)
+        for row in route_distances(here, there, dists):
+            d_route += row
+    # The scores of all steps in one pass, then cut into one matrix a step.
+    sizes = np.diff(bounds)
+    cells = sizes[:-1] * sizes[1:]
+    d = np.array(d_route)
+    routed = np.isfinite(d)
+    scores = np.where(routed, -np.abs(d - np.repeat(d_gcs, cells)) / beta,
+                      -np.inf)
+    starts = np.cumsum(cells) - cells
+    broken = np.flatnonzero(~np.logical_or.reduceat(routed, starts))
+    if len(broken):
+        step = int(broken[0])
+        raise BrokenTraceError(kept[step + 1], kept[step])
+    transitions = [scores[lo:lo + n * m].reshape(n, m) for lo, n, m in zip(
+        starts.tolist(), sizes[:-1].tolist(), sizes[1:].tolist())]
     return Lattice(steps, emissions, transitions, np.array(kept))
 
 

@@ -121,17 +121,17 @@ class RoadNetwork:
         self._seg2 = np.maximum(self._dx ** 2 + self._dy ** 2, 1e-12)
         self._cells: _CellIndex | None = None
 
-        # adjacency[u]: (neighbour, length) of each edge at node u, in edge
+        # The edges at node u are adj_node[k], adj_len[k] (neighbour and
+        # length) for k in range(adj_start[u], adj_start[u + 1]), in edge
         # order, an edge's first node before its second: a stable sort of
-        # the interleaved ends a0, b0, a1, b1, ...
+        # the interleaved ends a0, b0, a1, b1, ... Flat Python lists, which
+        # the search indexes faster than arrays.
         ends = np.column_stack((ia, ib)).ravel()
         order = np.argsort(ends, kind="stable")
-        pairs = list(zip(np.column_stack((ib, ia)).ravel()[order].tolist(),
-                         np.repeat(self.edge_len, 2)[order].tolist()))
-        bounds = np.searchsorted(ends[order],
-                                 np.arange(len(ids) + 1)).tolist()
-        self.adjacency = [pairs[lo:hi]
-                          for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.adj_node = np.column_stack((ib, ia)).ravel()[order].tolist()
+        self.adj_len = np.repeat(self.edge_len, 2)[order].tolist()
+        self.adj_start = np.searchsorted(ends[order],
+                                         np.arange(len(ids) + 1)).tolist()
 
     @property
     def n_nodes(self) -> int:
@@ -279,14 +279,15 @@ class RoadNetwork:
             remaining = set(targets) - settled.keys()
             if not remaining:
                 return settled
-        adjacency = self.adjacency
+        start, node, length = self.adj_start, self.adj_node, self.adj_len
         while heap:
             d, u = heapq.heappop(heap)
             if d > dist[u] or d > cutoff:
                 continue
             settled[u] = d
-            for v, length in adjacency[u]:
-                nd = d + length
+            for k in range(start[u], start[u + 1]):
+                v = node[k]
+                nd = d + length[k]
                 if nd < dist.get(v, math.inf) and nd <= cutoff:
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
@@ -341,13 +342,22 @@ class RoadNetwork:
         rounds correctly, as ``float`` does."""
         with open(path, encoding="utf-8") as f:
             lines = [line.strip() for line in f.read().split("\n")]
+        # One pass sorts the lines by record kind and flags any other line
+        # that is not blank or a comment.
+        rows = {kind: [] for kind in _RECORDS}
+        other = False
+        for line in lines:
+            group = rows.get(line[:5])
+            if group is not None:
+                group.append(line)
+            elif line and line[0] != "#":
+                other = True
         try:
-            nodes, edges = (_records(lines, kind, dtype)
+            nodes, edges = (_records(rows[kind], kind, dtype)
                             for kind, dtype in _RECORDS.items())
         except ValueError:
-            nodes = None
-        skipped = sum(not line or line[0] == "#" for line in lines)
-        if nodes is None or len(nodes) + len(edges) + skipped != len(lines):
+            other = True
+        if other:
             _raise_at_first_bad_line(path, lines)
         order = np.argsort(nodes["id"], kind="stable")
         ids = nodes["id"][order]
@@ -381,9 +391,8 @@ def unreadable(text: str) -> bool:
             or bool(text.encode("ascii").translate(None, _READABLE)))
 
 
-def _records(lines: list, kind: str, dtype) -> np.ndarray:
+def _records(rows: list, kind: str, dtype) -> np.ndarray:
     """The fields of the lines of one record kind, as a record array."""
-    rows = [line for line in lines if line.startswith(kind)]
     if not rows:
         return np.zeros(0, dtype=dtype)
     text = "".join(rows)

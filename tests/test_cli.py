@@ -296,6 +296,10 @@ class TestTelemetryReader:
          "bad column count on row 2"),
         (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,,,\n",
          "bad column count on row 1"),
+        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,,\n0.02,nan,13.9,,\n",
+         "acc_z must be finite: sample 1 is nan"),
+        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,55.65,12.55\n"
+         "nan,1.0,13.9,55.65,12.55\n", "t must be finite: sample 1 is nan"),
     ])
     def test_errors_keep_their_wording(self, tmp_path, text, message):
         p = tmp_path / "telemetry.csv"
@@ -417,9 +421,11 @@ class TestWriters:
         acc, lat, lon, fix = (list(v) for v in zip(*samples)) if n else \
             ([], [], [], [])
         gps_idx = np.flatnonzero(fix)
-        trace = TelemetryTrace(np.arange(n) * 0.02, acc, np.full(n, 13.9),
-                               gps_idx, np.array(lat)[gps_idx],
-                               np.array(lon)[gps_idx])
+        trace = TelemetryTrace(np.arange(n) * 0.02, np.zeros(n),
+                               np.full(n, 13.9), gps_idx,
+                               np.array(lat)[gps_idx], np.array(lon)[gps_idx])
+        # Set after construction, which rejects a non-finite channel value.
+        trace.acc_z[:] = acc
         with tempfile.TemporaryDirectory() as tmp:
             self._assert_same_bytes(Path(tmp), io.write_telemetry_csv,
                                     per_element_telemetry_writer, trace)
@@ -574,14 +580,24 @@ class TestReferenceReader:
         (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,6\n0,1,2,3,4,5\x1f,6\n",
          "outside printable ASCII on row 2"),
         (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,x\n", "could not convert"),
-        (io.REFERENCE_HEADER + "\n0,91,2,3,4,5,6\n", "latitude out of range"),
-        (io.REFERENCE_HEADER + "\n0,1,2,3,4,0,6\n", "length must be positive"),
+        (io.REFERENCE_HEADER + "\n0,91,2,3,4,5,6\n",
+         "reference.csv: row 1: latitude out of range in segment 0: 91.0$"),
+        (io.REFERENCE_HEADER + "\n0,1,2,3,4,0,6\n",
+         "reference.csv: row 1: length must be positive and finite in "
+         "segment 0: 0.0$"),
         (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,6\n1,1,2,3,4,inf,6\n",
-         "length must be positive and finite in segment 1"),
+         "reference.csv: row 2: length must be positive and finite in "
+         "segment 1: inf$"),
         (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,6\n1,1,2,3,4,5,nan\n",
-         "IRI must be finite and non-negative in segment 1"),
+         "reference.csv: row 2: IRI must be finite and non-negative in "
+         "segment 1: nan$"),
         (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,inf\n",
-         "IRI must be finite and non-negative in segment 0"),
+         "reference.csv: row 1: IRI must be finite and non-negative in "
+         "segment 0: inf$"),
+        (io.REFERENCE_HEADER + "\n0,1,2,3,4,5,6\n1,1,2,3,4,5,6\n"
+         "2,1,2,3,-181,5,6\n",
+         "reference.csv: row 3: longitude out of range in segment 2: "
+         "-181.0$"),
     ])
     def test_errors_are_named(self, tmp_path, text, message):
         p = tmp_path / "reference.csv"

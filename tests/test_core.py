@@ -107,6 +107,26 @@ class TestTelemetryTrace:
                                [55.0, 55.001], [12.0, 12.001])
         assert list(trace.gps_t) == [0.0, 0.2]
 
+    @pytest.mark.parametrize("t,acc_z,speed,message", [
+        ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0], [1.0, np.nan, 1.0],
+         "t must be finite: sample 1 is nan"),
+        ([0.0, 1.0, 2.0], [0.0, np.inf, 2.0], [1.0, 1.0, 1.0],
+         "acc_z must be finite: sample 1 is inf"),
+        ([0.0, 1.0, 2.0], [np.nan, -np.inf, 2.0], [1.0, 1.0, 1.0],
+         "acc_z must be finite: sample 0 is nan"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0, np.inf],
+         "speed must be finite: sample 2 is inf"),
+    ])
+    def test_non_finite_channel_value_names_its_sample(self, t, acc_z, speed,
+                                                       message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TelemetryTrace(t, acc_z, speed, [], [], [])
+
+    def test_non_finite_fix_position_accepted(self):
+        trace = TelemetryTrace([0.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0, 1],
+                               [np.nan, 55.0], [12.0, np.inf])
+        assert np.isnan(trace.gps_lat[0]) and np.isinf(trace.gps_lon[1])
+
     def test_non_monotonic_time_rejected(self):
         with pytest.raises(ValueError):
             TelemetryTrace([0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [], [], [])

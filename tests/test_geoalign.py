@@ -303,8 +303,9 @@ class TestLoad:
             RoadNetwork.load(path)
 
     def test_adjacency_keeps_edge_order(self):
-        """Each node's (neighbour, length) list in edge order, an edge's
-        first node before its second, with duplicate and reversed edges."""
+        """Each node's run of neighbours and lengths in edge order, an
+        edge's first node before its second, with duplicate and reversed
+        edges."""
         rng = np.random.default_rng(8)
         net, _ = irregular_grid(rng, 5, 5, drop=0.2)
         nodes = {int(i): (float(a), float(b)) for i, a, b in zip(
@@ -319,7 +320,11 @@ class TestLoad:
                                 net.edge_len.tolist()):
             want[a].append((b, length))
             want[b].append((a, length))
-        assert net.adjacency == want
+        start = net.adj_start
+        assert len(start) == net.n_nodes + 1 and start[-1] == 2 * net.n_edges
+        got = [list(zip(net.adj_node[lo:hi], net.adj_len[lo:hi]))
+               for lo, hi in zip(start[:-1], start[1:])]
+        assert got == want
 
     def test_measured_lengths_equal_scalar_haversine(self):
         rng = np.random.default_rng(9)
@@ -740,7 +745,13 @@ class TestBoundedSearch:
 
 def settle_order(network, source, cutoff):
     """(node, distance) in the order a textbook Dijkstra, pruned at
-    ``cutoff``, settles them: the oracle for the pop order of a search."""
+    ``cutoff``, settles them: the oracle for the pop order of a search.
+    Its adjacency lists are built edge by edge from the edge arrays."""
+    adjacency = [[] for _ in range(network.n_nodes)]
+    for a, b, length in zip(network.edge_a.tolist(), network.edge_b.tolist(),
+                            network.edge_len.tolist()):
+        adjacency[a].append((b, length))
+        adjacency[b].append((a, length))
     dist, order, heap = {source: 0.0}, [], [(0.0, source)]
     done = set()
     while heap:
@@ -749,7 +760,7 @@ def settle_order(network, source, cutoff):
             continue
         done.add(u)
         order.append((u, d))
-        for v, length in network.adjacency[u]:
+        for v, length in adjacency[u]:
             if d + length <= cutoff and d + length < dist.get(v, np.inf):
                 dist[v] = d + length
                 heapq.heappush(heap, (d + length, v))
@@ -842,6 +853,21 @@ class TestMapMatching:
         with pytest.raises(UnmatchedFixError) as exc:
             match_fixes([0.0, 1.0], lats, lons, net)
         assert exc.value.fix_index == 1
+
+    def test_first_of_two_broken_steps_is_named(self):
+        """Two streets 100 m apart with no link between them: the drive
+        hops onto the second street and back, two steps without a route,
+        after a fix that is dropped."""
+        nodes = {0: latlon(0.0, 0.0), 1: latlon(100.0, 0.0),
+                 10: latlon(200.0, 0.0), 11: latlon(300.0, 0.0)}
+        net = RoadNetwork(nodes, [(0, 1, None), (10, 11, None)])
+        xy = [(20.0, 2.0), (50.0, 500.0), (60.0, 2.0), (250.0, 2.0),
+              (60.0, 2.0)]
+        lats, lons = (np.array(v) for v in zip(*(latlon(*p) for p in xy)))
+        with pytest.raises(BrokenTraceError,
+                           match="between fixes 2 and 3$") as exc:
+            build_lattice(lats, lons, net)
+        assert exc.value.fix_index == 3
 
     def test_fix_off_the_grid_is_dropped_and_counted(self):
         net = grid_network(6, 2, spacing=100.0)
