@@ -91,7 +91,10 @@ def read_telemetry_csv(path) -> TelemetryTrace:
     t, acc, speed = _parse_columns(rows, (0, 1, 2))
     gps_idx = np.flatnonzero(_has_fix(rows))
     gps_lat, gps_lon = _parse_columns([rows[i] for i in gps_idx], (3, 4))
-    return TelemetryTrace(t, acc, speed, gps_idx, gps_lat, gps_lon)
+    try:
+        return TelemetryTrace(t, acc, speed, gps_idx, gps_lat, gps_lon)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_gps_fixes(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,8 +105,12 @@ def read_gps_fixes(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     number is left for the reader of the whole trace to name.
     """
     rows = _telemetry_rows(path)
-    fixes = [line for line, fix in zip(rows, _has_fix(rows)) if fix]
-    t, lat, lon = _parse_columns(fixes, (0, 3, 4))
+    fix_rows = np.flatnonzero(_has_fix(rows))
+    t, lat, lon = _parse_columns([rows[i] for i in fix_rows], (0, 3, 4))
+    bad = np.flatnonzero(~np.isfinite(t))
+    if len(bad):
+        raise ValueError(f"{path}: fix time must be finite: row "
+                         f"{fix_rows[bad[0]] + 1} is {t[bad[0]]}")
     return t, lat, lon
 
 

@@ -9,19 +9,19 @@ import numpy as np
 
 from ..core import (classification_metrics, confusion_matrix,
                     ordered_split, regression_metrics)
-from ..features import (build_feature_matrix, resample_segment,
-                        standardize_apply, standardize_fit)
+from ..features import (Standardizer, build_feature_matrix,
+                        resample_segment, standardize_apply, standardize_fit)
 from ..geoalign import (RoadNetwork, align_segments, interpolate_positions,
                         match_fixes, sliding_windows)
+# adasyn_resample is not called here; bench/tracing.py wraps this name.
 from ..models import adasyn_resample, grid_search, make_model
-from ..models.search import family_record
+from ..models.search import family_record, fold_plan, prepare_train_rows
 from ..selection import (PcaBasis, drop_constant, pca_fit, pca_transform,
                          sfs_forward)
 from ..simkit import (GOLDEN_CAR, SimConfig, build_reference_segments,
                       generate_profile, generate_route, modulate_profile,
                       perturbed_params, synthesize_telemetry)
 from . import io
-from ..features import Standardizer
 
 STAGE_ORDER = ("simulate", "match", "align", "featurize", "select", "train",
                "evaluate")
@@ -202,8 +202,7 @@ def stage_select(config: dict) -> dict:
         "n_total": len(dataset),
         "feature_names": dataset.feature_names,
         "kept_columns": [int(i) for i in kept],
-        "standardizer": {"mean": scaler.mean.tolist(),
-                         "std": scaler.std.tolist()},
+        "standardizer": _jsonable(vars(scaler)),
         "sfs": {"order": [int(i) for i in sfs.order],
                 "cv_rmse": [float(v) for v in sfs.cv_rmse],
                 "chosen_size": sfs.chosen_size},
@@ -233,12 +232,6 @@ def apply_selection(selection: dict, x: np.ndarray) -> np.ndarray:
     return pca_transform(basis, x_sel)
 
 
-def _family_grid(train_cfg: dict, task: str, family: str):
-    grids = train_cfg.get("grids") or {}
-    task_grids = grids.get(task) or {}
-    return task_grids.get(family)
-
-
 def stage_train(config: dict) -> dict:
     paths = _paths(config)
     train_cfg = config["train"]
@@ -252,26 +245,22 @@ def stage_train(config: dict) -> dict:
 
     paths["models"].mkdir(parents=True, exist_ok=True)
     training = {"n_train": n_train, "n_total": len(dataset), "tasks": {}}
+    adasyn = bool(train_cfg["adasyn"])
     for task, key in (("regression", "regression_families"),
                       ("classification", "classification_families")):
         training["tasks"][task] = {}
+        if not train_cfg[key]:
+            continue
+        grids = (train_cfg.get("grids") or {}).get(task) or {}
+        # One preparation per task, read by every family and grid point.
+        plan = fold_plan(task, z_train, targets[task],
+                         int(train_cfg["k_folds"]), config["seed"], adasyn)
+        scaler, x_fit, y_fit = prepare_train_rows(
+            task, z_train, targets[task], config["seed"], adasyn)
         for family in train_cfg[key]:
-            use_adasyn = bool(train_cfg["adasyn"]) and task == "classification"
-            result = grid_search(family, task, z_train, targets[task],
-                                 grid=_family_grid(train_cfg, task, family),
-                                 k_folds=int(train_cfg["k_folds"]),
-                                 seed=config["seed"], standardize=True,
-                                 adasyn=use_adasyn)
-            scaler = standardize_fit(z_train)
-            x_fit = standardize_apply(scaler, z_train)
-            y_fit = targets[task]
-            if use_adasyn and len(np.unique(y_fit)) > 1:
-                x_fit, y_fit = adasyn_resample(x_fit, y_fit.astype(int),
-                                               seed=config["seed"])
-                y_fit = y_fit.astype(float)
+            result = grid_search(family, task, plan, grid=grids.get(family))
             model = make_model(family, task, result.best_params,
-                               seed=config["seed"])
-            model.fit(x_fit, y_fit)
+                               seed=config["seed"]).fit(x_fit, y_fit)
             bundle = {
                 "schema_version": io.BUNDLE_SCHEMA_VERSION,
                 "task": task,
@@ -279,26 +268,18 @@ def stage_train(config: dict) -> dict:
                 "hyperparams": _jsonable(result.best_params),
                 "feature_names": dataset.feature_names,
                 "selection": selection,
-                "scaler": {"mean": scaler.mean.tolist(),
-                           "std": scaler.std.tolist()},
+                "scaler": _jsonable(vars(scaler)),
                 "model_state": _jsonable(model.state_dict()),
             }
             io.save_bundle(paths["models"] / f"{task}_{family}.json", bundle)
-            training["tasks"][task][family] = {
-                "metric": result.metric,
-                "best_params": _jsonable(result.best_params),
-                "best_score": result.best_score,
-                "cv_table": _jsonable(result.cv_table),
-                "fold_bounds": _jsonable(result.fold_bounds),
-            }
+            training["tasks"][task][family] = _jsonable(vars(result))
     io.write_json(paths["training"], training)
     # ADASYN leaves a level with a single train window un-oversampled.
     single = np.bincount(dataset.level[:n_train]) == 1
     summary = {"n_train": n_train,
                "n_regression": len(train_cfg["regression_families"]),
                "n_classification": len(train_cfg["classification_families"]),
-               "n_adasyn_skipped_levels":
-                   int(single.sum()) if train_cfg["adasyn"] else 0}
+               "n_adasyn_skipped_levels": int(single.sum()) if adasyn else 0}
     _write_summary(paths, "train", summary)
     return summary
 
@@ -423,6 +404,10 @@ def export_report(config: dict) -> list:
     report = io.read_json(paths["report"])
     out = []
 
+    def write(name: str, lines: list) -> None:
+        out.append(paths["workdir"] / name)
+        out[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+
     lines = ["task,family,metric,value"]
     for family in sorted(report["test"]["regression"]):
         metrics = report["test"]["regression"][family]["metrics"]
@@ -437,9 +422,7 @@ def export_report(config: dict) -> list:
                  sorted(entry["metrics_weighted"].items())]
         for name, value in rows:
             lines.append(f"classification,{family},{name},{io.fmt(value)}")
-    path = paths["workdir"] / "report_metrics.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    out.append(path)
+    write("report_metrics.csv", lines)
 
     classif = report["test"]["classification"]
     if classif:
@@ -449,9 +432,7 @@ def export_report(config: dict) -> list:
         for actual, row in enumerate(classif[best]["confusion"]):
             cells = ",".join(str(int(v)) for v in row)
             lines.append(f"{best},{actual},{cells}")
-        path = paths["workdir"] / "report_confusion.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        out.append(path)
+        write("report_confusion.csv", lines)
 
     lines = ["family,window_id,actual_iri,predicted_iri"]
     for family in sorted(report["test"]["regression"]):
@@ -459,15 +440,11 @@ def export_report(config: dict) -> list:
         for wid, actual, pred in zip(report["actual"]["window_id"],
                                      report["actual"]["iri"], preds):
             lines.append(f"{family},{wid},{io.fmt(actual)},{io.fmt(pred)}")
-    path = paths["workdir"] / "report_predictions.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    out.append(path)
+    write("report_predictions.csv", lines)
 
     sfs = report["selection"]["sfs"]
     lines = ["step,feature_column,cv_rmse"]
     for step, (col, rmse) in enumerate(zip(sfs["order"], sfs["cv_rmse"]), 1):
         lines.append(f"{step},{col},{io.fmt(rmse)}")
-    path = paths["workdir"] / "report_sfs.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    out.append(path)
+    write("report_sfs.csv", lines)
     return out

@@ -231,12 +231,8 @@ def ordered_kfold(n: int, k: int) -> list[tuple[np.ndarray, np.ndarray]]:
     if n < k:
         raise ValueError(f"need at least k={k} rows, got {n}")
     blocks = np.array_split(np.arange(n), k)
-    rounds = []
-    for i in range(k - 1):
-        train = np.concatenate(blocks[: i + 1])
-        val = blocks[i + 1]
-        rounds.append((train, val))
-    return rounds
+    return [(np.concatenate(blocks[: i + 1]), blocks[i + 1])
+            for i in range(k - 1)]
 
 
 def regression_metrics(y, yhat) -> dict[str, float]:

@@ -53,12 +53,6 @@ class GaussianNBModel:
             out[:, k] = self.log_prior[k] + ll
         return out
 
-    def predict_proba(self, x) -> np.ndarray:
-        lp = self.log_posterior(x)
-        lp = lp - lp.max(axis=1, keepdims=True)
-        p = np.exp(lp)
-        return p / p.sum(axis=1, keepdims=True)
-
     def predict(self, x) -> np.ndarray:
         return np.argmax(self.log_posterior(x), axis=1).astype(float)
 

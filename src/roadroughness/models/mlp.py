@@ -190,11 +190,6 @@ class MlpModel:
         return forward(self.weights, self.biases,
                        np.asarray(x, dtype=float))[-1]
 
-    def predict_proba(self, x) -> np.ndarray:
-        if self.task != "classification":
-            raise ValueError("predict_proba requires a classification model")
-        return softmax(self._raw_output(x))
-
     def predict(self, x) -> np.ndarray:
         out = self._raw_output(x)
         if self.task == "regression":

@@ -2,15 +2,15 @@
 
 Folds come from :func:`roadroughness.core.ordered_kfold`: the data is cut
 into k contiguous blocks and round i trains on blocks 0..i and validates on
-block i+1, so validation rows always come after training rows. Per fold the
-standardizer (and optional oversampling) is fitted on the training rows
-only; the index ranges used per round are recorded for leakage auditing.
+block i+1, so validation rows always come after training rows. A fold plan
+fits the standardizer (and optional oversampling) on each fold's training
+rows only, once per task; the index ranges per round are kept for auditing.
 """
 from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,34 +103,80 @@ def make_model(family: str, task: str, hyperparams: dict | None = None,
 
 
 def grid_points(grid: dict) -> list[dict]:
-    """Cartesian product of the grid in declaration order."""
-    if not grid:
-        return [{}]
-    keys = list(grid.keys())
-    return [dict(zip(keys, combo))
-            for combo in itertools.product(*(grid[k] for k in keys))]
+    """Cartesian product of the grid in declaration order; ``[{}]`` for an
+    empty grid."""
+    return [dict(zip(grid, combo))
+            for combo in itertools.product(*grid.values())]
 
 
 @dataclass
 class GridSearchResult:
-    family: str
+    """The fields are the family's entry in training.json."""
     metric: str
     best_params: dict
     best_score: float
-    cv_table: list = field(default_factory=list)
-    fold_bounds: list = field(default_factory=list)
+    cv_table: list
+    fold_bounds: list
 
 
-def _fold_score(family, task, params, seed, x_tr, y_tr, x_val, y_val,
-                metric, standardize, adasyn):
-    if standardize:
-        scaler = standardize_fit(x_tr)
-        x_tr = standardize_apply(scaler, x_tr)
-        x_val = standardize_apply(scaler, x_val)
+FOLD_ERRORS = (ConvergenceError, ValueError, np.linalg.LinAlgError)
+
+
+def _frozen(*arrays):
+    for a in arrays:  # a model writing into a shared input fails loudly
+        a.setflags(write=False)
+    return arrays
+
+
+def prepare_train_rows(task: str, x_tr, y_tr, seed: int, adasyn: bool):
+    """Fits the standardizer on the train rows and scales them, then for
+    classification with ``adasyn`` and two levels or more oversamples them.
+    Returns ``(scaler, x, y)``, the arrays read-only copies."""
+    scaler = standardize_fit(x_tr)
+    x_tr = standardize_apply(scaler, x_tr)
+    y_tr = np.array(y_tr, dtype=float)
     if adasyn and task == "classification" and len(np.unique(y_tr)) > 1:
         x_tr, y_tr = adasyn_resample(x_tr, y_tr.astype(int), seed=seed)
-    model = make_model(family, task, params, seed=seed)
-    model.fit(x_tr, y_tr)
+        y_tr = y_tr.astype(float)
+    return (scaler, *_frozen(x_tr, y_tr))
+
+
+@dataclass(frozen=True)
+class FoldPlan:
+    """One task's ordered folds, prepared once for all families: per fold
+    ``(x_train, y_train, x_val, y_val)``, read-only, or the error raised."""
+    task: str
+    seed: int
+    fold_bounds: list
+    folds: list
+
+
+def fold_plan(task: str, x, y, k_folds: int, seed: int,
+              adasyn: bool) -> FoldPlan:
+    """Prepares each ordered fold by :func:`prepare_train_rows` and scales
+    its validation rows by the fold's train standardizer."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    folds = ordered_kfold(len(x), k_folds)
+    prepared = []
+    for tr, va in folds:
+        try:
+            scaler, x_tr, y_tr = prepare_train_rows(task, x[tr], y[tr], seed,
+                                                    adasyn)
+            prepared.append((x_tr, y_tr, *_frozen(
+                standardize_apply(scaler, x[va]), y[va])))
+        except FOLD_ERRORS as exc:
+            prepared.append(exc)
+    return FoldPlan(task, seed, [((int(tr[0]), int(tr[-1]) + 1),
+                                  (int(va[0]), int(va[-1]) + 1))
+                                 for tr, va in folds], prepared)
+
+
+def _fold_score(family, task, params, seed, fold, metric):
+    if isinstance(fold, Exception):  # preparing the fold failed
+        raise fold.with_traceback(None)
+    x_tr, y_tr, x_val, y_val = fold
+    model = make_model(family, task, params, seed=seed).fit(x_tr, y_tr)
     pred = model.predict(x_val)
     if metric == "rmse":
         return float(np.sqrt(np.mean((pred - y_val) ** 2)))
@@ -140,53 +186,38 @@ def _fold_score(family, task, params, seed, x_tr, y_tr, x_val, y_val,
     raise ValueError(f"unknown metric: {metric}")
 
 
-def grid_search(family: str, task: str, x, y, grid: dict | None = None,
-                k_folds: int = 5, metric: str | None = None, seed: int = 0,
-                standardize: bool = True, adasyn: bool = False
+def grid_search(family: str, task: str, plan: FoldPlan,
+                grid: dict | None = None, metric: str | None = None
                 ) -> GridSearchResult:
-    """Scores every grid point on every ordered fold and returns the point
-    with the best mean score (ties go to the earlier grid point)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if metric is None:
-        metric = "rmse" if task == "regression" else "macro_f1"
-    if grid is None:
-        grid = family_record(family, task).grid
-    candidates = grid_points(grid)
-    folds = ordered_kfold(len(x), k_folds)
-    fold_bounds = [((int(tr[0]), int(tr[-1]) + 1),
-                    (int(va[0]), int(va[-1]) + 1)) for tr, va in folds]
-    minimize = metric == "rmse"
-    best_idx = None
-    best_mean = None
+    """Scores every grid point on every fold of ``plan`` and returns the
+    point with the best mean score (ties go to the earlier grid point)."""
+    if task != plan.task:
+        raise ValueError(f"the fold plan is for {plan.task}, not {task}")
+    metric = metric or ("rmse" if task == "regression" else "macro_f1")
+    candidates = grid_points(family_record(family, task).grid if grid is None
+                             else grid)
+    best_idx = best_mean = None
     table = []
     for idx, params in enumerate(candidates):
-        scores = []
-        errors = []
-        for fold_idx, (tr, va) in enumerate(folds):
+        scores, errors = [], []
+        for fold_idx, fold in enumerate(plan.folds):
             try:
-                scores.append(_fold_score(family, task, params, seed,
-                                          x[tr], y[tr], x[va], y[va],
-                                          metric, standardize, adasyn))
-            except (ConvergenceError, ValueError,
-                    np.linalg.LinAlgError) as exc:
+                scores.append(_fold_score(family, task, params, plan.seed,
+                                          fold, metric))
+            except FOLD_ERRORS as exc:
                 scores.append(None)
                 errors.append(f"fold {fold_idx}: {type(exc).__name__}: {exc}")
         valid = [s for s in scores if s is not None]
         mean = float(np.mean(valid)) if valid else float("nan")
         table.append({"params": dict(params), "fold_scores": scores,
                       "mean_score": mean, "errors": errors})
-        if not valid:
-            continue
-        better = (best_mean is None
-                  or (mean < best_mean if minimize else mean > best_mean))
-        if better:
+        if valid and (best_mean is None or (mean < best_mean
+                                            if metric == "rmse"
+                                            else mean > best_mean)):
             best_idx, best_mean = idx, mean
     if best_idx is None:
         raise RuntimeError(
             f"grid search failed for every candidate of family {family}; "
             f"first error: {table[0]['errors'][0]}")
-    return GridSearchResult(family=family, metric=metric,
-                            best_params=dict(candidates[best_idx]),
-                            best_score=best_mean, cv_table=table,
-                            fold_bounds=fold_bounds)
+    return GridSearchResult(metric, dict(candidates[best_idx]), best_mean,
+                            table, plan.fold_bounds)

@@ -396,7 +396,7 @@ def test_criterion_6_protocol_hygiene(full_run, monkeypatch):
                     failures.append(f"fold bounds leak for {task}/{family}")
 
     # Oversampling balances to <= 1.1 imbalance and sees only fold-train
-    # rows: intercept the call grid_search makes on every fold.
+    # rows: intercept the call the fold plan makes on every fold.
     calls = []
     real = adasyn_resample
 
@@ -409,9 +409,8 @@ def test_criterion_6_protocol_hygiene(full_run, monkeypatch):
     rng = np.random.default_rng(60)
     x = rng.normal(size=(120, 4))
     y = np.where(rng.uniform(size=120) < 0.75, 0, 1)
-    model_search.grid_search("knn", "classification", x, y,
-                             grid={"k": [3]}, k_folds=4, seed=0,
-                             adasyn=True)
+    plan = model_search.fold_plan("classification", x, y, 4, 0, True)
+    model_search.grid_search("knn", "classification", plan, grid={"k": [3]})
     folds = ordered_kfold(120, 4)
     train_sizes = {len(tr) for tr, _ in folds}
     for n_rows, y_resampled in calls:

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadroughness.cli import io
+from roadroughness.cli import io, pipeline
 from roadroughness.cli.config import DEFAULT_CONFIG, load_config
 from roadroughness.cli.main import main
 from roadroughness.cli.pipeline import (StageError, bundle_predict,
                                         export_report, run_stage)
 from roadroughness.core import (Dataset, Reference, TelemetryTrace,
-                                Windows)
+                                Windows, ordered_kfold)
 from roadroughness.geoalign.match import MatchedTrace
+from roadroughness.models import adasyn_resample, search
 
 SMOKE_CONFIG = {
     "seed": 11,
@@ -307,6 +308,9 @@ class TestTelemetryReader:
         for reader in (io.read_telemetry_csv, per_cell_telemetry):
             with pytest.raises(ValueError, match=message):
                 reader(p)
+        with pytest.raises(ValueError) as exc:
+            io.read_telemetry_csv(p)
+        assert str(exc.value).startswith(f"{p}: ")
 
     @pytest.mark.parametrize("bad", ["\x1f", "\x00", "\u00e9", "\u0661"])
     def test_character_outside_printable_ascii_names_its_row(self, tmp_path,
@@ -369,6 +373,17 @@ class TestTelemetryReader:
         assert lon.tolist() == [12.55, 12.56]
         with pytest.raises(ValueError, match="could not convert"):
             io.read_telemetry_csv(p)
+
+    def test_gps_fixes_name_the_row_of_a_time_that_is_not_finite(
+            self, tmp_path):
+        p = tmp_path / "telemetry.csv"
+        p.write_text(io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,55.65,12.55\n"
+                     "0.02,1.0,13.9,,\nnan,1.0,13.9,55.6501,12.5501\n",
+                     encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            io.read_gps_fixes(p)
+        assert str(exc.value) == (f"{p}: fix time must be finite: row 3 "
+                                  "is nan")
 
     @pytest.mark.parametrize("text,message", [
         ("", "bad telemetry header"),
@@ -976,6 +991,44 @@ class TestSelectSplit:
         with pytest.raises(StageError) as exc:
             run_stage("select", load_config(workdir=tmp_path))
         assert exc.value.stage == "select"
+
+
+class TestTrainFoldPlan:
+    @pytest.mark.filterwarnings("ignore:reducing k_neighbors")
+    def test_adasyn_runs_once_per_fold_and_once_for_the_final_fit(
+            self, tmp_path, monkeypatch):
+        """However many families and grid points, one train run resamples
+        each CV fold's train rows once and all train rows once."""
+        rng = np.random.default_rng(9)
+        n = 90
+        level = rng.choice(3, size=n, p=[0.6, 0.3, 0.1])
+        iri = 0.6 + level + 0.1 * rng.normal(size=n)
+        ds = Dataset(np.column_stack([iri, rng.normal(size=(n, 3))]), iri,
+                     level, ["f0", "f1", "f2", "f3"])
+        config = load_config(workdir=tmp_path)
+        config["select"].update(k_folds=3, max_features=2, sfs_trees=3,
+                                sfs_depth=3, sfs_max_rows=None)
+        config["train"].update(
+            k_folds=4, adasyn=True, regression_families=["baseline", "knn"],
+            classification_families=["baseline", "knn", "gaussian_nb",
+                                     "random_forest"],
+            grids={"classification": {
+                "knn": {"k": [3, 5, 7]},
+                "random_forest": {"n_trees": [3], "max_depth": [2, 4]}}})
+        io.write_features_csv(tmp_path / "features.csv", ds, np.arange(n))
+        run_stage("select", config)
+        rows = []
+
+        def spy(x, y, **kwargs):
+            rows.append(len(x))
+            return adasyn_resample(x, y, **kwargs)
+
+        monkeypatch.setattr(search, "adasyn_resample", spy)
+        monkeypatch.setattr(pipeline, "adasyn_resample", spy)
+        run_stage("train", config)
+        n_train = io.read_json(tmp_path / "selection.json")["n_train"]
+        folds = ordered_kfold(n_train, 4)
+        assert rows == [len(tr) for tr, _ in folds] + [n_train]
 
 
 class TestTrainSingleWindowLevel:

@@ -21,7 +21,10 @@ from roadroughness.models.logistic import loss_and_grad as logistic_loss
 from roadroughness.models.mlp import (ADAM_B1, ADAM_B2, ADAM_EPS, LOSS_TOL,
                                       LR_PATIENCE, STOP_PATIENCE,
                                       init_params, loss_and_grads as mlp_loss)
-from roadroughness.models.search import FAMILIES, grid_points
+from roadroughness.core import classification_metrics, ordered_kfold
+from roadroughness.features import standardize_apply, standardize_fit
+from roadroughness.models.search import (FAMILIES, fold_plan, grid_points,
+                                         prepare_train_rows)
 from roadroughness.models.svm import _solve_binary_svc, _solve_svr, smo_solve
 from roadroughness.models.tree import (MAX_DEPTH, N_CLASSES, _Padded,
                                        _segment_sums, _splitmix64, draw_key,
@@ -1165,6 +1168,133 @@ class TestAdasyn:
         assert np.bincount(yo)[1] == 10
 
 
+def oracle_fold_score(family, task, params, seed, x_tr, y_tr, x_val, y_val,
+                      metric, adasyn):
+    """One grid point on one fold, preparing the fold's rows itself, as
+    grid search did before the fold plan."""
+    scaler = standardize_fit(x_tr)
+    x_tr = standardize_apply(scaler, x_tr)
+    x_val = standardize_apply(scaler, x_val)
+    if adasyn and task == "classification" and len(np.unique(y_tr)) > 1:
+        x_tr, y_tr = adasyn_resample(x_tr, y_tr.astype(int), seed=seed)
+    model = make_model(family, task, params, seed=seed)
+    model.fit(x_tr, y_tr)
+    pred = model.predict(x_val)
+    if metric == "rmse":
+        return float(np.sqrt(np.mean((pred - y_val) ** 2)))
+    return classification_metrics(y_val.astype(int), pred.astype(int),
+                                  average="macro")["f1"]
+
+
+def oracle_grid_search(family, task, x, y, grid, k_folds, seed, adasyn):
+    """Grid search preparing every (grid point, fold) again."""
+    metric = "rmse" if task == "regression" else "macro_f1"
+    candidates = grid_points(grid)
+    best_idx, best_mean, table = None, None, []
+    for idx, params in enumerate(candidates):
+        scores, errors = [], []
+        for fold_idx, (tr, va) in enumerate(ordered_kfold(len(x), k_folds)):
+            try:
+                scores.append(oracle_fold_score(
+                    family, task, params, seed, x[tr], y[tr], x[va], y[va],
+                    metric, adasyn))
+            except (ConvergenceError, ValueError,
+                    np.linalg.LinAlgError) as exc:
+                scores.append(None)
+                errors.append(f"fold {fold_idx}: {type(exc).__name__}: {exc}")
+        valid = [v for v in scores if v is not None]
+        mean = float(np.mean(valid)) if valid else float("nan")
+        table.append({"params": dict(params), "fold_scores": scores,
+                      "mean_score": mean, "errors": errors})
+        if valid and (best_mean is None or (mean < best_mean
+                                            if metric == "rmse"
+                                            else mean > best_mean)):
+            best_idx, best_mean = idx, mean
+    return dict(candidates[best_idx]), table
+
+
+def oracle_final_fit(family, task, params, x, y, seed, adasyn):
+    """The final fit of one family, preparing the train rows itself, as
+    the train stage did per family before the fold plan."""
+    scaler = standardize_fit(x)
+    x_fit, y_fit = standardize_apply(scaler, x), y
+    if adasyn and task == "classification" and len(np.unique(y_fit)) > 1:
+        x_fit, y_fit = adasyn_resample(x_fit, y_fit.astype(int), seed=seed)
+        y_fit = y_fit.astype(float)
+    return make_model(family, task, params, seed=seed).fit(x_fit, y_fit)
+
+
+# Small grids, two points where a family has a hyperparameter.
+ORACLE_GRIDS = {
+    "regression": {"baseline": {}, "ridge": {"lam": [1.0, 60.0]},
+                   "lasso": {"lam": [0.01]},
+                   "elastic_net": {"lam": [0.01], "l1_ratio": [0.5]},
+                   "knn": {"k": [3, 7]},
+                   "random_forest": {"n_trees": [5], "max_depth": [3, 5]},
+                   "svm": {"gamma": [0.1], "c": [1.0, 10.0]},
+                   "mlp": {"layers": [(4,)], "lr0": [0.01], "l2": [0.1]}},
+    "classification": {"baseline": {}, "logistic": {"lam": [0.1, 1.0]},
+                       "knn": {"k": [3, 7]}, "gaussian_nb": {},
+                       "random_forest": {"n_trees": [5],
+                                         "max_depth": [3, 5]},
+                       "svm": {"gamma": [0.1], "c": [1.0, 10.0]},
+                       "mlp": {"layers": [(4,)], "lr0": [0.01],
+                               "l2": [0.1]}},
+}
+
+
+class TestFoldPlan:
+    def _table(self, n=120):
+        """Three imbalanced levels; column 2 is constant on the first
+        quarter, the train rows of fold 0 with four folds."""
+        rng = np.random.default_rng(14)
+        level = rng.choice(3, size=n, p=[0.6, 0.3, 0.1])
+        x = rng.normal(size=(n, 3)) + level[:, None]
+        x[: n // 4, 2] = 0.5
+        iri = 0.8 + level + 0.2 * rng.normal(size=n)
+        return x, {"regression": iri, "classification": level.astype(float)}
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    def test_matches_the_per_grid_point_oracle(self, task):
+        x, targets = self._table()
+        y, seed, k_folds = targets[task], 3, 4
+        plan = fold_plan(task, x, y, k_folds, seed, True)
+        _, x_fit, y_fit = prepare_train_rows(task, x, y, seed, True)
+        for family, grid in ORACLE_GRIDS[task].items():
+            res = grid_search(family, task, plan, grid=grid)
+            best, table = oracle_grid_search(family, task, x, y, grid,
+                                             k_folds, seed, True)
+            assert res.cv_table == table, family
+            assert res.best_params == best, family
+            assert table[0]["errors"][0].startswith(
+                "fold 0: ValueError: column 2 has zero train std")
+            model = make_model(family, task, res.best_params, seed=seed)
+            want = oracle_final_fit(family, task, best, x, y, seed, True)
+            assert (json.dumps(model.fit(x_fit, y_fit).state_dict())
+                    == json.dumps(want.state_dict())), family
+
+    def test_plan_arrays_are_read_only(self):
+        x, targets = self._table()
+        plan = fold_plan("classification", x, targets["classification"], 4,
+                         0, True)
+        assert isinstance(plan.folds[0], ValueError)
+        for fold in plan.folds[1:]:
+            for a in fold:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0.0
+        _, x_fit, y_fit = prepare_train_rows("classification", x,
+                                             targets["classification"], 0,
+                                             True)
+        assert not (x_fit.flags.writeable or y_fit.flags.writeable)
+        assert x.flags.writeable
+
+    def test_plan_for_another_task_is_rejected(self):
+        x, targets = self._table()
+        plan = fold_plan("regression", x, targets["regression"], 4, 0, False)
+        with pytest.raises(ValueError, match="fold plan is for regression"):
+            grid_search("knn", "classification", plan, grid={"k": [3]})
+
+
 class TestGridSearch:
     def _data(self, seed=32, n=60):
         rng = np.random.default_rng(seed)
@@ -1173,12 +1303,11 @@ class TestGridSearch:
         return x, y
 
     def test_matches_manual_fold_loop(self):
-        from roadroughness.core import ordered_kfold
-        from roadroughness.features import standardize_apply, standardize_fit
         x, y = self._data()
         grid = {"lam": [0.1, 10.0, 1000.0]}
-        res = grid_search("ridge", "regression", x, y, grid=grid, k_folds=4,
-                          seed=0)
+        res = grid_search("ridge", "regression",
+                          fold_plan("regression", x, y, 4, 0, False),
+                          grid=grid)
         means = []
         for lam in grid["lam"]:
             errs = []
@@ -1197,14 +1326,16 @@ class TestGridSearch:
     def test_tie_prefers_first_grid_point(self):
         x, y = self._data()
         grid = {"lam": [1.0, 1.0]}
-        res = grid_search("ridge", "regression", x, y, grid=grid, k_folds=3,
-                          seed=0)
+        res = grid_search("ridge", "regression",
+                          fold_plan("regression", x, y, 3, 0, False),
+                          grid=grid)
         assert res.cv_table[0]["mean_score"] == res.cv_table[1]["mean_score"]
         assert res.best_params == {"lam": 1.0}
 
     def test_fold_bounds_ordered(self):
         x, y = self._data()
-        res = grid_search("ols", "regression", x, y, k_folds=5, seed=0)
+        res = grid_search("ols", "regression",
+                          fold_plan("regression", x, y, 5, 0, False))
         for (tr_lo, tr_hi), (va_lo, va_hi) in res.fold_bounds:
             assert tr_lo == 0
             assert tr_hi == va_lo
@@ -1213,8 +1344,9 @@ class TestGridSearch:
     def test_failed_candidate_recorded_and_excluded(self):
         x, y = self._data(n=30)
         grid = {"k": [3, 500]}  # 500 exceeds every fold's training size
-        res = grid_search("knn", "regression", x, y, grid=grid, k_folds=3,
-                          seed=0)
+        res = grid_search("knn", "regression",
+                          fold_plan("regression", x, y, 3, 0, False),
+                          grid=grid)
         assert res.best_params == {"k": 3}
         assert res.cv_table[1]["errors"]
         assert np.isnan(res.cv_table[1]["mean_score"])
@@ -1222,8 +1354,9 @@ class TestGridSearch:
     def test_all_failures_raise(self):
         x, y = self._data(n=20)
         with pytest.raises(RuntimeError):
-            grid_search("knn", "regression", x, y, grid={"k": [500]},
-                        k_folds=3, seed=0)
+            grid_search("knn", "regression",
+                        fold_plan("regression", x, y, 3, 0, False),
+                        grid={"k": [500]})
 
     def test_classification_metric(self):
         rng = np.random.default_rng(33)
@@ -1233,13 +1366,31 @@ class TestGridSearch:
         x = x[np.argsort(x[:, 0], kind="stable")]
         y = np.concatenate([np.zeros(30), np.ones(30)])
         rng.shuffle(y)  # interleave classes so every fold sees both
-        res = grid_search("knn", "classification", x, y,
-                          grid={"k": [3]}, k_folds=3, seed=0)
+        res = grid_search("knn", "classification",
+                          fold_plan("classification", x, y, 3, 0, False),
+                          grid={"k": [3]})
         assert res.metric == "macro_f1"
         assert 0.0 <= res.best_score <= 1.0
 
 
 class TestFactory:
+    @pytest.mark.parametrize("family,task", [
+        (family, task) for family, record in FAMILIES.items()
+        for task in record.tasks])
+    def test_fit_accepts_read_only_inputs(self, family, task):
+        """Every family fits on read-only rows, as the fold plan shares
+        them, and leaves them unchanged."""
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(60, 8))
+        y = (x @ rng.normal(size=8) if task == "regression"
+             else np.digitize(x[:, 0], [-0.5, 0.5]).astype(float))
+        x_before, y_before = x.copy(), y.copy()
+        x.setflags(write=False)
+        y.setflags(write=False)
+        params = grid_points(FAMILIES[family].grid)[0]
+        make_model(family, task, params, seed=5).fit(x, y)
+        assert np.array_equal(x, x_before) and np.array_equal(y, y_before)
+
     @pytest.mark.parametrize("family,task", [
         (family, task) for family, record in FAMILIES.items()
         for task in record.tasks])
