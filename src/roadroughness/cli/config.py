@@ -6,6 +6,7 @@ import math
 from pathlib import Path
 
 from ..models.search import TASKS, family_record
+from ..models.tree import MAX_DEPTH
 
 DEFAULT_CONFIG = {
     "workdir": "run",
@@ -122,9 +123,35 @@ def validate_config(config: dict) -> None:
             raise ValueError(f"align.{key} must be a positive integer")
     if config["select"]["k_folds"] < 2 or config["train"]["k_folds"] < 2:
         raise ValueError("k_folds must be at least 2")
+    _validate_select(config["select"])
     for task in TASKS:
         for family in config["train"][f"{task}_families"]:
             try:
                 family_record(family, task)
             except ValueError as exc:
                 raise ValueError(f"train.{task}_families: {exc}") from None
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _validate_select(select: dict) -> None:
+    for key in ("max_features", "sfs_trees"):
+        if not (_is_int(select[key]) and select[key] >= 1):
+            raise ValueError(f"select.{key} must be an integer of at least "
+                             f"1, got {select[key]!r}")
+    depth = select["sfs_depth"]
+    if not (_is_int(depth) and 1 <= depth <= MAX_DEPTH):
+        raise ValueError(f"select.sfs_depth must be an integer in "
+                         f"1..{MAX_DEPTH}, got {depth!r}")
+    rows = select.get("sfs_max_rows")
+    if rows is not None and not (_is_int(rows) and rows >= select["k_folds"]):
+        raise ValueError(f"select.sfs_max_rows must be null or an integer of "
+                         f"at least select.k_folds ({select['k_folds']}), "
+                         f"got {rows!r}")
+    v = select["pca_variance"]
+    if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and 0.0 < v <= 1.0):
+        raise ValueError(f"select.pca_variance must be a number in (0, 1], "
+                         f"got {v!r}")

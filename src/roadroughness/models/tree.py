@@ -6,16 +6,25 @@ scanned in ascending index order and only strict improvements are accepted,
 so the lowest feature index wins ties, and within a feature the lowest
 threshold wins.
 
-All trees of a forest grow together, one level at a time (``grow_trees``).
-Every column is ranked once per tree, stably, so rows with equal values
-keep their bootstrap order (SLIQ's presorting). A level holds the rows of
-each open node as one segment, in bootstrap order; each (node, feature)
-pair a node may split on gets its rows ordered by that rank. Split scores
-come from cumulative sums that restart at each pair's segment, computed
-in the same order and with the same rounding as a node-by-node grower, so
-the trees are the ones that grower builds. A node's feature subset is a
-keyed draw: the features with the smallest hashes of (tree key, heap
-index, feature), so it does not depend on the order in which nodes grow.
+Trees grow together, one level at a time (``grow_trees``), in groups of
+at most ``GROW_ROWS`` bootstrap rows. Each tree grows on its own list of
+columns, so one call can grow the forests of several column subsets of
+the same rows (``forests_predict``, which forward selection uses to score
+every candidate of a step at once). Each column of the input is ranked
+once per call; each tree then orders its bootstrap rows by those ranks,
+stably, so rows with equal values keep their bootstrap order (SLIQ's
+presorting). A level holds the rows of each open node as one segment, in
+bootstrap order; each (node, feature) pair a node may split on gets its
+rows ordered by that rank. Split scores come from cumulative sums that
+restart at each pair's segment, computed in the same order and with the
+same rounding as a node-by-node grower, so the trees are the ones that
+grower builds, whatever the grouping. A node's feature subset is a keyed
+draw: the features with the smallest hashes of (tree key, heap index,
+feature), so it does not depend on the order in which nodes grow.
+
+A forest's bootstraps and keys come from its seed and row count alone
+(``forest_draws``), and trees are stored as flat node lists; prediction
+walks every row down every tree at once (``_descend``).
 """
 from __future__ import annotations
 
@@ -24,8 +33,18 @@ import numpy as np
 N_CLASSES = 3
 MAX_DEPTH = 63  # heap indices 0 .. 2**(MAX_DEPTH + 1) - 2 fit in uint64
 # Bootstrap rows grown in one pass. The engine's temporaries take about
-# 0.5 KB per row, so larger forests grow in groups of trees.
-GROW_ROWS = 1 << 16
+# 0.5 KB per row, so this caps their memory; it also sets speed. Each
+# level makes the same few dozen numpy passes over all rows of the group:
+# smaller groups pay that call overhead more often, larger ones run those
+# passes on arrays that outgrow the CPU caches. Measured (host s, 2-vCPU
+# box, one thread): forward selection at the 42 km acceptance shape
+# (15-tree forests, up to 1200 rows) took 31.7, 24.5, 26.0 and 30.7 s at
+# 2**13 .. 2**16 rows. At the benchmark's shapes (3- and 5-tree forests
+# of 41 candidates on 40-210 rows) it took 58-71 and 93-118 ms over
+# 2**12 .. 2**16, fastest at 2**13, with 2**14 within 9 %. 100-tree
+# depth-10 forests on 2600-5200 random rows grew 18-20 % faster at 2**14
+# than at 2**16. BENCH_select_groups.json holds the sweep.
+GROW_ROWS = 1 << 14
 
 
 # ----------------------------------------------------------- keyed draws
@@ -237,44 +256,69 @@ def _best_splits(task, xs, ys, lens, n_classes):
 
 
 def grow_trees(x, y, boots, keys, task: str, max_depth: int,
-               max_features: int | None, n_classes: int = N_CLASSES):
+               max_features: int | None, n_classes: int = N_CLASSES,
+               cols=None):
     """Grow one tree per bootstrap row of ``boots`` (trees x n indices into
-    ``x``), all at once, level by level.
+    ``x``), level by level, in groups of at most ``GROW_ROWS`` bootstrap
+    rows.
 
-    Returns per tree the flat node lists (feature, threshold, left, right,
-    value) in depth-first order: a node, its left subtree, its right
-    subtree. Leaves have feature -1 and children -1; internal nodes have
-    value 0. Tree ``t`` draws its feature subsets with ``keys[t]``.
+    Tree ``t`` grows on the columns ``cols[t]`` of ``x`` (a trees x d
+    array of column indices; every column of ``x`` when None), as on
+    ``x[:, cols[t]]``: its split features are indices into ``cols[t]``.
+    It draws its feature subsets with ``keys[t]``. Each column of ``x``
+    that some tree uses is ranked once per call.
+
+    Returns the flat node arrays (feature, threshold, left, right, value)
+    of all trees, tree after tree, and the node count of every tree. A
+    tree's nodes are in depth-first order (a node, its left subtree, its
+    right subtree) and its children are indices within the tree. Leaves
+    have feature -1 and children -1; internal nodes have value 0.
     """
     _check_depth(max_depth)
     x = np.asarray(x, dtype=float)
+    y = np.asarray(y)
     boots = np.asarray(boots, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.uint64)
     n_trees, n = boots.shape
+    if cols is None:
+        cols = np.broadcast_to(np.arange(x.shape[1]), (n_trees, x.shape[1]))
+    cols = np.asarray(cols, dtype=np.int64)
+    used, local = np.unique(cols, return_inverse=True)
+    local = local.reshape(cols.shape)
+    # dense[j, i]: rank of x[i, used[j]] among its column's distinct values.
+    dense = np.empty((len(used), len(x)), dtype=np.int64)
+    for j, g in enumerate(used):
+        dense[j] = np.unique(x[:, g], return_inverse=True)[1]
+    if dense.size and dense.max() <= np.iinfo(np.int16).max:
+        dense = dense.astype(np.int16)
     group = max(1, GROW_ROWS // n)
-    if n_trees > group:
-        return [tree for lo in range(0, n_trees, group)
-                for tree in grow_trees(x, y, boots[lo:lo + group],
-                                       keys[lo:lo + group], task, max_depth,
-                                       max_features, n_classes)]
-    d = x.shape[1]
+    parts = [_grow_group(x, y, dense, boots[lo:lo + group],
+                         keys[lo:lo + group], cols[lo:lo + group],
+                         local[lo:lo + group], task,
+                         max_depth, max_features, n_classes)
+             for lo in range(0, n_trees, group)]
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
+def _grow_group(x, y, dense, boots, keys, cols, local, task, max_depth,
+                max_features, n_classes):
+    """``grow_trees`` for one group of trees; ``dense`` ranks the columns
+    of ``x`` that ``cols`` uses, row ``local[t, f]`` for ``cols[t, f]``."""
+    n_trees, n = boots.shape
+    d = cols.shape[1]
     mf = d if max_features is None else min(max_features, d)
     n_rows = n_trees * n
-    # Bootstrap row r is sample boots.flat[r].
-    xt = np.ascontiguousarray(x[boots.ravel()].T)
-    yb = np.asarray(y)[boots.ravel()]
+    # Bootstrap row r is sample boots.flat[r]; feature f of its tree is
+    # column cols[r // n, f].
+    xt = x[boots[None], cols.T[:, :, None]].reshape(d, n_rows)
+    yb = y[boots.ravel()]
     # rank[f, r]: position of row r in its tree's rows sorted by feature f,
-    # stably. Ranking each column once makes this a radix sort of small
-    # integers.
+    # stably. The dense ranks make this a radix sort of small integers.
     rank = np.empty((d, n_rows), dtype=np.int64)
+    within = np.tile(np.arange(n), n_trees)
     for f in range(d):
-        values, dense = np.unique(x[:, f], return_inverse=True)
-        dense = dense[boots]
-        if len(values) <= np.iinfo(np.int16).max:
-            dense = dense.astype(np.int16)
-        order = dense.argsort(axis=1, kind="stable")
-        rank[f, (order + np.arange(0, n_rows, n)[:, None]).ravel()] = (
-            np.tile(np.arange(n), n_trees))
+        order = dense[local[:, f, None], boots].argsort(axis=1, kind="stable")
+        rank[f, (order + np.arange(0, n_rows, n)[:, None]).ravel()] = within
     # The rows of every open node, node after node, in bootstrap order.
     rows = np.arange(n_rows)
     seg_len = np.full(n_trees, n, dtype=np.int64)
@@ -366,9 +410,9 @@ def grow_trees(x, y, boots, keys, task: str, max_depth: int,
 
 
 def _depth_first(levels, n_trees):
-    """Flat per-tree node lists in depth-first order from the per-level
-    node records; the children of a level's k-th split node are nodes
-    2k and 2k+1 of the next level."""
+    """Flat node arrays and per-tree node counts (as ``grow_trees``
+    returns them) from the per-level node records; the children of a
+    level's k-th split node are nodes 2k and 2k+1 of the next level."""
     sizes = [None] * len(levels)
     nxt = None
     for k in range(len(levels) - 1, -1, -1):
@@ -400,10 +444,74 @@ def _depth_first(levels, n_trees):
         left[at[split]] = lpos
         right[at[split]] = rpos
         pos = _interleave(lpos, rpos)
-    arrays = [a.tolist() for a in (feature, threshold, left, right, value)]
-    bounds = np.add.accumulate(total).tolist()
+    return feature, threshold, left, right, value, total
+
+
+def _tree_lists(nodes):
+    """Per tree, its node lists (feature, threshold, left, right, value)
+    from ``grow_trees``' flat arrays."""
+    *arrays, sizes = nodes
+    arrays = [a.tolist() for a in arrays]
+    bounds = np.add.accumulate(sizes).tolist()
     return [tuple(a[lo:hi] for a in arrays)
             for lo, hi in zip([0] + bounds[:-1], bounds)]
+
+
+def _flat_nodes(trees):
+    """The node lists of ``trees`` as ``grow_trees``' flat arrays."""
+    def cat(name, dtype):
+        return np.concatenate([getattr(t, name) for t in trees]).astype(dtype)
+
+    return (cat("feature", np.int64), cat("threshold", float),
+            cat("left", np.int64), cat("right", np.int64),
+            cat("value", float),
+            np.array([len(t.feature) for t in trees], dtype=np.int64))
+
+
+def forest_draws(seed: int, n_trees: int, n: int):
+    """Bootstrap rows (n_trees x n indices below n) and feature-draw keys
+    of a forest's trees: tree t draws both, in that order, from child t of
+    ``SeedSequence(seed)``. They depend on the row count alone, so forests
+    grown on other columns of the same rows share them."""
+    boots = np.empty((n_trees, n), dtype=np.int64)
+    keys = np.empty(n_trees, dtype=np.uint64)
+    for t, child in enumerate(np.random.SeedSequence(seed).spawn(n_trees)):
+        rng = np.random.default_rng(child)
+        boots[t] = rng.integers(0, n, n)
+        keys[t] = draw_key(rng)
+    return boots, keys
+
+
+def sqrt_features(d: int) -> int:
+    """Features drawn per node by a forest with ``max_features="sqrt"``."""
+    return max(1, int(round(np.sqrt(d))))
+
+
+def forests_predict(x, y, cols, x_eval, n_trees: int, max_depth: int,
+                    seed: int) -> np.ndarray:
+    """(forests x eval rows) predictions of one regression forest per row
+    of ``cols``, all grown in one ``grow_trees`` call and descended at once.
+
+    Row c equals ``RandomForestModel("regression", n_trees, max_depth,
+    "sqrt", seed).fit(x[:, cols[c]], y).predict(x_eval[:, cols[c]])`` bit
+    for bit: the forests share that model's bootstraps and keys
+    (``forest_draws``), and each mean runs over its own trees' rows.
+    """
+    cols = np.asarray(cols, dtype=np.int64)
+    n_forests, d = cols.shape
+    boots, keys = forest_draws(seed, n_trees, len(y))
+    tree_cols = cols.repeat(n_trees, axis=0)
+    feature, *rest, sizes = grow_trees(
+        x, np.asarray(y, dtype=float), np.tile(boots, (n_forests, 1)),
+        np.tile(keys, n_forests), "regression", max_depth,
+        sqrt_features(d), cols=tree_cols)
+    # Split features as columns of x_eval, so every tree descends it.
+    tree = np.arange(len(sizes)).repeat(sizes)
+    feature = np.where(feature < 0, -1, tree_cols[tree, feature])
+    leaves = _descend((feature, *rest, sizes), np.asarray(x_eval, float),
+                      max_depth)
+    return np.stack([forest.mean(axis=0) for forest in
+                     leaves.reshape(n_forests, n_trees, -1)])
 
 
 # ------------------------------------------------------------- models
@@ -443,10 +551,11 @@ class DecisionTree:
                                      else np.random.default_rng(0))],
                            self.task, self.max_depth,
                            self.max_features, self.n_classes)
-        return self._set_nodes(nodes[0])
+        return self._set_nodes(_tree_lists(nodes)[0])
 
     def predict(self, x) -> np.ndarray:
-        return _descend([self], np.asarray(x, dtype=float))[0]
+        return _descend(_flat_nodes([self]), np.asarray(x, dtype=float),
+                        self.max_depth)[0]
 
     def state_dict(self) -> dict:
         return {
@@ -482,33 +591,26 @@ def _training_data(x, y, task, n_classes):
     return x, y
 
 
-def _descend(trees, x: np.ndarray) -> np.ndarray:
-    """(trees x rows) leaf values: every row steps one level down every
-    tree at once, ``x[r, feature] <= threshold`` going left."""
-    sizes = [len(t.feature) for t in trees]
-    offset = np.cumsum(sizes) - sizes
-
-    def cat(name):
-        return np.concatenate([getattr(t, name) for t in trees])
-
-    feature = cat("feature").astype(np.int64)
-    threshold = cat("threshold").astype(float)
+def _descend(nodes, x: np.ndarray, max_depth: int) -> np.ndarray:
+    """(trees x rows) leaf values of the trees in ``grow_trees``' flat
+    arrays, none deeper than ``max_depth``: every row steps one level down
+    every tree at once, ``x[r, feature] <= threshold`` going left."""
+    feature, threshold, left, right, value, sizes = nodes
+    offset = np.add.accumulate(sizes) - sizes
     leaf = feature < 0
     here = np.arange(len(feature))
     # A leaf points at itself, so rows that reach it stay there.
-    left = np.where(leaf, here, cat("left").astype(np.int64)
-                    + np.repeat(offset, sizes))
-    right = np.where(leaf, here, cat("right").astype(np.int64)
-                     + np.repeat(offset, sizes))
-    feature[leaf] = 0
+    left = np.where(leaf, here, left + offset.repeat(sizes))
+    right = np.where(leaf, here, right + offset.repeat(sizes))
+    feature = np.where(leaf, 0, feature)
     node = np.repeat(offset[:, None], len(x), axis=1)
     rows = np.arange(len(x))
-    for _ in range(max(t.max_depth for t in trees)):
+    for _ in range(max_depth):
         if leaf[node].all():
             break
         node = np.where(x[rows, feature[node]] <= threshold[node],
                         left[node], right[node])
-    return cat("value").astype(float)[node]
+    return value[node]
 
 
 class RandomForestModel:
@@ -529,7 +631,7 @@ class RandomForestModel:
 
     def _resolve_mf(self, d: int) -> int:
         if self.max_features == "sqrt":
-            return max(1, int(round(np.sqrt(d))))
+            return sqrt_features(d)
         mf = int(self.max_features)
         if mf < 1 or mf > d:
             raise ValueError(f"max_features {mf} out of range for d={d}")
@@ -539,21 +641,17 @@ class RandomForestModel:
         x, y = _training_data(x, y, self.task, self.n_classes)
         n, d = x.shape
         mf = self._resolve_mf(d)
-        boots, keys = [], []
-        for child in np.random.SeedSequence(self.seed).spawn(self.n_trees):
-            rng = np.random.default_rng(child)
-            boots.append(rng.integers(0, n, n))
-            keys.append(draw_key(rng))
-        nodes = grow_trees(x, y, np.stack(boots), keys, self.task,
-                           self.max_depth, mf, self.n_classes)
+        boots, keys = forest_draws(self.seed, self.n_trees, n)
+        nodes = grow_trees(x, y, boots, keys, self.task, self.max_depth, mf,
+                           self.n_classes)
         self.trees = [DecisionTree(self.task, self.max_depth, mf,
                                    self.n_classes)._set_nodes(t)
-                      for t in nodes]
+                      for t in _tree_lists(nodes)]
         return self
 
     def predict(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        preds = _descend(self.trees, x)
+        preds = _descend(_flat_nodes(self.trees), x, self.max_depth)
         if self.task == "regression":
             return preds.mean(axis=0)
         votes = np.stack([np.count_nonzero(preds == c, axis=0)

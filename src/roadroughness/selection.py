@@ -1,9 +1,16 @@
 """Feature selection and dimensionality reduction.
 
-Pipeline order: drop constant columns, greedy forward selection scored by
-cross-validated random-forest RMSE on ordered folds, then a principal
-component projection keeping the smallest number of components whose
-explained-variance ratio reaches the target.
+Pipeline order: drop constant columns, greedy forward selection (SFS)
+scored by cross-validated random-forest RMSE on ordered folds, then a
+principal component projection keeping the smallest number of components
+whose explained-variance ratio reaches the target.
+
+A candidate's score is the RMSE over the folds of a regression forest
+(``max_features="sqrt"``) grown on the fold's train rows of the selected
+columns plus the candidate. Per (step, fold), every remaining candidate's
+forest grows in one engine call (``forests_predict``): the candidates of
+a fold share their bootstraps and keys, so each forest is the one
+``RandomForestModel.fit`` grows on the candidate's columns, bit for bit.
 """
 from __future__ import annotations
 
@@ -12,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ordered_kfold
-from .models.tree import RandomForestModel
+from .models.tree import forests_predict
 
 PCA_VARIANCE_TARGET = 0.99
 SFS_TREES = 200
@@ -46,18 +53,6 @@ class SfsResult:
         return self.order[:self.chosen_size]
 
 
-def _cv_rmse(x: np.ndarray, y: np.ndarray, folds, n_trees: int,
-             max_depth: int, seed: int) -> float:
-    errs = []
-    for tr, va in folds:
-        model = RandomForestModel(task="regression", n_trees=n_trees,
-                                  max_depth=max_depth, seed=seed)
-        model.fit(x[tr], y[tr])
-        pred = model.predict(x[va])
-        errs.append(np.mean((pred - y[va]) ** 2))
-    return float(np.sqrt(np.mean(errs)))
-
-
 def sfs_forward(x, y, k_folds: int = 5, max_features: int | None = None,
                 n_trees: int = SFS_TREES, max_depth: int = SFS_DEPTH,
                 seed: int = 0, max_rows: int | None = None) -> SfsResult:
@@ -69,6 +64,21 @@ def sfs_forward(x, y, k_folds: int = 5, max_features: int | None = None,
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape[1] == 0 or y.shape != (len(x),):
+        raise ValueError(f"sfs_forward needs x of rows x columns and one y "
+                         f"per row, got {x.shape} and {y.shape}")
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        row, col = bad[0]
+        raise ValueError(f"sfs_forward: x[{row}, {col}] is not finite "
+                         f"({x[row, col]})")
+    bad = np.flatnonzero(~np.isfinite(y))
+    if len(bad):
+        raise ValueError(f"sfs_forward: y[{bad[0]}] is not finite "
+                         f"({y[bad[0]]})")
+    if max_features is not None and max_features < 1:
+        raise ValueError(f"max_features must be at least 1, got "
+                         f"{max_features}")
     if max_rows is not None and len(x) > max_rows:
         x, y = x[:max_rows], y[:max_rows]
     n_total = x.shape[1]
@@ -80,11 +90,15 @@ def sfs_forward(x, y, k_folds: int = 5, max_features: int | None = None,
     curve: list[float] = []
     remaining = list(range(n_total))
     for _ in range(max_features):
+        cols = [selected + [feat] for feat in remaining]
+        fold_mse = [[np.mean((pred - y[va]) ** 2) for pred in
+                     forests_predict(x[tr], y[tr], cols, x[va], n_trees,
+                                     max_depth, seed)]
+                    for tr, va in folds]
         best_feat = None
         best_rmse = np.inf
-        for feat in remaining:
-            rmse = _cv_rmse(x[:, selected + [feat]], y, folds, n_trees,
-                            max_depth, seed)
+        for i, feat in enumerate(remaining):
+            rmse = float(np.sqrt(np.mean([errs[i] for errs in fold_mse])))
             if rmse < best_rmse:
                 best_feat, best_rmse = feat, rmse
         selected.append(best_feat)

@@ -22,12 +22,13 @@ from roadroughness.models.mlp import init_params
 from roadroughness.models.mlp import loss_and_grads as mlp_loss
 from roadroughness.models.svm import _solve_svr
 from roadroughness.models.tree import DecisionTree
-from roadroughness.selection import _cv_rmse, pca_fit, sfs_forward
+from roadroughness.selection import pca_fit, sfs_forward
 from roadroughness.simkit import (IRI_SPEED_MS, compute_iri, generate_profile)
 
 from test_geoalign import PROJ, latlon
 from test_models import (_slsqp_dual, _stump_oracle_sse, _tree_sse,
                          finite_difference)
+from test_selection import _cv_rmse
 from test_simkit import rk4_iri_oracle
 
 FULL_CONFIG = {

@@ -16,6 +16,7 @@ from roadroughness.core import (Dataset, Reference, TelemetryTrace,
                                 Windows, ordered_kfold)
 from roadroughness.geoalign.match import MatchedTrace
 from roadroughness.models import adasyn_resample, search
+from roadroughness.models.tree import MAX_DEPTH
 
 SMOKE_CONFIG = {
     "seed": 11,
@@ -873,6 +874,45 @@ class TestConfig:
         p.write_text(json.dumps({"align": {key: value}}))
         with pytest.raises(ValueError, match=f"align.{key} must be a "
                                              f"positive integer"):
+            load_config(p)
+
+
+    @pytest.mark.parametrize("key,value", [
+        ("max_features", 0), ("max_features", -2), ("max_features", 2.5),
+        ("max_features", "10"), ("max_features", True),
+        ("sfs_trees", 0), ("sfs_trees", 1.0), ("sfs_trees", None),
+        ("sfs_depth", 0), ("sfs_depth", MAX_DEPTH + 1), ("sfs_depth", 4.0),
+        ("sfs_max_rows", 0), ("sfs_max_rows", 4), ("sfs_max_rows", 300.5),
+        ("sfs_max_rows", "1500"), ("sfs_max_rows", False),
+        ("pca_variance", 0.0), ("pca_variance", 1.01),
+        ("pca_variance", -0.5), ("pca_variance", float("nan")),
+        ("pca_variance", "0.99"), ("pca_variance", True),
+    ])
+    def test_bad_select_setting_is_named(self, tmp_path, key, value):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"select": {key: value}}))
+        with pytest.raises(ValueError, match=f"select.{key}"):
+            load_config(p)
+
+    @pytest.mark.parametrize("select", [
+        {"sfs_max_rows": None}, {"sfs_max_rows": 5, "k_folds": 5},
+        {"sfs_depth": 1}, {"sfs_depth": MAX_DEPTH}, {"pca_variance": 1},
+        {"max_features": 1, "sfs_trees": 1},
+    ])
+    def test_edge_select_settings_accepted(self, tmp_path, select):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"select": select}))
+        assert load_config(p)["select"] == {**DEFAULT_CONFIG["select"],
+                                            **select}
+
+    def test_row_cap_below_the_folds_fails_at_load(self, tmp_path):
+        # Used to fail in select, after simulate .. featurize had run.
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"select": {"k_folds": 3,
+                                            "sfs_max_rows": 2}}))
+        with pytest.raises(ValueError, match=r"select.sfs_max_rows must be "
+                                             r"null or an integer of at "
+                                             r"least select.k_folds \(3\)"):
             load_config(p)
 
 

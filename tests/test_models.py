@@ -27,8 +27,10 @@ from roadroughness.models.search import (FAMILIES, fold_plan, grid_points,
                                          prepare_train_rows)
 from roadroughness.models.svm import _solve_binary_svc, _solve_svr, smo_solve
 from roadroughness.models.tree import (MAX_DEPTH, N_CLASSES, _Padded,
-                                       _segment_sums, _splitmix64, draw_key,
-                                       feature_subsets)
+                                       _segment_sums, _splitmix64,
+                                       _tree_lists, draw_key, feature_subsets,
+                                       forest_draws, forests_predict,
+                                       grow_trees)
 
 
 class TestBaseline:
@@ -686,6 +688,47 @@ class TestForestEngine:
         grouped = RandomForestModel(task, n_trees=7, max_depth=6,
                                     seed=3).fit(x, y)
         assert grouped.state_dict() == whole.state_dict()
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("grow_rows", [1 << 30, 500])
+    def test_column_lists_grow_each_subsets_forest(self, task, grow_rows,
+                                                   monkeypatch):
+        # One call for the forests of four column subsets of the same rows;
+        # at 500 rows a group holds 4 trees, so groups cross forests.
+        rng = np.random.default_rng(26)
+        n, n_trees = 120, 5
+        x = np.round(rng.normal(size=(n, 6)), 1)
+        x[:, 4] = x[:, 1]                               # a repeated column
+        y = (x[:, 0] + rng.normal(size=n) if task == "regression"
+             else rng.integers(0, 3, n))
+        subsets = [[0, 1, 2], [0, 1, 4], [5, 1, 3], [3, 3, 0]]
+        boots, keys = forest_draws(9, n_trees, n)
+        monkeypatch.setattr(tree_module, "GROW_ROWS", grow_rows)
+        nodes = grow_trees(x, y, np.tile(boots, (len(subsets), 1)),
+                           np.tile(keys, len(subsets)), task, 6, 2,
+                           cols=np.repeat(subsets, n_trees, axis=0))
+        grown = _tree_lists(nodes)
+        for i, cols in enumerate(subsets):
+            forest = RandomForestModel(task, n_trees=n_trees, max_depth=6,
+                                       max_features=2, seed=9).fit(
+                                           x[:, cols], y)
+            for t, tree in enumerate(forest.trees):
+                assert grown[i * n_trees + t] == (
+                    tree.feature, tree.threshold, tree.left, tree.right,
+                    tree.value)
+
+    def test_forests_predict_equals_each_forest(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        x = np.round(rng.normal(size=(150, 5)), 2)
+        y = x[:, 2] ** 2 + rng.normal(size=150)
+        q = np.round(rng.normal(size=(40, 5)), 2)
+        subsets = [[2, 0], [2, 1], [2, 3], [2, 4]]
+        monkeypatch.setattr(tree_module, "GROW_ROWS", 1000)
+        pred = forests_predict(x, y, subsets, q, 7, 5, 3)
+        for row, cols in zip(pred, subsets):
+            forest = RandomForestModel(n_trees=7, max_depth=5,
+                                       seed=3).fit(x[:, cols], y)
+            assert np.array_equal(row, forest.predict(q[:, cols]))
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_descent_matches_stack_walk(self, task):

@@ -1,12 +1,12 @@
-import itertools
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadroughness.core import ordered_kfold
+from roadroughness.models.tree import RandomForestModel
 from roadroughness.selection import (SfsResult, drop_constant, pca_fit,
                                      pca_transform, sfs_forward)
-from roadroughness.selection import _cv_rmse
 
 
 class TestDropConstant:
@@ -27,13 +27,29 @@ class TestDropConstant:
         assert list(kept) == [0, 1, 2, 3]
 
 
-def _sfs_brute_force(x, y, k_folds, n_trees, max_depth, seed):
+def _cv_rmse(x: np.ndarray, y: np.ndarray, folds, n_trees: int,
+             max_depth: int, seed: int) -> float:
+    """One candidate's score, one ``RandomForestModel`` per fold: the
+    per-candidate scorer that ``sfs_forward`` must equal bit for bit."""
+    errs = []
+    for tr, va in folds:
+        model = RandomForestModel(task="regression", n_trees=n_trees,
+                                  max_depth=max_depth, seed=seed)
+        model.fit(x[tr], y[tr])
+        pred = model.predict(x[va])
+        errs.append(np.mean((pred - y[va]) ** 2))
+    return float(np.sqrt(np.mean(errs)))
+
+
+def _sfs_brute_force(x, y, k_folds, n_trees, max_depth, seed,
+                     max_features=None, max_rows=None):
     """Independent greedy driver re-evaluating every candidate subset with
-    the same fold scorer; ties go to the lower feature index."""
+    the per-candidate scorer; ties go to the lower feature index."""
+    x, y = x[:max_rows], y[:max_rows]
     folds = ordered_kfold(len(x), k_folds)
     selected, curve = [], []
     remaining = list(range(x.shape[1]))
-    while remaining:
+    while remaining and len(selected) != max_features:
         scored = [(_cv_rmse(x[:, selected + [f]], y, folds, n_trees,
                             max_depth, seed), f) for f in remaining]
         best_rmse = min(s for s, _ in scored)
@@ -52,7 +68,7 @@ class TestSfs:
         res = sfs_forward(x, y, k_folds=4, n_trees=10, max_depth=3, seed=0)
         order, curve = _sfs_brute_force(x, y, 4, 10, 3, 0)
         assert res.order == order
-        assert res.cv_rmse == pytest.approx(curve)
+        assert res.cv_rmse == curve
 
     def test_informative_feature_first(self):
         rng = np.random.default_rng(5)
@@ -89,6 +105,96 @@ class TestSfs:
                              max_depth=3, seed=0)
         assert capped.order == direct.order
         assert capped.cv_rmse == pytest.approx(direct.cv_rmse)
+
+
+@st.composite
+def sfs_problems(draw):
+    """Small SFS inputs with tied and repeated column values, 2-5 folds,
+    1-4 steps and an optional row cap."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(k + 2, 60))
+    d = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, d))
+    for f in range(d):
+        kind = draw(st.sampled_from(["plain", "rounded", "few", "copy"]))
+        if kind == "rounded":
+            x[:, f] = np.round(x[:, f], 1)            # tied values
+        elif kind == "few":
+            x[:, f] = rng.integers(0, 3, n)           # heavy ties
+        elif kind == "copy" and f:
+            x[:, f] = x[:, f - 1]                     # repeated column
+    if draw(st.booleans()) and n > 3:
+        x[n // 2:] = x[:n - n // 2]                   # repeated rows
+    y = x @ rng.normal(size=d) + rng.normal(0.0, 0.5, n)
+    if draw(st.booleans()):
+        y = np.round(y)                               # tied targets
+    max_rows = draw(st.one_of(st.none(), st.integers(k, n)))
+    return (x, y, k, draw(st.integers(1, 4)), draw(st.integers(1, 6)),
+            draw(st.integers(1, 6)), seed % 1000, max_rows)
+
+
+class TestSfsEquivalence:
+    """``sfs_forward`` grows every candidate of a (step, fold) in one engine
+    call; the per-candidate scorer is its oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sfs_problems())
+    def test_property_matches_per_candidate_oracle(self, problem):
+        x, y, k, steps, n_trees, depth, seed, max_rows = problem
+        res = sfs_forward(x, y, k_folds=k, max_features=steps,
+                          n_trees=n_trees, max_depth=depth, seed=seed,
+                          max_rows=max_rows)
+        order, curve = _sfs_brute_force(x, y, k, n_trees, depth, seed,
+                                        max_features=steps,
+                                        max_rows=max_rows)
+        assert res.order == order
+        assert res.cv_rmse == curve
+
+    def test_acceptance_shape_matches_oracle(self):
+        # 15-tree forests of depth 5 on a few hundred rows, as at 42 km.
+        rng = np.random.default_rng(12)
+        x = np.round(rng.normal(size=(400, 6)), 2)
+        y = x[:, 0] - 2.0 * x[:, 3] + rng.normal(size=400)
+        res = sfs_forward(x, y, k_folds=5, max_features=3, n_trees=15,
+                          max_depth=5, seed=42)
+        order, curve = _sfs_brute_force(x, y, 5, 15, 5, 42, max_features=3)
+        assert (res.order, res.cv_rmse) == (order, curve)
+
+
+class TestSfsBadInput:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_target_not_finite_is_named(self, value):
+        x = np.random.default_rng(0).normal(size=(20, 3))
+        y = np.arange(20.0)
+        y[7] = value
+        with pytest.raises(ValueError, match=r"y\[7\] is not finite"):
+            sfs_forward(x, y, k_folds=3, n_trees=2, max_depth=2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_feature_not_finite_names_row_and_column(self, value):
+        x = np.random.default_rng(0).normal(size=(20, 3))
+        x[11, 2] = value
+        x[12, 0] = value
+        with pytest.raises(ValueError, match=r"x\[11, 2\] is not finite"):
+            sfs_forward(x, np.arange(20.0), k_folds=3, n_trees=2,
+                        max_depth=2)
+
+    @pytest.mark.parametrize("max_features", [0, -1])
+    def test_no_steps_rejected(self, max_features):
+        x = np.random.default_rng(0).normal(size=(20, 3))
+        with pytest.raises(ValueError, match="max_features must be at "
+                                             "least 1"):
+            sfs_forward(x, np.arange(20.0), k_folds=3,
+                        max_features=max_features)
+
+    @pytest.mark.parametrize("x,y", [(np.zeros((5, 2)), np.zeros(4)),
+                                     (np.zeros((5, 0)), np.zeros(5)),
+                                     (np.zeros(5), np.zeros(5))])
+    def test_bad_shapes_rejected(self, x, y):
+        with pytest.raises(ValueError, match="one y per row"):
+            sfs_forward(x, y, k_folds=2)
 
 
 class TestPca:
