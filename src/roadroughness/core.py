@@ -81,10 +81,6 @@ class TelemetryTrace:
     def __len__(self) -> int:
         return len(self.t)
 
-    @property
-    def gps_t(self) -> np.ndarray:
-        return self.t[self.gps_idx]
-
 
 class BadSegmentError(ValueError):
     """A reference segment holds a bad value; ``segment`` is its index."""

@@ -137,10 +137,6 @@ class RoadNetwork:
     def n_nodes(self) -> int:
         return len(self.node_ids)
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edge_a)
-
     @classmethod
     def from_polyline(cls, line: Polyline, id_start: int = 0) -> "RoadNetwork":
         lats, lons = line.lats, line.lons

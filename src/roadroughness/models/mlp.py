@@ -5,13 +5,21 @@ regression, softmax output with cross-entropy for classification; L2 weight
 decay on the weights (not biases). Training runs in batches of 200 with an
 adaptive learning rate (halved after a 2-epoch plateau) and stops early when
 the epoch loss fails to improve by 1e-4 for 10 epochs.
+
+Batches are a few hundred rows, so the cost per numpy call decides the
+speed: the softmax takes its class-axis max and sum column by column
+(``logistic.softmax``: the same floats as numpy's row loop, in fewer
+calls), the one-hot rows are built once per fit, and the Adam moments are
+updated in place.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .logistic import softmax
+from .logistic import cross_entropy, one_hot, softmax
 from .tree import N_CLASSES
 
 BATCH_SIZE = 200
@@ -51,55 +59,63 @@ def forward(weights, biases, x):
     """Returns the list of layer activations; last entry is the raw output."""
     acts = [x]
     h = x
+    last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        h = h @ w + b
-        if i < len(weights) - 1:
-            h = np.maximum(h, 0.0)
+        h = h @ w
+        h += b
+        if i < last:
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return acts
 
 
-def objective(weights, out, y, task: str, l2: float):
-    """Data loss of the raw outputs ``out`` plus the L2 penalty, and the
-    residual the output gradient is built from (out - y for regression,
-    softmax - onehot for classification)."""
+def objective(out, target, task: str):
+    """Data loss of the raw outputs ``out`` against ``target`` (y for
+    regression, one-hot rows for classification), and the residual the
+    output gradient is built from (out - y, or softmax - onehot)."""
     if task == "regression":
-        resid = out[:, 0] - y
-        data_loss = float(np.mean(resid ** 2))
-    else:
-        p = softmax(out)
-        onehot = np.zeros_like(p)
-        onehot[np.arange(len(out)), y.astype(int)] = 1.0
-        data_loss = float(-np.sum(onehot * np.log(np.clip(p, 1e-300, None)))
-                          / len(out))
-        resid = p - onehot
-    penalty = l2 * sum(float(np.sum(w ** 2)) for w in weights)
-    return data_loss + penalty, resid
+        resid = out[:, 0] - target
+        return float(np.add.reduce(resid * resid)) / len(out), resid
+    p = softmax(out)
+    loss = cross_entropy(p, target)
+    p -= target
+    return loss, p
 
 
-def _loss_and_grads_into(weights, biases, x, y, task: str, l2: float,
-                         grads_w, grads_b) -> float:
-    """Objective on (x, y); writes its parameter gradients into the arrays
-    ``grads_w`` and ``grads_b``."""
+def penalty(squares, l2: float) -> float:
+    """The L2 penalty, from the squared weights of each layer."""
+    return l2 * sum(float(np.add.reduce(s, None)) for s in squares)
+
+
+def _loss_and_grads_into(weights, biases, x, target, task: str, l2: float,
+                         penalty_value: float, grads_w, grads_b) -> float:
+    """Objective on (x, target), whose L2 term is ``penalty_value``; writes
+    its parameter gradients into the arrays ``grads_w`` and ``grads_b``."""
     n = len(x)
     acts = forward(weights, biases, x)
-    loss, resid = objective(weights, acts[-1], y, task, l2)
-    delta = (2.0 * resid / n)[:, None] if task == "regression" else resid / n
+    loss, delta = objective(acts[-1], target, task)
+    if task == "regression":
+        delta *= 2.0
+        delta = delta[:, None]
+    delta /= n
     for i in range(len(weights) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=grads_w[i])
         grads_w[i] += 2.0 * l2 * weights[i]
-        np.sum(delta, axis=0, out=grads_b[i])
+        np.add.reduce(delta, 0, out=grads_b[i])
         if i > 0:
-            delta = (delta @ weights[i].T) * (acts[i] > 0)
-    return loss
+            delta = delta @ weights[i].T
+            delta *= acts[i] > 0
+    return loss + penalty_value
 
 
 def loss_and_grads(weights, biases, x, y, task: str, l2: float):
     """Objective (data loss + L2 penalty) and analytic parameter gradients."""
     grads_w = [np.empty_like(w) for w in weights]
     grads_b = [np.empty_like(b) for b in biases]
-    loss = _loss_and_grads_into(weights, biases, x, y, task, l2, grads_w,
-                                grads_b)
+    target = y if task == "regression" else one_hot(y, weights[-1].shape[1])
+    loss = _loss_and_grads_into(weights, biases, x, target, task, l2,
+                                penalty([w * w for w in weights], l2),
+                                grads_w, grads_b)
     return loss, grads_w, grads_b
 
 
@@ -133,15 +149,21 @@ class MlpModel:
         sizes = [d, *self.layers, out_dim]
         rng = np.random.default_rng(self.seed)
         # Every parameter is a view into one flat vector, and so is every
-        # gradient, so each Adam step is one set of whole-vector operations;
-        # theta is updated in place, under the views.
+        # gradient, so each Adam step is one set of whole-vector operations,
+        # in place: theta is updated under the views, and the moments and
+        # step go into buffers allocated once.
         theta = np.concatenate([
             a.ravel() for pair in zip(*init_params(sizes, rng)) for a in pair])
         weights, biases = layer_views(theta, sizes)
         grad = np.empty_like(theta)
         grads_w, grads_b = layer_views(grad, sizes)
+        squares = np.empty_like(theta)
+        squares_w, _ = layer_views(squares, sizes)
         m = np.zeros_like(theta)
         v = np.zeros_like(theta)
+        upd = np.empty_like(theta)
+        den = np.empty_like(theta)
+        target = y if self.task == "regression" else one_hot(y, out_dim)
         lr = self.lr0
         best_loss = np.inf
         stall_stop = 0
@@ -152,20 +174,36 @@ class MlpModel:
             order = rng.permutation(n)
             for lo in range(0, n, self.batch_size):
                 batch = order[lo:lo + self.batch_size]
+                np.multiply(theta, theta, out=squares)
                 loss = _loss_and_grads_into(weights, biases, x[batch],
-                                            y[batch], self.task, self.l2,
+                                            target[batch], self.task,
+                                            self.l2,
+                                            penalty(squares_w, self.l2),
                                             grads_w, grads_b)
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise ConvergenceError("training loss diverged")
                 step += 1
                 corr1 = 1.0 - ADAM_B1 ** step
                 corr2 = 1.0 - ADAM_B2 ** step
-                m = ADAM_B1 * m + (1 - ADAM_B1) * grad
-                v = ADAM_B2 * v + (1 - ADAM_B2) * grad ** 2
-                theta -= lr * (m / corr1) / (np.sqrt(v / corr2) + ADAM_EPS)
-            epoch_loss, _ = objective(weights, forward(weights, biases, x)[-1],
-                                      y, self.task, self.l2)
-            if not np.isfinite(epoch_loss):
+                m *= ADAM_B1
+                np.multiply(grad, 1 - ADAM_B1, out=upd)
+                m += upd
+                v *= ADAM_B2
+                np.multiply(grad, grad, out=upd)
+                upd *= 1 - ADAM_B2
+                v += upd
+                # theta -= lr * (m / corr1) / (sqrt(v / corr2) + eps)
+                np.divide(m, corr1, out=upd)
+                upd *= lr
+                np.divide(v, corr2, out=den)
+                np.sqrt(den, out=den)
+                den += ADAM_EPS
+                upd /= den
+                theta -= upd
+            np.multiply(theta, theta, out=squares)
+            epoch_loss = objective(forward(weights, biases, x)[-1], target,
+                                   self.task)[0] + penalty(squares_w, self.l2)
+            if not math.isfinite(epoch_loss):
                 raise ConvergenceError("training loss diverged")
             self.loss_history.append(epoch_loss)
             if epoch_loss < best_loss - LOSS_TOL:

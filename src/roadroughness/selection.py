@@ -26,9 +26,20 @@ SFS_TREES = 200
 SFS_DEPTH = 8
 
 
+def _require_finite(where: str, x: np.ndarray) -> None:
+    """Raises a ValueError naming the first entry of ``x`` that is NaN or
+    infinite."""
+    bad = np.argwhere(~np.isfinite(x))
+    if len(bad):
+        at = tuple(int(i) for i in bad[0])
+        raise ValueError(f"{where}: x[{', '.join(map(str, at))}] is not "
+                         f"finite ({x[at]})")
+
+
 def drop_constant(x: np.ndarray):
     """Returns (reduced matrix, indices of retained columns)."""
     x = np.asarray(x, dtype=float)
+    _require_finite("drop_constant", x)
     keep = np.flatnonzero(np.ptp(x, axis=0) > 0.0)
     if len(keep) == 0:
         raise ValueError("all feature columns are constant")
@@ -67,11 +78,7 @@ def sfs_forward(x, y, k_folds: int = 5, max_features: int | None = None,
     if x.ndim != 2 or x.shape[1] == 0 or y.shape != (len(x),):
         raise ValueError(f"sfs_forward needs x of rows x columns and one y "
                          f"per row, got {x.shape} and {y.shape}")
-    bad = np.argwhere(~np.isfinite(x))
-    if len(bad):
-        row, col = bad[0]
-        raise ValueError(f"sfs_forward: x[{row}, {col}] is not finite "
-                         f"({x[row, col]})")
+    _require_finite("sfs_forward", x)
     bad = np.flatnonzero(~np.isfinite(y))
     if len(bad):
         raise ValueError(f"sfs_forward: y[{bad[0]}] is not finite "
@@ -122,6 +129,7 @@ def pca_fit(x, variance_target: float = PCA_VARIANCE_TARGET) -> PcaBasis:
     x = np.asarray(x, dtype=float)
     if not 0.0 < variance_target <= 1.0:
         raise ValueError("variance_target must be in (0, 1]")
+    _require_finite("pca_fit", x)
     mean = x.mean(axis=0)
     xc = x - mean
     cov = xc.T @ xc / len(x)

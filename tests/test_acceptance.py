@@ -25,7 +25,7 @@ from roadroughness.models.tree import DecisionTree
 from roadroughness.selection import pca_fit, sfs_forward
 from roadroughness.simkit import (IRI_SPEED_MS, compute_iri, generate_profile)
 
-from test_geoalign import PROJ, latlon
+from test_geoalign import PROJ, latlon, n_edges
 from test_models import (_slsqp_dual, _stump_oracle_sse, _tree_sse,
                          finite_difference)
 from test_selection import _cv_rmse
@@ -138,7 +138,7 @@ def _fifty_edge_network():
             if j + 1 < ny:
                 edges.append((nid, nid + nx, None))
     net = RoadNetwork(nodes, edges)
-    assert net.n_edges == 50
+    assert n_edges(net) == 50
     return net
 
 

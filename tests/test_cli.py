@@ -347,7 +347,7 @@ class TestTelemetryReader:
             return
         assert_same_trace(got, want)
         assert not isinstance(fixes, ValueError), fixes
-        for a, b in zip(fixes, (want.gps_t, want.gps_lat, want.gps_lon)):
+        for a, b in zip(fixes, (want.t[want.gps_idx], want.gps_lat, want.gps_lon)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_gps_fixes_equal_the_trace_fixes(self, tmp_path):
@@ -361,7 +361,7 @@ class TestTelemetryReader:
         p = tmp_path / "telemetry.csv"
         io.write_telemetry_csv(p, trace)
         for a, b in zip(io.read_gps_fixes(p),
-                        (trace.gps_t, trace.gps_lat, trace.gps_lon)):
+                        (trace.t[trace.gps_idx], trace.gps_lat, trace.gps_lon)):
             assert a.tobytes() == b.tobytes()
 
     def test_gps_fixes_skip_the_other_channels(self, tmp_path):

@@ -105,7 +105,7 @@ class TestTelemetryTrace:
         trace = TelemetryTrace([0.0, 0.1, 0.2, 0.3], [0.0, 1.0, -1.0, 0.5],
                                [10.0, 10.0, 10.0, 10.0], [0, 2],
                                [55.0, 55.001], [12.0, 12.001])
-        assert list(trace.gps_t) == [0.0, 0.2]
+        assert list(trace.t[trace.gps_idx]) == [0.0, 0.2]
 
     @pytest.mark.parametrize("t,acc_z,speed,message", [
         ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0], [1.0, np.nan, 1.0],

@@ -31,6 +31,10 @@ def latlon(x, y):
     return float(lat), float(lon)
 
 
+def n_edges(net: RoadNetwork) -> int:
+    return len(net.edge_a)
+
+
 def grid_network(nx=4, ny=4, spacing=100.0) -> RoadNetwork:
     """A rectangular street grid with nx*ny nodes."""
     nodes = {}
@@ -52,7 +56,7 @@ class TestRoadNetwork:
     def test_edge_count(self):
         net = grid_network(4, 4)
         assert net.n_nodes == 16
-        assert net.n_edges == 24
+        assert n_edges(net) == 24
 
     def test_declared_length_validated(self):
         a = latlon(0, 0)
@@ -265,7 +269,7 @@ class TestLoad:
         path.write_bytes(("\r\n".join(out) + "\n").encode("utf-8"))
         got = RoadNetwork.load(path)
         assert _network_bits(got) == _network_bits(line_by_line_load(path))
-        assert got.n_edges == net.n_edges
+        assert n_edges(got) == n_edges(net)
 
     def test_repeated_node_id_names_both_lines(self, tmp_path):
         path = tmp_path / "net.txt"
@@ -321,7 +325,7 @@ class TestLoad:
             want[a].append((b, length))
             want[b].append((a, length))
         start = net.adj_start
-        assert len(start) == net.n_nodes + 1 and start[-1] == 2 * net.n_edges
+        assert len(start) == net.n_nodes + 1 and start[-1] == 2 * n_edges(net)
         got = [list(zip(net.adj_node[lo:hi], net.adj_len[lo:hi]))
                for lo, hi in zip(start[:-1], start[1:])]
         assert got == want
@@ -572,13 +576,13 @@ class TestCandidateSearch:
         held = set(zip(cells.edges.tolist(), np.repeat(
             cells.keys, np.diff(cells.start)).tolist()))
         t = np.linspace(0.0, 1.0, 4001)
-        for e in range(net.n_edges):
+        for e in range(n_edges(net)):
             xs = net._ax[e] + t * net._dx[e]
             ys = net._ay[e] + t * net._dy[e]
             keys = (cells._cell(xs, cells.x0) * cells.n_rows
                     + cells._cell(ys, cells.y0))
             assert all((e, k) in held for k in set(keys.tolist()))
-        per_edge = np.bincount(cells.edges, minlength=net.n_edges)
+        per_edge = np.bincount(cells.edges, minlength=n_edges(net))
         crossed = (np.abs(net._dx) + np.abs(net._dy)) / cells.side
         assert np.all(per_edge <= 2 * crossed + 6)
 
@@ -650,7 +654,7 @@ def irregular_networks(draw):
     coslat = np.cos(np.radians(lat))
     reach = radius * np.cos(np.radians(lat.mean())) / coslat.min()
     n = 40
-    e = rng.integers(net.n_edges, size=n)
+    e = rng.integers(n_edges(net), size=n)
     t = rng.uniform(0.0, 1.0, n)
     away = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1.5 * reach, n),
                     reach + rng.uniform(-1.0, 1.0, n))
@@ -670,7 +674,7 @@ def irregular_networks(draw):
     lats = np.concatenate([lats, [bad[i][0] for i in pick]])
     lons = np.concatenate([lons, [bad[i][1] for i in pick]])
     order = rng.permutation(len(lats))
-    k = draw(st.integers(1, net.n_edges + 2))
+    k = draw(st.integers(1, n_edges(net) + 2))
     return net, lats[order], lons[order], k, radius
 
 

@@ -17,7 +17,8 @@ from roadroughness.models import (BaselineModel, ConvergenceError,
                                   rbf_kernel)
 from roadroughness.models import neighbors
 from roadroughness.models import tree as tree_module
-from roadroughness.models.logistic import loss_and_grad as logistic_loss
+from roadroughness.models.logistic import (COLUMNWISE_CLASSES, softmax,
+                                           loss_and_grad as logistic_loss)
 from roadroughness.models.mlp import (ADAM_B1, ADAM_B2, ADAM_EPS, LOSS_TOL,
                                       LR_PATIENCE, STOP_PATIENCE,
                                       init_params, loss_and_grads as mlp_loss)
@@ -144,6 +145,87 @@ def finite_difference(f, params, eps=1e-6):
     return grad
 
 
+# The logistic solver's arithmetic as it was before its inner loops were
+# shortened, frozen here as the oracle: the solver must reproduce every
+# iterate of it bit for bit.
+def _softmax_oracle(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _logistic_loss_oracle(w, b, x, y_onehot, lam):
+    n = len(x)
+    p = _softmax_oracle(x @ w + b)
+    ce = -float(np.sum(y_onehot * np.log(np.clip(p, 1e-300, None)))) / n
+    loss = ce + lam * float(np.sum(w ** 2))
+    diff = (p - y_onehot) / n
+    grad_w = x.T @ diff + 2.0 * lam * w
+    grad_b = diff.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def _descend_oracle(x, y_onehot, lam, tol, max_iter):
+    """Returns (w, b, accepted steps)."""
+    d, c = x.shape[1], y_onehot.shape[1]
+    w = np.zeros((d, c))
+    b = np.zeros(c)
+    step = 1.0
+    loss, gw, gb = _logistic_loss_oracle(w, b, x, y_onehot, lam)
+    for it in range(max_iter):
+        gnorm2 = float(np.sum(gw ** 2) + np.sum(gb ** 2))
+        gnorm = np.sqrt(gnorm2)
+        if gnorm <= tol:
+            return w, b, it
+        while True:
+            w_new = w - step * gw
+            b_new = b - step * gb
+            loss_new, gw_new, gb_new = _logistic_loss_oracle(
+                w_new, b_new, x, y_onehot, lam)
+            if loss_new <= loss - 0.5 * step * gnorm2 or step < 1e-16:
+                break
+            step *= 0.5
+        w, b, loss, gw, gb = w_new, b_new, loss_new, gw_new, gb_new
+        step = min(step * 1.5, 1e4)
+    raise ConvergenceError(
+        f"gradient descent did not reach tolerance {tol:.1e} in "
+        f"{max_iter} iterations (final gradient norm {gnorm:.3e})")
+
+
+def _onehot(y, c):
+    onehot = np.zeros((len(y), c))
+    onehot[np.arange(len(y)), y] = 1.0
+    return onehot
+
+
+def _logistic_problem(seed, n, d, c):
+    """Overlapping class blobs in d dimensions, standardized."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % c
+    centers = rng.normal(size=(c, d))
+    x = centers[y] + rng.normal(size=(n, d))
+    return (x - x.mean(axis=0)) / x.std(axis=0), y
+
+
+def _wild_logits(rng, n, c):
+    """Rows with ties, logits near +-700, -inf entries and NaN rows."""
+    z = rng.normal(scale=3.0, size=(n, c))
+    z[0] = 1.5                                    # all tied
+    z[1, :2] = z[1].max() + 1.0                   # tied maximum
+    z[2] = 700.0 - rng.random(c)                  # near +700
+    z[3] = -700.0 + rng.random(c)                 # near -700
+    z[4, ::2] = 700.0
+    z[4, 1::2] = -700.0                           # both extremes
+    z[5, 0] = -np.inf                             # one -inf entry
+    z[6] = -np.inf                                # all -inf
+    z[7, 1] = np.nan                              # NaN entry
+    z[8] = np.nan                                 # NaN row
+    z[9, 0] = np.inf
+    z[10] = 0.0
+    z[10, 1] = -0.0                               # signed zero ties
+    return z
+
+
 class TestLogistic:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -178,12 +260,86 @@ class TestLogistic:
         y = np.repeat([0, 1, 2], 20)
         m = LogisticModel(lam=0.01).fit(x, y)
         assert np.mean(m.predict(x) == y) >= 0.95
-        proba = m.predict_proba(x)
+        proba = softmax(m.decision_values(x))
         assert np.allclose(proba.sum(axis=1), 1.0)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             LogisticModel().fit(np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+    @pytest.mark.parametrize("c", range(1, 13))
+    def test_softmax_matches_oracle_bitwise(self, c):
+        rng = np.random.default_rng(100 + c)
+        z = _wild_logits(rng, 40, c) if c > 1 else rng.normal(size=(40, 1))
+        z0 = z.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = softmax(z), _softmax_oracle(z)
+        assert z.tobytes() == z0.tobytes()
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c", range(2, COLUMNWISE_CLASSES + 1))
+    def test_softmax_matches_oracle_on_random_rows(self, c):
+        rng = np.random.default_rng(c)
+        z = rng.normal(scale=10.0, size=(5000, c))
+        assert softmax(z).tobytes() == _softmax_oracle(z).tobytes()
+
+    def test_wide_rows_keep_numpy_reduction(self):
+        """From 8 classes on, a left-to-right sum of the columns is not
+        numpy's row sum, so softmax keeps the axis reduction there."""
+        rng = np.random.default_rng(5)
+        e = np.exp(rng.normal(scale=3.0, size=(2000, COLUMNWISE_CLASSES + 1)))
+        left_to_right = e[:, 0].copy()
+        for k in range(1, e.shape[1]):
+            left_to_right += e[:, k]
+        assert (left_to_right != e.sum(axis=1)).any()
+        z = np.log(e)
+        assert softmax(z).tobytes() == _softmax_oracle(z).tobytes()
+
+    def test_loss_and_grad_match_oracle_bitwise(self):
+        rng = np.random.default_rng(9)
+        for d, c in [(1, 2), (3, 3), (5, 7), (4, 9)]:
+            x = rng.normal(size=(30, d))
+            onehot = _onehot(rng.integers(0, c, 30), c)
+            w = rng.normal(size=(d, c))
+            b = rng.normal(size=c)
+            got = logistic_loss(w, b, x, onehot, 0.1)
+            want = _logistic_loss_oracle(w, b, x, onehot, 0.1)
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_fit_matches_oracle_bitwise(self, lam, d):
+        c = 3 + d % 3
+        x, y = _logistic_problem(d, 60 + 7 * d, d, c)
+        m = LogisticModel(lam=lam, n_classes=c).fit(x, y)
+        w, b, n_iter = _descend_oracle(x, _onehot(y, c), lam, m.tol,
+                                       m.max_iter)
+        assert m.weights.tobytes() == w.tobytes()
+        assert m.bias.tobytes() == b.tobytes()
+        assert m.n_iter == n_iter > 0
+
+    def test_stall_matches_oracle_message(self):
+        """A fold without class 2 cannot reach the tolerance (its bias
+        heads for -inf): the same iterates give the same error text."""
+        x, y = _logistic_problem(3, 90, 2, 2)
+        model = LogisticModel(lam=0.01, max_iter=400)
+        with pytest.raises(ConvergenceError) as got:
+            model.fit(x, y)
+        with pytest.raises(ConvergenceError) as want:
+            _descend_oracle(x, _onehot(y, 3), 0.01, model.tol, 400)
+        assert str(got.value) == str(want.value)
+        assert "400 iterations" in str(got.value)
+        assert model.n_iter is None
+
+    def test_n_iter_stays_out_of_the_bundle(self):
+        x, y = _logistic_problem(4, 60, 2, 3)
+        m = LogisticModel(lam=0.1).fit(x, y)
+        assert m.n_iter > 0
+        assert "n_iter" not in m.state_dict()
+        assert LogisticModel.from_state(m.state_dict()).n_iter is None
 
 
 class TestKnn:
@@ -1000,9 +1156,54 @@ class TestSvm:
         assert np.allclose(m.predict(q), m2.predict(q), atol=1e-12)
 
 
+# The MLP's loss and gradients as they were before their inner loops were
+# shortened, frozen here as the oracle that MlpModel.fit must reproduce bit
+# for bit.
+def _mlp_forward_oracle(weights, biases, x):
+    acts = [x]
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        if i < len(weights) - 1:
+            h = np.maximum(h, 0.0)
+        acts.append(h)
+    return acts
+
+
+def _mlp_objective_oracle(weights, out, y, task, l2):
+    if task == "regression":
+        resid = out[:, 0] - y
+        data_loss = float(np.mean(resid ** 2))
+    else:
+        p = _softmax_oracle(out)
+        onehot = np.zeros_like(p)
+        onehot[np.arange(len(out)), y.astype(int)] = 1.0
+        data_loss = float(-np.sum(onehot * np.log(np.clip(p, 1e-300, None)))
+                          / len(out))
+        resid = p - onehot
+    penalty = l2 * sum(float(np.sum(w ** 2)) for w in weights)
+    return data_loss + penalty, resid
+
+
+def _mlp_loss_oracle(weights, biases, x, y, task, l2):
+    n = len(x)
+    acts = _mlp_forward_oracle(weights, biases, x)
+    loss, resid = _mlp_objective_oracle(weights, acts[-1], y, task, l2)
+    delta = (2.0 * resid / n)[:, None] if task == "regression" else resid / n
+    grads_w = [np.empty_like(w) for w in weights]
+    grads_b = [np.empty_like(b) for b in biases]
+    for i in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=grads_w[i])
+        grads_w[i] += 2.0 * l2 * weights[i]
+        np.sum(delta, axis=0, out=grads_b[i])
+        if i > 0:
+            delta = (delta @ weights[i].T) * (acts[i] > 0)
+    return loss, grads_w, grads_b
+
+
 def _reference_mlp_fit(model: MlpModel, x, y):
     """Oracle: MlpModel.fit as a per-layer Adam loop over separate weight
-    and bias arrays, with the epoch loss taken from loss_and_grads.
+    and bias arrays, with the loss and gradients of the frozen oracle.
     Returns (weights, biases, loss_history)."""
     n, d = x.shape
     out_dim = 1 if model.task == "regression" else model.n_classes
@@ -1020,8 +1221,8 @@ def _reference_mlp_fit(model: MlpModel, x, y):
         order = rng.permutation(n)
         for lo in range(0, n, model.batch_size):
             batch = order[lo:lo + model.batch_size]
-            _, gw, gb = mlp_loss(weights, biases, x[batch], y[batch],
-                                 model.task, model.l2)
+            _, gw, gb = _mlp_loss_oracle(weights, biases, x[batch], y[batch],
+                                         model.task, model.l2)
             step += 1
             corr1 = 1.0 - ADAM_B1 ** step
             corr2 = 1.0 - ADAM_B2 ** step
@@ -1034,8 +1235,8 @@ def _reference_mlp_fit(model: MlpModel, x, y):
                     np.sqrt(v_w[i] / corr2) + ADAM_EPS)
                 biases[i] -= lr * (m_b[i] / corr1) / (
                     np.sqrt(v_b[i] / corr2) + ADAM_EPS)
-        epoch_loss, _, _ = mlp_loss(weights, biases, x, y, model.task,
-                                    model.l2)
+        epoch_loss, _, _ = _mlp_loss_oracle(weights, biases, x, y, model.task,
+                                            model.l2)
         history.append(epoch_loss)
         if epoch_loss < best_loss - LOSS_TOL:
             best_loss = epoch_loss
@@ -1084,21 +1285,47 @@ class TestMlp:
             fd_b = finite_difference(f_b, biases[layer].copy())
             assert np.max(np.abs(gb[layer] - fd_b)) <= 1e-4
 
-    @pytest.mark.parametrize("task", ["regression", "classification"])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_flat_adam_matches_per_layer_loop_bitwise(self, task, seed):
+    @staticmethod
+    def _assert_fit_matches_reference(task, seed, d, layers):
         rng = np.random.default_rng(100 + seed)
         n = 437   # two full batches of 200 and a short one
-        x = rng.normal(size=(n, 3))
-        y = (np.sin(x[:, 0]) + x[:, 1] if task == "regression"
+        x = rng.normal(size=(n, d))
+        y = (np.sin(x[:, 0]) + x[:, min(1, d - 1)] if task == "regression"
              else rng.integers(0, N_CLASSES, n).astype(float))
-        m = MlpModel(layers=(6, 5), lr0=0.02, l2=0.01, task=task, seed=seed,
+        m = MlpModel(layers=layers, lr0=0.02, l2=0.01, task=task, seed=seed,
                      max_epochs=40).fit(x, y)
         weights, biases, history = _reference_mlp_fit(m, x, y)
         assert m.loss_history == history
         for got, want in zip(m.weights + m.biases, weights + biases):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_flat_adam_matches_per_layer_loop_bitwise(self, task, seed):
+        self._assert_fit_matches_reference(task, seed, 3, (6, 5))
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("seed,layers", [(3, (4,)), (4, (5, 3, 4))])
+    def test_one_feature_fit_matches_per_layer_loop_bitwise(self, task, seed,
+                                                            layers):
+        self._assert_fit_matches_reference(task, seed, 1, layers)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_loss_and_grads_match_oracle_bitwise(self, task):
+        rng = np.random.default_rng(27)
+        for d, layers, n in [(1, (4,), 9), (3, (6, 5), 40), (2, (3, 3, 3), 7)]:
+            x = rng.normal(size=(n, d))
+            y = (rng.normal(size=n) if task == "regression"
+                 else rng.integers(0, 3, n).astype(float))
+            out = 1 if task == "regression" else 3
+            weights, biases = init_params([d, *layers, out], rng)
+            biases = [rng.normal(size=b.shape) for b in biases]
+            got = mlp_loss(weights, biases, x, y, task, 0.05)
+            want = _mlp_loss_oracle(weights, biases, x, y, task, 0.05)
+            assert got[0] == want[0]
+            for g, w in zip(got[1] + got[2], want[1] + want[2]):
+                assert g.tobytes() == w.tobytes()
 
     def test_fits_linear_function(self):
         rng = np.random.default_rng(23)

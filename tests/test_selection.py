@@ -26,6 +26,15 @@ class TestDropConstant:
         _, kept = drop_constant(x)
         assert list(kept) == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_not_finite_names_row_and_column(self, value):
+        # A NaN used to make its column look constant (its ptp is NaN),
+        # so the column was dropped without a word.
+        x = np.array([[1.0, 2.0, 5.0], [value, 3.0, 6.0], [2.0, 4.0, value]])
+        with pytest.raises(ValueError, match=r"drop_constant: x\[1, 0\] is "
+                                             r"not finite"):
+            drop_constant(x)
+
 
 def _cv_rmse(x: np.ndarray, y: np.ndarray, folds, n_trees: int,
              max_depth: int, seed: int) -> float:
@@ -259,3 +268,12 @@ class TestPca:
     def test_bad_target_rejected(self):
         with pytest.raises(ValueError):
             pca_fit(np.eye(3), 0.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_not_finite_names_row_and_column(self, value):
+        # A NaN used to give a basis of NaNs without an error.
+        x = np.random.default_rng(3).normal(size=(3, 2))
+        x[2, 1] = value
+        with pytest.raises(ValueError, match=r"pca_fit: x\[2, 1\] is not "
+                                             r"finite"):
+            pca_fit(x, 0.99)
