@@ -33,8 +33,21 @@ def fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _json_value(obj):
+    """The JSON value of what ``json`` cannot write itself: a numpy array
+    as its list, a numpy integer as ``int``, any other numpy float as
+    ``float`` (``np.float64`` is a float already)."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=1)
+    text = json.dumps(obj, sort_keys=True, indent=1, default=_json_value)
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 

@@ -52,23 +52,8 @@ def _paths(config: dict) -> dict:
     }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _write_summary(paths: dict, stage: str, summary: dict) -> None:
-    io.write_json(paths["workdir"] / f"{stage}_summary.json",
-                  _jsonable(summary))
+    io.write_json(paths["workdir"] / f"{stage}_summary.json", summary)
 
 
 # ------------------------------------------------------------------ stages
@@ -202,7 +187,7 @@ def stage_select(config: dict) -> dict:
         "n_total": len(dataset),
         "feature_names": dataset.feature_names,
         "kept_columns": [int(i) for i in kept],
-        "standardizer": _jsonable(vars(scaler)),
+        "standardizer": vars(scaler),
         "sfs": {"order": [int(i) for i in sfs.order],
                 "cv_rmse": [float(v) for v in sfs.cv_rmse],
                 "chosen_size": sfs.chosen_size},
@@ -265,21 +250,26 @@ def stage_train(config: dict) -> dict:
                 "schema_version": io.BUNDLE_SCHEMA_VERSION,
                 "task": task,
                 "family": family,
-                "hyperparams": _jsonable(result.best_params),
+                "hyperparams": result.best_params,
                 "feature_names": dataset.feature_names,
                 "selection": selection,
-                "scaler": _jsonable(vars(scaler)),
-                "model_state": _jsonable(model.state_dict()),
+                "scaler": vars(scaler),
+                "model_state": model.state_dict(),
             }
             io.save_bundle(paths["models"] / f"{task}_{family}.json", bundle)
-            training["tasks"][task][family] = _jsonable(vars(result))
+            training["tasks"][task][family] = vars(result)
     io.write_json(paths["training"], training)
     # ADASYN leaves a level with a single train window un-oversampled.
     single = np.bincount(dataset.level[:n_train]) == 1
     summary = {"n_train": n_train,
                "n_regression": len(train_cfg["regression_families"]),
                "n_classification": len(train_cfg["classification_families"]),
-               "n_adasyn_skipped_levels": int(single.sum()) if adasyn else 0}
+               "n_adasyn_skipped_levels": int(single.sum()) if adasyn else 0,
+               # Fold fits that raised, listed in each cv_table's errors.
+               "n_failed_cv_fits": {
+                   task: sum(len(row["errors"]) for result in fams.values()
+                             for row in result["cv_table"])
+                   for task, fams in training["tasks"].items()}}
     _write_summary(paths, "train", summary)
     return summary
 
@@ -363,7 +353,7 @@ def stage_evaluate(config: dict) -> dict:
                     "adjacent_error_fraction": adj_frac,
                     "predictions": [int(v) for v in pred_i],
                 }
-    io.write_json(paths["report"], _jsonable(report))
+    io.write_json(paths["report"], report)
     summary = {"n_test": report["n_test"]}
     _write_summary(paths, "evaluate", summary)
     return summary

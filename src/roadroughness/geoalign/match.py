@@ -1,6 +1,7 @@
 """HMM map matching over GPS fixes (Newson-Krumm style).
 
-Hidden states are candidate edge projections, observations are GPS fixes.
+Hidden states are candidate edge projections, the rows of one
+``Candidates`` record for the whole trace; observations are GPS fixes.
 Emission log-density is -d_gc^2 / (2 sigma^2) for the fix-to-projection
 great-circle distance; transition log-density is -|d_route - d_gc| / beta
 between consecutive candidates. The Viterbi optimum is returned.
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geo import haversine_pointwise
-from .network import Candidate, RoadNetwork, route_distances
+from .network import RoadNetwork, route_distances
 
 DEFAULT_SIGMA = 4.07
 DEFAULT_BETA = 20.0
@@ -55,20 +56,21 @@ class MatchedTrace:
 
     def edge_path(self) -> list[int]:
         """Edge sequence with consecutive duplicates removed."""
-        path = []
-        for e in self.edge:
-            if not path or path[-1] != e:
-                path.append(int(e))
-        return path
+        new = np.ones(len(self.edge), dtype=bool)
+        new[1:] = self.edge[1:] != self.edge[:-1]
+        return self.edge[new].tolist()
 
 
 class Lattice(tuple):
     """``(steps, emissions, transitions)`` over the fixes that have a
-    candidate edge in range; ``kept`` holds their indices in the input."""
+    candidate edge in range; ``kept`` holds their indices in the input and
+    ``candidates`` the trace's record, whose rows ``steps[i]`` are step i's
+    states."""
 
-    def __new__(cls, steps, emissions, transitions, kept):
+    def __new__(cls, steps, emissions, transitions, kept, candidates):
         lattice = super().__new__(cls, (steps, emissions, transitions))
         lattice.kept = kept
+        lattice.candidates = candidates
         return lattice
 
 
@@ -77,37 +79,35 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
                   radius: float = 50.0) -> Lattice:
     """Candidates with emission scores per fix, plus transition score matrices.
 
-    Returns ``(steps, emissions, transitions)`` where ``transitions[i]`` maps
-    candidates of step i to candidates of step i+1. A fix with no edge within
-    ``radius``, or without a finite position, is dropped (``Lattice.kept``
-    lists the fixes kept);
+    Returns ``(steps, emissions, transitions)`` where ``steps[i]`` is the
+    range of candidate rows of the i-th kept fix and ``transitions[i]`` maps
+    candidates of step i to candidates of step i+1. A fix with no edge
+    within ``radius``, or without a finite position, is dropped
+    (``Lattice.kept`` lists the fixes kept);
     ``UnmatchedFixError`` names the first dropped fix if fewer than 2 remain.
     """
     lats = np.asarray(lats, dtype=float)
     lons = np.asarray(lons, dtype=float)
     if len(lats) < 2:
         raise ValueError("need at least 2 fixes")
-    steps: list[list[Candidate]] = []
-    emissions: list[np.ndarray] = []
-    kept: list[int] = []
-    dropped: list[int] = []
-    for i, cands in enumerate(network.candidates(lats, lons, max_candidates,
-                                                 radius)):
-        if not cands:
-            dropped.append(i)
-            continue
-        kept.append(i)
-        steps.append(cands)
-        emissions.append(np.array([-c.dist ** 2 / (2.0 * sigma ** 2)
-                                   for c in cands]))
+    cands = network.candidates(lats, lons, max_candidates, radius)
+    counts = np.diff(cands.start)
+    kept = np.flatnonzero(counts)
     if len(kept) < 2:
-        raise UnmatchedFixError(dropped[0])
+        raise UnmatchedFixError(int(np.argmin(counts)))
+    # Every row belongs to a kept fix, so the kept fixes' starts cut the
+    # rows into steps.
+    bounds = np.append(cands.start[kept], len(cands)).tolist()
+    steps = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    # Python-float squares, as the scalar ``** 2`` (libm pow) takes them: an
+    # array's np.square can differ in the last bit.
+    emissions = np.split(-np.array([d ** 2 for d in cands.dist.tolist()])
+                         / (2.0 * sigma ** 2), bounds[1:-1])
     lats, lons = lats[kept], lons[kept]
     d_gcs = haversine_pointwise(lats[:-1], lons[:-1], lats[1:],
                                 lons[1:]).tolist()
-    ends = network.candidate_ends([c for cands in steps for c in cands])
-    bounds = np.cumsum([0] + [len(cands) for cands in steps]).tolist()
-    step_ends = [ends[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    ends = network.candidate_ends(cands)
+    _, end_a, _, end_b, _ = ends
     # One resumable search per (source node, cutoff) for the whole trace:
     # consecutive fixes share most of their candidate edges, so a node is a
     # source step after step.
@@ -115,18 +115,18 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
     d_route: list[float] = []
     for i, d_gc in enumerate(d_gcs):
         cutoff = max(10.0 * (d_gc + 1.0), 2000.0)
-        here, there = step_ends[i], step_ends[i + 1]
+        here = slice(bounds[i], bounds[i + 1])
+        there = slice(bounds[i + 1], bounds[i + 2])
         # Each search from a step-i end node runs until the end nodes of
         # every step-(i+1) candidate are settled.
-        targets = {n for _, a, _, b, _ in there for n in (a, b)}
+        targets = set(end_a[there]) | set(end_b[there])
         dists = {}
-        for _, a, _, b, _ in here:
-            for n in (a, b):
+        for pair in zip(end_a[here], end_b[here]):
+            for n in pair:
                 if n not in dists:
                     dists[n] = network.shortest_node_dists(n, cutoff, targets,
                                                            searches)
-        for row in route_distances(here, there, dists):
-            d_route += row
+        d_route += route_distances(ends, here, there, dists)
     # The scores of all steps in one pass, then cut into one matrix a step.
     sizes = np.diff(bounds)
     cells = sizes[:-1] * sizes[1:]
@@ -138,10 +138,10 @@ def build_lattice(lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGMA
     broken = np.flatnonzero(~np.logical_or.reduceat(routed, starts))
     if len(broken):
         step = int(broken[0])
-        raise BrokenTraceError(kept[step + 1], kept[step])
+        raise BrokenTraceError(int(kept[step + 1]), int(kept[step]))
     transitions = [scores[lo:lo + n * m].reshape(n, m) for lo, n, m in zip(
         starts.tolist(), sizes[:-1].tolist(), sizes[1:].tolist())]
-    return Lattice(steps, emissions, transitions, np.array(kept))
+    return Lattice(steps, emissions, transitions, kept, cands)
 
 
 def viterbi_path(emissions, transitions):
@@ -170,18 +170,18 @@ def match_fixes(t, lats, lons, network: RoadNetwork, sigma: float = DEFAULT_SIGM
     the result and counted in its ``n_unmatched``."""
     lattice = build_lattice(lats, lons, network, sigma, beta, max_candidates,
                             radius)
-    steps, emissions, transitions = lattice
-    kept = lattice.kept
+    _, emissions, transitions = lattice
+    kept, cands = lattice.kept, lattice.candidates
     path, log_score = viterbi_path(emissions, transitions)
-    chosen = [steps[i][j] for i, j in enumerate(path)]
+    rows = cands.start[kept] + path
     return MatchedTrace(
         t=np.asarray(t, dtype=float)[kept],
         fix_lat=np.asarray(lats, dtype=float)[kept],
         fix_lon=np.asarray(lons, dtype=float)[kept],
-        edge=np.array([c.edge for c in chosen], dtype=int),
-        offset=np.array([c.offset for c in chosen]),
-        lat=np.array([c.lat for c in chosen]),
-        lon=np.array([c.lon for c in chosen]),
+        edge=cands.edge[rows],
+        offset=cands.offset[rows],
+        lat=cands.lat[rows],
+        lon=cands.lon[rows],
         log_score=log_score,
         n_unmatched=len(lats) - len(kept),
     )

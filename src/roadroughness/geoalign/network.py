@@ -1,4 +1,10 @@
-"""Road network graph with candidate projection and routing."""
+"""Road network graph with candidate projection and routing.
+
+``RoadNetwork`` is built from node and edge arrays, by ``load`` from
+``network.txt`` or by ``from_polyline``. ``candidates`` projects a whole
+trace of fixes onto it at once and returns one ``Candidates`` record;
+``route_distances`` gives the on-network distances between the record's
+rows of two consecutive fixes."""
 from __future__ import annotations
 
 import heapq
@@ -20,14 +26,21 @@ PLANAR_REACH_M = 1e8
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """A projection of one GPS fix onto one edge."""
+class Candidates:
+    """Edge projections of a sequence of fixes as one record: fix ``i``
+    owns the rows ``start[i]:start[i + 1]``, closest first. A row projects
+    its fix onto edge ``edge``, ``offset`` meters from the edge's first
+    node, at ``lat``/``lon``, ``dist`` great-circle meters from the fix."""
 
-    edge: int
-    offset: float   # meters from the edge's first node
-    dist: float     # great-circle fix-to-projection distance, meters
-    lat: float
-    lon: float
+    start: np.ndarray
+    edge: np.ndarray
+    offset: np.ndarray
+    dist: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.edge)
 
 
 class RoadNetwork:
@@ -37,32 +50,11 @@ class RoadNetwork:
     and routing run in the planar frame, reported distances use haversine.
     """
 
-    def __init__(self, nodes: dict, edges: list):
-        """``nodes`` maps integer ids to (lat, lon); ``edges`` holds
-        (a, b, length_m) records, where a length of None (or a missing one)
-        stands for the great-circle distance between the two nodes."""
-        ids = sorted(nodes)
-        measured = [len(rec) < 3 or rec[2] is None for rec in edges]
-        self._build(ids, [nodes[nid][0] for nid in ids],
-                    [nodes[nid][1] for nid in ids],
-                    [rec[0] for rec in edges], [rec[1] for rec in edges],
-                    [np.nan if m else r[2] for m, r in zip(measured, edges)],
-                    np.array(measured, dtype=bool))
-
-    @classmethod
-    def from_arrays(cls, ids, lat, lon, edge_a, edge_b,
-                    length) -> "RoadNetwork":
+    def __init__(self, ids, lat, lon, edge_a, edge_b, length):
         """The network of nodes ``ids`` (sorted, unique) at ``lat``/``lon``
         and edges between the node ids ``edge_a`` and ``edge_b`` of the
-        given lengths in meters."""
-        net = cls.__new__(cls)
-        net._build(ids, lat, lon, edge_a, edge_b, length,
-                   np.zeros(len(length), dtype=bool))
-        return net
-
-    def _build(self, ids, lat, lon, edge_a, edge_b, length, measured):
-        """The one constructor: validate, project, measure the edges marked
-        ``measured`` and index the adjacency."""
+        given lengths in meters, each within 0.5 % of the great-circle
+        distance between its nodes."""
         if not len(ids) or not len(edge_a):
             raise ValueError("network needs nodes and edges")
         try:
@@ -95,11 +87,6 @@ class RoadNetwork:
                              f"{a if unknown_a[ei] else b}")
         self.edge_a, self.edge_b = ia, ib
         self.edge_len = np.array(length, dtype=float)
-        # Pointwise: these lengths are written out by save(), equal to the
-        # scalar haversine of each edge's end nodes.
-        self.edge_len[measured] = haversine_pointwise(
-            self.node_lat[ia[measured]], self.node_lon[ia[measured]],
-            self.node_lat[ib[measured]], self.node_lon[ib[measured]])
         gc = haversine(self.node_lat[ia], self.node_lon[ia],
                        self.node_lat[ib], self.node_lon[ib])
         positive = np.isfinite(self.edge_len) & (self.edge_len > 0)
@@ -141,14 +128,14 @@ class RoadNetwork:
     def from_polyline(cls, line: Polyline, id_start: int = 0) -> "RoadNetwork":
         lats, lons = line.lats, line.lons
         ids = id_start + np.arange(len(lats), dtype=np.int64)
-        return cls.from_arrays(ids, lats, lons, ids[:-1], ids[1:],
-                               haversine_pointwise(lats[:-1], lons[:-1],
-                                                   lats[1:], lons[1:]))
+        return cls(ids, lats, lons, ids[:-1], ids[1:],
+                   haversine_pointwise(lats[:-1], lons[:-1], lats[1:],
+                                       lons[1:]))
 
     def candidates(self, lat, lon, max_candidates: int = 8,
-                   radius: float = 50.0):
-        """Nearest edge projections of one fix, closest first; for 1-D arrays
-        of fixes, one such list per fix.
+                   radius: float = 50.0) -> Candidates:
+        """Nearest edge projections of each fix of 1-D arrays (or of one
+        scalar fix), closest first.
 
         A fix's candidates are the first ``max_candidates`` edges in order of
         planar distance to their projections (ties by edge index), less those
@@ -194,15 +181,12 @@ class RoadNetwork:
         slat, slon = self.proj.to_latlon(sx, sy)
         gc = haversine_pointwise(lats[fixes][f], lons[fixes][f], slat, slon)
         keep = ~(gc > radius)
-        f, e = f[keep], e[keep]
-        found = [Candidate(*c) for c in zip(
-            e.tolist(), (t[keep] * self.edge_len[e]).tolist(),
-            gc[keep].tolist(), slat[keep].tolist(), slon[keep].tolist())]
-        bounds = np.searchsorted(f, np.arange(len(fixes) + 1)).tolist()
-        out: list[list[Candidate]] = [[] for _ in range(len(lats))]
-        for j, i in enumerate(fixes.tolist()):
-            out[i] = found[bounds[j]:bounds[j + 1]]
-        return out[0] if np.ndim(lat) == 0 else out
+        e = e[keep]
+        start = np.zeros(len(lats) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(fixes[f[keep]], minlength=len(lats)),
+                  out=start[1:])
+        return Candidates(start, e, t[keep] * self.edge_len[e], gc[keep],
+                          slat[keep], slon[keep])
 
     def _padded_radius(self, radius: float) -> float:
         """A planar distance beyond which no edge projection lies within
@@ -293,32 +277,31 @@ class RoadNetwork:
                     break
         return dist if targets is None else settled
 
-    def candidate_ends(self, cands) -> list[tuple]:
-        """(edge, a, d_a, b, d_b) of each candidate: its edge, the edge's
-        end nodes a and b, and its distances along the edge to them."""
-        edge = np.array([c.edge for c in cands], dtype=int)
-        offset = [c.offset for c in cands]
-        return [(e, a, off, b, length - off) for e, a, b, length, off in zip(
-            edge.tolist(), self.edge_a[edge].tolist(),
-            self.edge_b[edge].tolist(), self.edge_len[edge].tolist(), offset)]
+    def candidate_ends(self, cands: Candidates) -> tuple:
+        """The columns (edge, a, d_a, b, d_b) of the rows of ``cands``, as
+        Python lists: each row's edge, the edge's end nodes a and b, and
+        the row's distances along the edge to them."""
+        e = cands.edge
+        return (e.tolist(), self.edge_a[e].tolist(), cands.offset.tolist(),
+                self.edge_b[e].tolist(),
+                (self.edge_len[e] - cands.offset).tolist())
 
-    def route_distance(self, c1: Candidate, c2: Candidate, cutoff: float,
-                       _dist_cache: dict | None = None,
-                       targets=None) -> float:
-        """Shortest on-network distance between two candidate points.
+    def route_distance(self, cands: Candidates, i: int, j: int,
+                       cutoff: float, targets=None) -> float:
+        """Shortest on-network distance between the candidate rows ``i``
+        and ``j`` (non-negative indices) of ``cands``.
 
         Returns ``inf`` when no route exists within ``cutoff``. ``targets``
-        bounds the searches from c1's end nodes (see shortest_node_dists):
-        it must hold c2's end nodes, and those of every candidate routed to
-        through the same ``_dist_cache``.
+        bounds the searches from row i's end nodes (see shortest_node_dists):
+        it must hold row j's end nodes.
         """
-        ends1, ends2 = self.candidate_ends([c1]), self.candidate_ends([c2])
-        dists = {} if _dist_cache is None else _dist_cache
-        _, a, _, b, _ = ends1[0]
-        for n1 in (a, b) if c1.edge != c2.edge else ():
-            if n1 not in dists:
-                dists[n1] = self.shortest_node_dists(n1, cutoff, targets)
-        return float(route_distances(ends1, ends2, dists)[0][0])
+        ends = self.candidate_ends(cands)
+        edge, a, _, b, _ = ends
+        dists = {} if edge[i] == edge[j] else {
+            n: self.shortest_node_dists(n, cutoff, targets)
+            for n in (a[i], b[i])}
+        return float(route_distances(ends, slice(i, i + 1), slice(j, j + 1),
+                                     dists)[0])
 
     def save(self, path) -> None:
         """Write the text format: node,<id>,<lat>,<lon> / edge,<a>,<b>,<length_m>."""
@@ -364,8 +347,8 @@ class RoadNetwork:
             j = repeat[np.argmin(at[repeat + 1])]  # the first in the file
             raise ValueError(f"{path}: node {ids[j]} is defined twice, at "
                              f"lines {at[j]} and {at[j + 1]}")
-        return cls.from_arrays(ids, nodes["lat"][order], nodes["lon"][order],
-                               edges["a"], edges["b"], edges["length"])
+        return cls(ids, nodes["lat"][order], nodes["lon"][order], edges["a"],
+                   edges["b"], edges["length"])
 
 
 # The record kinds of a network file, each with three comma-separated fields.
@@ -418,24 +401,26 @@ def _raise_at_first_bad_line(path, lines: list):
     raise ValueError(f"{path}: unreadable network")
 
 
-def route_distances(ends1: list, ends2: list, dists: dict) -> list[list]:
-    """Shortest on-network distances from each candidate of ``ends1`` to
-    each of ``ends2`` (end tuples of RoadNetwork.candidate_ends), ``inf``
-    where there is no route. ``dists[n]`` holds the settled distances from
-    node n, for each end node n of an ``ends1`` candidate off the edge of an
-    ``ends2`` one; it must hold every end node of ``ends2`` within reach.
+def route_distances(ends: tuple, here: slice, there: slice,
+                    dists: dict) -> list[float]:
+    """Shortest on-network distances from each candidate row in ``here`` to
+    each in ``there``, row by row, ``inf`` where there is no route. ``ends``
+    holds the columns of RoadNetwork.candidate_ends. ``dists[n]`` holds the
+    settled distances from node n, for each end node n of a ``here`` row
+    off the edge of a ``there`` one; it must hold every end node of the
+    ``there`` rows within reach.
 
     Two points on one edge are the difference of their offsets apart;
     otherwise the route leaves the first edge by one of its ends and joins
     the second by one of its ends, the shortest of the four.
     """
-    rows = []
-    for e1, a1, da1, b1, db1 in ends1:
+    out = []
+    to = list(zip(*(col[there] for col in ends)))
+    for e1, a1, da1, b1, db1 in zip(*(col[here] for col in ends)):
         from_a, from_b = dists.get(a1), dists.get(b1)
-        row = []
-        for e2, a2, da2, b2, db2 in ends2:
+        for e2, a2, da2, b2, db2 in to:
             if e1 == e2:
-                row.append(abs(da2 - da1))
+                out.append(abs(da2 - da1))
                 continue
             best = math.inf
             for d1, settled in ((da1, from_a), (db1, from_b)):
@@ -445,9 +430,8 @@ def route_distances(ends1: list, ends2: list, dists: dict) -> list[list]:
                 sp = settled.get(b2)
                 if sp is not None and d1 + sp + db2 < best:
                     best = d1 + sp + db2
-            row.append(best)
-        rows.append(row)
-    return rows
+            out.append(best)
+    return out
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:

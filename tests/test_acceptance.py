@@ -13,8 +13,7 @@ from roadroughness.cli.config import load_config
 from roadroughness.cli.pipeline import bundle_predict, run_pipeline
 from roadroughness.core import ordered_kfold
 from roadroughness.features import standardize_apply, standardize_fit
-from roadroughness.geoalign import (RoadNetwork, build_lattice, match_fixes,
-                                    viterbi_path)
+from roadroughness.geoalign import build_lattice, match_fixes, viterbi_path
 from roadroughness.models import LinearModel, adasyn_resample, rbf_kernel
 from roadroughness.models import search as model_search
 from roadroughness.models.logistic import loss_and_grad as logistic_loss
@@ -25,7 +24,7 @@ from roadroughness.models.tree import DecisionTree
 from roadroughness.selection import pca_fit, sfs_forward
 from roadroughness.simkit import (IRI_SPEED_MS, compute_iri, generate_profile)
 
-from test_geoalign import PROJ, latlon, n_edges
+from test_geoalign import PROJ, dict_network, latlon, n_edges
 from test_models import (_slsqp_dual, _stump_oracle_sse, _tree_sse,
                          finite_difference)
 from test_selection import _cv_rmse
@@ -137,7 +136,7 @@ def _fifty_edge_network():
                 edges.append((nid, nid + 1, None))
             if j + 1 < ny:
                 edges.append((nid, nid + nx, None))
-    net = RoadNetwork(nodes, edges)
+    net = dict_network(nodes, edges)
     assert n_edges(net) == 50
     return net
 
@@ -162,8 +161,8 @@ def test_criterion_2_map_matching():
 
     lats, lons = _l_path_fixes()
     matched = match_fixes(np.arange(9.0), lats, lons, net)
-    truth = [net.candidates(lat, lon)[0].edge
-             for lat, lon in zip(lats, lons)]
+    cands = net.candidates(lats, lons)
+    truth = cands.edge[cands.start[:-1]].tolist()  # each fix's nearest
     if list(matched.edge) != truth:
         failures.append("noiseless edge sequence not recovered exactly")
 

@@ -794,6 +794,21 @@ class TestArtifactRoundTrips:
         io.write_json(tmp_path / "y.json", {"a": [2, 0.1], "b": 1.5})
         assert (tmp_path / "y.json").read_bytes() == p.read_bytes()
 
+    def test_write_json_writes_numpy_values_as_python_ones(self, tmp_path):
+        summary = {"n": np.int64(3), "k": [np.int32(-1), np.uint8(7)],
+                   "share": np.float32(0.25), "x": np.float64(0.1),
+                   "rows": np.arange(3), "m": np.array([[0.5, np.nan]]),
+                   "nested": [{"f": np.float16(1.5)}, (np.float64(2.0),)]}
+        python = {"n": 3, "k": [-1, 7], "share": 0.25, "x": 0.1,
+                  "rows": [0, 1, 2], "m": [[0.5, float("nan")]],
+                  "nested": [{"f": 1.5}, [2.0]]}
+        io.write_json(tmp_path / "numpy.json", summary)
+        io.write_json(tmp_path / "python.json", python)
+        assert ((tmp_path / "numpy.json").read_bytes()
+                == (tmp_path / "python.json").read_bytes())
+        with pytest.raises(TypeError, match="object is not JSON"):
+            io.write_json(tmp_path / "bad.json", {"x": object()})
+
     def test_bundle_schema_check(self, tmp_path):
         p = tmp_path / "m.json"
         io.save_bundle(p, {"schema_version": io.BUNDLE_SCHEMA_VERSION,
@@ -1069,6 +1084,38 @@ class TestTrainFoldPlan:
         n_train = io.read_json(tmp_path / "selection.json")["n_train"]
         folds = ordered_kfold(n_train, 4)
         assert rows == [len(tr) for tr, _ in folds] + [n_train]
+
+
+class TestTrainFailedFits:
+    def test_failed_fold_fits_are_counted_per_task(self, tmp_path):
+        """A random-forest grid point that asks for more features than PCA
+        keeps fails on every fold; train_summary.json counts its fits."""
+        rng = np.random.default_rng(5)
+        n = 60
+        iri = rng.uniform(0.5, 3.0, n)
+        ds = Dataset(np.column_stack([iri + 0.1 * rng.normal(size=n),
+                                      rng.normal(size=(n, 2))]), iri,
+                     np.digitize(iri, [1.0, 2.0]), ["f0", "f1", "f2"])
+        config = load_config(workdir=tmp_path)
+        config["select"].update(k_folds=3, max_features=2, sfs_trees=3,
+                                sfs_depth=3, sfs_max_rows=None)
+        config["train"].update(
+            k_folds=3, adasyn=False,
+            regression_families=["baseline", "random_forest"],
+            classification_families=["baseline"],
+            grids={"regression": {"random_forest": {
+                "n_trees": [3], "max_depth": [2], "max_features": [1, 9]}}})
+        io.write_features_csv(tmp_path / "features.csv", ds, np.arange(n))
+        run_stage("select", config)
+        summary = run_stage("train", config)
+        forest = io.read_json(tmp_path / "training.json")["tasks"][
+            "regression"]["random_forest"]
+        n_folds = len(forest["fold_bounds"])
+        assert n_folds == 2  # forward chaining over 3 blocks
+        assert [len(row["errors"]) for row in forest["cv_table"]] == [0, 2]
+        assert summary["n_failed_cv_fits"] == {"regression": 2,
+                                               "classification": 0}
+        assert io.read_json(tmp_path / "train_summary.json") == summary
 
 
 class TestTrainSingleWindowLevel:

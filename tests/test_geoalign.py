@@ -1,7 +1,9 @@
 import heapq
 import itertools
+import math
 import re
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadroughness.core import Reference, TelemetryTrace
-from roadroughness.geo import LocalProjection, Polyline, haversine
-from roadroughness.geoalign import (BrokenTraceError, Candidate,
-                                    InterpolatedPositions, Pieces,
+from roadroughness.geo import (LocalProjection, Polyline, haversine,
+                               haversine_pointwise)
+from roadroughness.geoalign import (BrokenTraceError, InterpolatedPositions,
+                                    MatchedTrace, Pieces,
                                     RoadNetwork,
                                     UnmatchedFixError, align_segments,
                                     build_lattice, interpolate_positions,
                                     match_fixes, sliding_windows,
                                     viterbi_path)
 from roadroughness.geoalign.align import piece_boundaries
+from roadroughness.geoalign.match import DEFAULT_BETA, DEFAULT_SIGMA
+from roadroughness.simkit import generate_route
 from roadroughness.topk import smallest_k
 
 ORIGIN = (55.65, 12.55)
@@ -35,6 +40,44 @@ def n_edges(net: RoadNetwork) -> int:
     return len(net.edge_a)
 
 
+def dict_network(nodes: dict, edges: list) -> RoadNetwork:
+    """The network of ``nodes``, a dict of integer ids to (lat, lon), and
+    ``edges``, (a, b, length_m) records, where a length of None (or a
+    missing one) stands for the great-circle distance between the two
+    nodes, measured with ``haversine_pointwise`` as the scalar
+    ``haversine`` measures it."""
+    ids = sorted(nodes)
+    unknown = [len(rec) < 3 or rec[2] is None for rec in edges]
+    length = np.array([np.nan if u else rec[2]
+                       for u, rec in zip(unknown, edges)], dtype=float)
+    # An edge to an unknown node keeps NaN: the constructor names the node.
+    measured = [k for k, rec in enumerate(edges) if unknown[k]
+                and rec[0] in nodes and rec[1] in nodes]
+    if measured:
+        a = np.array([nodes[edges[k][0]] for k in measured], dtype=float)
+        b = np.array([nodes[edges[k][1]] for k in measured], dtype=float)
+        with np.errstate(invalid="ignore"):
+            length[measured] = haversine_pointwise(a[:, 0], a[:, 1], b[:, 0],
+                                                   b[:, 1])
+    return RoadNetwork(ids, [nodes[i][0] for i in ids],
+                       [nodes[i][1] for i in ids], [rec[0] for rec in edges],
+                       [rec[1] for rec in edges], length)
+
+
+def fixes(*points):
+    """The lat and lon arrays of (lat, lon) points."""
+    return tuple(np.array(v, dtype=float) for v in zip(*points))
+
+
+def fix_rows(cands, i) -> list:
+    """The rows of fix i of a Candidates record, as (edge, offset, dist,
+    lat, lon) tuples of Python values."""
+    rows = slice(int(cands.start[i]), int(cands.start[i + 1]))
+    return list(zip(cands.edge[rows].tolist(), cands.offset[rows].tolist(),
+                    cands.dist[rows].tolist(), cands.lat[rows].tolist(),
+                    cands.lon[rows].tolist()))
+
+
 def grid_network(nx=4, ny=4, spacing=100.0) -> RoadNetwork:
     """A rectangular street grid with nx*ny nodes."""
     nodes = {}
@@ -49,7 +92,7 @@ def grid_network(nx=4, ny=4, spacing=100.0) -> RoadNetwork:
                 edges.append((nid, nid + 1, None))
             if j + 1 < ny:
                 edges.append((nid, nid + nx, None))
-    return RoadNetwork(nodes, edges)
+    return dict_network(nodes, edges)
 
 
 class TestRoadNetwork:
@@ -62,42 +105,48 @@ class TestRoadNetwork:
         a = latlon(0, 0)
         b = latlon(100, 0)
         with pytest.raises(ValueError):
-            RoadNetwork({0: a, 1: b}, [(0, 1, 180.0)])
+            dict_network({0: a, 1: b}, [(0, 1, 180.0)])
 
     def test_candidates_nearest_first(self):
         net = grid_network()
         lat, lon = latlon(50.0, 5.0)
         cands = net.candidates(lat, lon)
-        assert cands[0].dist <= cands[-1].dist
-        assert cands[0].dist == pytest.approx(5.0, abs=0.1)
+        assert cands.start.tolist() == [0, len(cands)]
+        assert cands.dist[0] <= cands.dist[-1]
+        assert cands.dist[0] == pytest.approx(5.0, abs=0.1)
 
     def test_candidates_radius(self):
         net = grid_network()
         lat, lon = latlon(150.0, 700.0)  # 400 m north of the grid
-        assert net.candidates(lat, lon, radius=50.0) == []
+        cands = net.candidates(lat, lon, radius=50.0)
+        assert len(cands) == 0 and cands.start.tolist() == [0, 0]
+
+    @staticmethod
+    def _first_candidates(net, p1, p2):
+        """A record of two fixes and the rows of their nearest candidates."""
+        cands = net.candidates(*fixes(p1, p2))
+        return cands, int(cands.start[0]), int(cands.start[1])
 
     def test_route_distance_same_edge(self):
         net = grid_network()
-        lat1 = latlon(20.0, 0.0)
-        lat2 = latlon(80.0, 0.0)
-        c1 = net.candidates(*lat1)[0]
-        c2 = net.candidates(*lat2)[0]
-        assert c1.edge == c2.edge
-        d = net.route_distance(c1, c2, 2000.0)
+        cands, i, j = self._first_candidates(net, latlon(20.0, 0.0),
+                                             latlon(80.0, 0.0))
+        assert cands.edge[i] == cands.edge[j]
+        d = net.route_distance(cands, i, j, 2000.0)
         assert d == pytest.approx(60.0, abs=0.2)
 
     def test_route_distance_around_corner(self):
         net = grid_network()
-        c1 = net.candidates(*latlon(50.0, 0.0))[0]
-        c2 = net.candidates(*latlon(100.0, 50.0))[0]
-        d = net.route_distance(c1, c2, 2000.0)
+        cands, i, j = self._first_candidates(net, latlon(50.0, 0.0),
+                                             latlon(100.0, 50.0))
+        d = net.route_distance(cands, i, j, 2000.0)
         assert d == pytest.approx(100.0, abs=0.5)
 
     def test_route_distance_cutoff(self):
         net = grid_network()
-        c1 = net.candidates(*latlon(0.0, 0.0))[0]
-        c2 = net.candidates(*latlon(300.0, 300.0))[0]
-        assert np.isinf(net.route_distance(c1, c2, 50.0))
+        cands, i, j = self._first_candidates(net, latlon(0.0, 0.0),
+                                             latlon(300.0, 300.0))
+        assert np.isinf(net.route_distance(cands, i, j, 50.0))
 
     def test_save_load_round_trip_byte_identical(self, tmp_path):
         net = grid_network(3, 2)
@@ -115,21 +164,21 @@ class TestRoadNetwork:
 
     def test_edge_to_unknown_node_is_named(self):
         with pytest.raises(ValueError, match=r"edge \(0,3\) names unknown node 3"):
-            RoadNetwork({0: latlon(0, 0), 1: latlon(100, 0)},
-                        [(0, 1, None), (0, 3, None)])
+            dict_network({0: latlon(0, 0), 1: latlon(100, 0)},
+                         [(0, 1, None), (0, 3, None)])
 
     @pytest.mark.parametrize("bad", [(np.nan, 12.5), (55.6, np.nan),
                                      (np.inf, 12.5), (95.0, 12.5),
                                      (55.6, -181.0)])
     def test_node_with_invalid_coordinates_is_named(self, bad):
         with pytest.raises(ValueError, match="node 7 has invalid coordinates"):
-            RoadNetwork({0: latlon(0, 0), 7: bad}, [(0, 7, None)])
+            dict_network({0: latlon(0, 0), 7: bad}, [(0, 7, None)])
 
     @pytest.mark.parametrize("length", [np.nan, np.inf, 0.0, -100.0])
     def test_edge_with_invalid_length_is_named(self, length):
         with pytest.raises(ValueError, match=r"edge \(0,1\)"):
-            RoadNetwork({0: latlon(0, 0), 1: latlon(100, 0)},
-                        [(0, 1, length)])
+            dict_network({0: latlon(0, 0), 1: latlon(100, 0)},
+                         [(0, 1, length)])
 
 
 _NASTY_FIELDS = ["nan", "inf", "-inf", "1e400", "", "x", "-1", "0", "5",
@@ -203,7 +252,7 @@ def line_by_line_load(path) -> RoadNetwork:
             else:
                 raise ValueError(f"{path}:{lineno}: unrecognized record "
                                  f"{line!r}")
-    return RoadNetwork(nodes, edges)
+    return dict_network(nodes, edges)
 
 
 def _network_bits(net):
@@ -318,7 +367,7 @@ class TestLoad:
                         net.node_ids[net.edge_b].tolist()))
         ends += [ends[i][::-1] if i % 2 else ends[i] for i in
                  rng.integers(len(ends), size=15).tolist()]
-        net = RoadNetwork(nodes, [(a, b, None) for a, b in ends])
+        net = dict_network(nodes, [(a, b, None) for a, b in ends])
         want = [[] for _ in range(net.n_nodes)]
         for a, b, length in zip(net.edge_a.tolist(), net.edge_b.tolist(),
                                 net.edge_len.tolist()):
@@ -342,7 +391,7 @@ class TestLoad:
                      for i, (a, b) in enumerate(zip(lats, lons))}
             edges = [(i, i + 1) if i % 2 else (i, i + 1, None)
                      for i in range(2999)]
-            for net in (line, RoadNetwork(nodes, edges)):
+            for net in (line, dict_network(nodes, edges)):
                 assert [v.hex() for v in net.edge_len.tolist()] == want
 
 
@@ -384,7 +433,7 @@ def irregular_grid(rng, nx, ny, drop=0.0):
             if j + 1 < ny and rng.random() >= drop:
                 edges.append((nid, nid + nx, None))
     nodes = {nid: latlon(*p) for nid, p in xy.items()}
-    return RoadNetwork(nodes, edges), xy
+    return dict_network(nodes, edges), xy
 
 
 def full_search(network, source, cutoff):
@@ -392,26 +441,27 @@ def full_search(network, source, cutoff):
     return network.shortest_node_dists(source, cutoff)
 
 
-def per_pair_transitions(network, steps, lats, lons, beta=20.0):
+def per_pair_transitions(network, cands, steps, lats, lons, beta=20.0):
     """Transition matrices pair by pair: the great-circle step by scalar
     haversine, each route the shortest of the four ways between the two
-    edges' ends by full searches. The oracle for build_lattice."""
+    edges' ends by full searches. ``steps`` holds each step's rows of the
+    Candidates record ``cands``. The oracle for build_lattice."""
     searches = {}
     mats = []
     for i in range(len(steps) - 1):
         d_gc = float(haversine(lats[i], lons[i], lats[i + 1], lons[i + 1]))
         cutoff = max(10.0 * (d_gc + 1.0), 2000.0)
         mat = np.full((len(steps[i]), len(steps[i + 1])), -np.inf)
-        for a, c1 in enumerate(steps[i]):
-            for b, c2 in enumerate(steps[i + 1]):
-                best = abs(c2.offset - c1.offset)
-                if c1.edge != c2.edge:
+        for a, r1 in enumerate(steps[i]):
+            for b, r2 in enumerate(steps[i + 1]):
+                best = abs(cands.offset[r2] - cands.offset[r1])
+                if cands.edge[r1] != cands.edge[r2]:
                     best = np.inf
-                    for n1, d1 in network_ends(network, c1):
+                    for n1, d1 in network_ends(network, cands, r1):
                         if (n1, cutoff) not in searches:
                             searches[n1, cutoff] = full_search(network, n1,
                                                                cutoff)
-                        for n2, d2 in network_ends(network, c2):
+                        for n2, d2 in network_ends(network, cands, r2):
                             sp = searches[n1, cutoff].get(n2)
                             if sp is not None:
                                 best = min(best, d1 + sp + d2)
@@ -421,16 +471,19 @@ def per_pair_transitions(network, steps, lats, lons, beta=20.0):
     return mats
 
 
-def network_ends(network, c):
-    return ((int(network.edge_a[c.edge]), c.offset),
-            (int(network.edge_b[c.edge]),
-             float(network.edge_len[c.edge]) - c.offset))
+def network_ends(network, cands, r):
+    e, offset = int(cands.edge[r]), float(cands.offset[r])
+    return ((int(network.edge_a[e]), offset),
+            (int(network.edge_b[e]), float(network.edge_len[e]) - offset))
 
 
 def per_fix_candidates(network, lat, lon, max_candidates=8, radius=50.0):
     """One fix projected onto every edge, then scalar conversions for the k
-    nearest: the oracle for the cell-indexed search over a whole trace."""
-    if not (np.isfinite(lat) and np.isfinite(lon)):
+    nearest, as (edge, offset, dist, lat, lon) tuples: the oracle for the
+    cell-indexed search over a whole trace. A fix outside the range of
+    coordinates has none; the projection could give it a candidate through
+    longitude wrapping, or one whose fields are NaN."""
+    if not (abs(lat) <= 90.0 and abs(lon) <= 180.0):
         return []
     px, py = network.proj.to_xy(lat, lon)
     t = np.clip(((px - network._ax) * network._dx
@@ -446,34 +499,32 @@ def per_fix_candidates(network, lat, lon, max_candidates=8, radius=50.0):
         gc = float(haversine(lat, lon, slat, slon))
         if gc > radius:
             continue
-        out.append(Candidate(int(ei), float(t[ei] * network.edge_len[ei]),
-                             gc, float(slat), float(slon)))
+        out.append((int(ei), float(t[ei] * network.edge_len[ei]), gc,
+                    float(slat), float(slon)))
     return out
 
 
-def _bits(cands):
-    return [(c.edge, c.offset.hex(), c.dist.hex(), c.lat.hex(), c.lon.hex())
-            for c in cands]
+def _bits(rows):
+    return [(e, offset.hex(), dist.hex(), lat.hex(), lon.hex())
+            for e, offset, dist, lat, lon in rows]
 
 
 def assert_candidates_equal_oracle(net, lats, lons, max_candidates=8,
                                    radius=50.0, scalar_calls=0):
-    """The whole-trace call equals the per-fix oracle fix for fix, every
-    field to the bit; so does the one-fix call on the first fixes. A fix
-    outside the range of coordinates has none; the oracle can give it a
-    candidate through longitude wrapping, or one whose fields are NaN."""
+    """The whole-trace record equals the per-fix oracle fix for fix, every
+    field to the bit; so does the one-fix call on the first fixes."""
     lats, lons = np.asarray(lats, dtype=float), np.asarray(lons, dtype=float)
     got = net.candidates(lats, lons, max_candidates, radius)
-    assert len(got) == len(lats)
+    assert len(got.start) == len(lats) + 1 and got.start[0] == 0
+    assert got.start[-1] == len(got) and np.all(np.diff(got.start) >= 0)
     for i, (lat, lon) in enumerate(zip(lats.tolist(), lons.tolist())):
-        want = []
-        if abs(lat) <= 90.0 and abs(lon) <= 180.0:
-            want = _bits(per_fix_candidates(net, lat, lon, max_candidates,
-                                            radius))
-        assert _bits(got[i]) == want, (i, lat, lon)
+        want = _bits(per_fix_candidates(net, lat, lon, max_candidates,
+                                        radius))
+        assert _bits(fix_rows(got, i)) == want, (i, lat, lon)
         if i < scalar_calls:
-            assert _bits(net.candidates(lat, lon, max_candidates,
-                                        radius)) == want
+            one = net.candidates(lat, lon, max_candidates, radius)
+            assert _bits(fix_rows(one, 0)) == want
+            assert len(one.start) == 2
 
 
 def city_drive(rng, nodes, spacing, n_fixes, sigma=3.0):
@@ -528,13 +579,14 @@ class TestCandidateSearch:
         planar frame, scaled at 70.5 degrees, overstates distances by 2.5 %,
         so a fix 51 m east on the plane is 49.7 m away on the sphere and
         must be found, though it lies beyond the radius on the plane."""
-        net = RoadNetwork({0: (70.0, 20.0), 1: (71.0, 20.0)}, [(0, 1, None)])
+        net = dict_network({0: (70.0, 20.0), 1: (71.0, 20.0)},
+                           [(0, 1, None)])
         px, py = net.proj.to_xy(70.999, 20.0)
         lats, lons = net.proj.to_latlon(px + np.array([49.0, 50.5, 51.0,
                                                        51.5, 52.0]),
                                         np.full(5, py))
         got = net.candidates(lats, lons)
-        assert [len(c) for c in got] == [1, 1, 1, 0, 0]
+        assert np.diff(got.start).tolist() == [1, 1, 1, 0, 0]
         assert_candidates_equal_oracle(net, lats, lons)
 
     def test_fixes_along_long_diagonal_edges(self):
@@ -548,7 +600,7 @@ class TestCandidateSearch:
             nodes[2 * i] = latlon(0.0, 0.0)
             nodes[2 * i + 1] = latlon(1500.0 * np.cos(a), 1500.0 * np.sin(a))
             edges.append((2 * i, 2 * i + 1, None))
-        net = RoadNetwork(nodes, edges)
+        net = dict_network(nodes, edges)
         rng = np.random.default_rng(4)
         s = np.arange(0.0, 1500.0, 3.0)
         side = (rng.uniform(30.0, 50.0, (len(angles), len(s)))
@@ -570,7 +622,7 @@ class TestCandidateSearch:
         edges = [(2 * i, 2 * i + 1, None) for i in range(8)]
         edges += [(100 + n, 101 + n, None) for n in range(64) if n % 8 < 7]
         edges += [(100 + n, 108 + n, None) for n in range(56)]
-        net = RoadNetwork(nodes, edges)
+        net = dict_network(nodes, edges)
         cells = net._cell_index(net._padded_radius(radius))
         assert cells.side < 60.0
         held = set(zip(cells.edges.tolist(), np.repeat(
@@ -588,14 +640,14 @@ class TestCandidateSearch:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_tied_edges_keep_index_order(self, k):
-        net = RoadNetwork({0: latlon(0, 0), 1: latlon(100, 0),
-                           2: latlon(100, 40)},
-                          [(0, 1, None), (1, 2, None), (0, 1, None),
-                           (0, 1, None)])
+        net = dict_network({0: latlon(0, 0), 1: latlon(100, 0),
+                            2: latlon(100, 40)},
+                           [(0, 1, None), (1, 2, None), (0, 1, None),
+                            (0, 1, None)])
         lats, lons = PROJ.to_latlon(np.array([30.0, 50.0, 70.0]),
                                     np.array([4.0, -3.0, 8.0]))
         got = net.candidates(lats, lons, max_candidates=k)
-        assert [c.edge for c in got[0]] == [0, 2, 3][:k]
+        assert [row[0] for row in fix_rows(got, 0)] == [0, 2, 3][:k]
         assert_candidates_equal_oracle(net, lats, lons, k)
 
     @pytest.mark.parametrize("fix", [(np.nan, 12.55), (55.65, np.nan),
@@ -605,10 +657,9 @@ class TestCandidateSearch:
                                      (-90.5, 12.55)])
     def test_fix_without_a_valid_position_has_no_candidate(self, fix):
         net = grid_network()
-        assert net.candidates(*fix) == []
-        lats, lons = (np.array([latlon(50, 5)[j], fix[j]]) for j in (0, 1))
-        got = net.candidates(lats, lons)
-        assert got[0] and got[1] == []
+        assert net.candidates(*fix).start.tolist() == [0, 0]
+        got = net.candidates(*fixes(latlon(50, 5), fix))
+        assert got.start[1] > 0 and got.start[2] == got.start[1]
 
     @pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0])
     def test_bad_radius_is_rejected(self, radius):
@@ -617,12 +668,13 @@ class TestCandidateSearch:
 
     def test_zero_radius_and_zero_candidates(self):
         net = grid_network()
-        lats, lons = (np.array(v) for v in zip(latlon(50, 0), latlon(50, 5)))
+        lats, lons = fixes(latlon(50, 0), latlon(50, 5))
         assert_candidates_equal_oracle(net, lats, lons, 8, 0.0)
-        assert net.candidates(lats, lons, 0) == [[], []]
+        assert net.candidates(lats, lons, 0).start.tolist() == [0, 0, 0]
 
     def test_empty_trace(self):
-        assert grid_network().candidates(np.array([]), np.array([])) == []
+        got = grid_network().candidates(np.array([]), np.array([]))
+        assert len(got) == 0 and got.start.tolist() == [0]
 
 
 @st.composite
@@ -648,7 +700,7 @@ def irregular_networks(draw):
         a, b = edges[int(rng.integers(len(edges)))]
         edges.append((a, b) if rng.random() < 0.5 else (b, a))
     edges = [e for e in edges if e[0] != e[1]] or [(0, 1)]
-    net = RoadNetwork(nodes, [(a, b, None) for a, b in edges])
+    net = dict_network(nodes, [(a, b, None) for a, b in edges])
     radius = draw(st.sampled_from([0.5, 10.0, 50.0, 400.0]))
     # A bound, looser than the search's, on the planar reach of the radius.
     coslat = np.cos(np.radians(lat))
@@ -736,15 +788,18 @@ class TestBoundedSearch:
         rng = np.random.default_rng(seed)
         net, _ = irregular_grid(rng, 6, 6, drop=0.3)
         for _ in range(30):
-            c1, c2 = (net.candidates(*latlon(*rng.uniform(0, 500, 2)),
-                                     radius=200.0) for _ in range(2))
-            if not c1 or not c2:
+            cands = net.candidates(*fixes(*(latlon(*rng.uniform(0, 500, 2))
+                                            for _ in range(2))),
+                                   radius=200.0)
+            i, mid, end = cands.start.tolist()
+            if i == mid or mid == end:
                 continue
-            a, b = c1[0], c2[-1]
+            j = end - 1  # the second fix's farthest candidate
             cutoff = float(rng.uniform(100.0, 800.0))
-            expected = net.route_distance(a, b, cutoff)  # full search
-            ends = {int(net.edge_a[b.edge]), int(net.edge_b[b.edge])}
-            assert net.route_distance(a, b, cutoff, None, ends) == expected
+            expected = net.route_distance(cands, i, j, cutoff)  # full search
+            e = cands.edge[j]
+            ends = {int(net.edge_a[e]), int(net.edge_b[e])}
+            assert net.route_distance(cands, i, j, cutoff, ends) == expected
 
 
 def settle_order(network, source, cutoff):
@@ -864,7 +919,7 @@ class TestMapMatching:
         after a fix that is dropped."""
         nodes = {0: latlon(0.0, 0.0), 1: latlon(100.0, 0.0),
                  10: latlon(200.0, 0.0), 11: latlon(300.0, 0.0)}
-        net = RoadNetwork(nodes, [(0, 1, None), (10, 11, None)])
+        net = dict_network(nodes, [(0, 1, None), (10, 11, None)])
         xy = [(20.0, 2.0), (50.0, 500.0), (60.0, 2.0), (250.0, 2.0),
               (60.0, 2.0)]
         lats, lons = (np.array(v) for v in zip(*(latlon(*p) for p in xy)))
@@ -939,7 +994,8 @@ class TestMapMatching:
             if drive == 3:
                 lats, lons = (np.delete(v, range(1, 28)) for v in (lats, lons))
             lattice = build_lattice(lats, lons, net)
-            want = per_pair_transitions(net, lattice[0], lats[lattice.kept],
+            want = per_pair_transitions(net, lattice.candidates, lattice[0],
+                                        lats[lattice.kept],
                                         lons[lattice.kept])
             assert len(lattice[2]) == len(want)
             for got, mat in zip(lattice[2], want):
@@ -970,7 +1026,7 @@ class TestMapMatching:
         edges = [(i, i + 1, None) for i in range(5)]
         edges += [(10 + i, 11 + i, None) for i in range(5)]
         edges += [(0, 10, None), (5, 15, None)]
-        net = RoadNetwork(nodes, edges)
+        net = dict_network(nodes, edges)
         xs = np.arange(20.0, 480.0, 40.0)
         lats, lons = (np.array(v) for v in zip(*(latlon(x, 8.0) for x in xs)))
         assert all(len(net.candidates(a, b)) >= 2 for a, b in zip(lats, lons))
@@ -990,6 +1046,230 @@ class TestMapMatching:
             recovered += int(np.sum(matched.edge == truth.edge))
             total += 9
         assert recovered / total >= 0.9
+
+
+# The lattice and the match as assembled before the Candidates record,
+# frozen as the oracle: one Candidate per candidate (from the per-fix
+# search), an end tuple per candidate, a route matrix per step, and a
+# per-fix loop for the edge path.
+Candidate = namedtuple("Candidate", "edge offset dist lat lon")
+
+
+def _candidate_ends(network, cands) -> list[tuple]:
+    edge = np.array([c.edge for c in cands], dtype=int)
+    offset = [c.offset for c in cands]
+    return [(e, a, off, b, length - off) for e, a, b, length, off in zip(
+        edge.tolist(), network.edge_a[edge].tolist(),
+        network.edge_b[edge].tolist(), network.edge_len[edge].tolist(), offset)]
+
+
+def _route_distances(ends1, ends2, dists) -> list[list]:
+    rows = []
+    for e1, a1, da1, b1, db1 in ends1:
+        from_a, from_b = dists.get(a1), dists.get(b1)
+        row = []
+        for e2, a2, da2, b2, db2 in ends2:
+            if e1 == e2:
+                row.append(abs(da2 - da1))
+                continue
+            best = math.inf
+            for d1, settled in ((da1, from_a), (db1, from_b)):
+                sp = settled.get(a2)
+                if sp is not None and d1 + sp + da2 < best:
+                    best = d1 + sp + da2
+                sp = settled.get(b2)
+                if sp is not None and d1 + sp + db2 < best:
+                    best = d1 + sp + db2
+            row.append(best)
+        rows.append(row)
+    return rows
+
+
+def per_candidate_lattice(lats, lons, network, sigma=DEFAULT_SIGMA,
+                          beta=DEFAULT_BETA):
+    """(steps, emissions, transitions, kept), steps as lists of Candidate:
+    the oracle for build_lattice."""
+    lats = np.asarray(lats, dtype=float)
+    lons = np.asarray(lons, dtype=float)
+    steps, emissions, kept, dropped = [], [], [], []
+    for i, (lat, lon) in enumerate(zip(lats.tolist(), lons.tolist())):
+        cands = [Candidate(*row) for row in per_fix_candidates(network, lat,
+                                                               lon)]
+        if not cands:
+            dropped.append(i)
+            continue
+        kept.append(i)
+        steps.append(cands)
+        emissions.append(np.array([-c.dist ** 2 / (2.0 * sigma ** 2)
+                                   for c in cands]))
+    if len(kept) < 2:
+        raise UnmatchedFixError(dropped[0])
+    lats, lons = lats[kept], lons[kept]
+    d_gcs = haversine_pointwise(lats[:-1], lons[:-1], lats[1:],
+                                lons[1:]).tolist()
+    ends = _candidate_ends(network, [c for cands in steps for c in cands])
+    bounds = np.cumsum([0] + [len(cands) for cands in steps]).tolist()
+    step_ends = [ends[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    searches: dict = {}
+    d_route: list[float] = []
+    for i, d_gc in enumerate(d_gcs):
+        cutoff = max(10.0 * (d_gc + 1.0), 2000.0)
+        here, there = step_ends[i], step_ends[i + 1]
+        targets = {n for _, a, _, b, _ in there for n in (a, b)}
+        dists = {}
+        for _, a, _, b, _ in here:
+            for n in (a, b):
+                if n not in dists:
+                    dists[n] = network.shortest_node_dists(n, cutoff, targets,
+                                                           searches)
+        for row in _route_distances(here, there, dists):
+            d_route += row
+    sizes = np.diff(bounds)
+    cells = sizes[:-1] * sizes[1:]
+    d = np.array(d_route)
+    routed = np.isfinite(d)
+    scores = np.where(routed, -np.abs(d - np.repeat(d_gcs, cells)) / beta,
+                      -np.inf)
+    starts = np.cumsum(cells) - cells
+    broken = np.flatnonzero(~np.logical_or.reduceat(routed, starts))
+    if len(broken):
+        step = int(broken[0])
+        raise BrokenTraceError(kept[step + 1], kept[step])
+    transitions = [scores[lo:lo + n * m].reshape(n, m) for lo, n, m in zip(
+        starts.tolist(), sizes[:-1].tolist(), sizes[1:].tolist())]
+    return steps, emissions, transitions, kept
+
+
+def per_candidate_match(t, lats, lons, network) -> MatchedTrace:
+    steps, emissions, transitions, kept = per_candidate_lattice(lats, lons,
+                                                                network)
+    path, log_score = viterbi_path(emissions, transitions)
+    chosen = [steps[i][j] for i, j in enumerate(path)]
+    return MatchedTrace(
+        t=np.asarray(t, dtype=float)[kept],
+        fix_lat=np.asarray(lats, dtype=float)[kept],
+        fix_lon=np.asarray(lons, dtype=float)[kept],
+        edge=np.array([c.edge for c in chosen], dtype=int),
+        offset=np.array([c.offset for c in chosen]),
+        lat=np.array([c.lat for c in chosen]),
+        lon=np.array([c.lon for c in chosen]),
+        log_score=log_score,
+        n_unmatched=len(lats) - len(kept),
+    )
+
+
+def per_fix_edge_path(edge) -> list[int]:
+    path = []
+    for e in edge:
+        if not path or path[-1] != e:
+            path.append(int(e))
+    return path
+
+
+def simulated_drive(rng, length=3000.0, sigma=3.0):
+    """A meandering simulated route as a chain network, and GPS fixes every
+    13.9 m along it with GPS noise."""
+    route = generate_route(length, int(rng.integers(2 ** 31)))
+    net = RoadNetwork.from_polyline(route)
+    x, y = net.proj.to_xy(*route.point_at(np.arange(0.0, route.length, 13.9)))
+    x = x + rng.normal(0.0, sigma / np.sqrt(2.0), len(x))
+    y = y + rng.normal(0.0, sigma / np.sqrt(2.0), len(y))
+    return net, *net.proj.to_latlon(x, y)
+
+
+class TestCandidateRecord:
+    """build_lattice and match_fixes on the trace's Candidates record equal
+    the per-candidate assembly, every float to the bit."""
+
+    @staticmethod
+    def _assert_equals_per_candidate(net, lats, lons):
+        t = np.arange(len(lats), dtype=float)
+        lattice = build_lattice(lats, lons, net)
+        steps, emissions, transitions, kept = per_candidate_lattice(
+            lats, lons, net)
+        cands = lattice.candidates
+        assert lattice.kept.tolist() == kept
+        assert lattice[0] == [range(cands.start[i], cands.start[i + 1])
+                              for i in kept]
+        for i, want in zip(kept, steps):
+            assert _bits(fix_rows(cands, i)) == _bits(want)
+        for got, want in zip(lattice[1] + lattice[2], emissions + transitions):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got, want = match_fixes(t, lats, lons, net), per_candidate_match(
+            t, lats, lons, net)
+        for field in ("t", "fix_lat", "fix_lon", "edge", "offset", "lat",
+                      "lon"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert got.log_score.hex() == want.log_score.hex()
+        assert got.n_unmatched == want.n_unmatched
+        assert got.edge_path() == per_fix_edge_path(want.edge)
+        return got
+
+    def test_city_drives(self):
+        """Four drives over a 60 x 60 grid; the last drops a fix that is
+        not finite and one 900 m off the grid."""
+        net = grid_network(60, 60)
+        rng = np.random.default_rng(21)
+        for drive in range(4):
+            lats, lons = city_drive(rng, 60, 100.0, 50)
+            if drive == 3:
+                lats[10] = np.nan
+                lats[20], lons[20] = latlon(-900.0, -900.0)
+            matched = self._assert_equals_per_candidate(net, lats, lons)
+            assert matched.n_unmatched == (2 if drive == 3 else 0)
+
+    def test_irregular_grids(self):
+        """Fixes scattered over 8 x 8 grids with moved junctions and
+        missing streets, some of them out of range."""
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            net, _ = irregular_grid(rng, 8, 8, drop=0.2)
+            xs, ys = rng.uniform(-30.0, 730.0, (2, 40))
+            lats, lons = fixes(*map(latlon, np.sort(xs), ys))
+            try:
+                self._assert_equals_per_candidate(net, lats, lons)
+            except BrokenTraceError as exc:
+                with pytest.raises(BrokenTraceError, match=f"{exc}$"):
+                    per_candidate_lattice(lats, lons, net)
+
+    def test_simulated_drive(self):
+        rng = np.random.default_rng(22)
+        net, lats, lons = simulated_drive(rng)
+        matched = self._assert_equals_per_candidate(net, lats, lons)
+        assert len(matched) == len(lats) > 200
+
+    def test_far_candidate_chosen(self):
+        """Three parallel streets at y = 0, 20 and 25 m, joined only at
+        their ends; the car keeps to y = 0, and one fix strays to y = 22 m,
+        where the streets at 20 and 25 m and their edges' ends are nearer
+        than its own street."""
+        nodes, edges = {}, []
+        for k, y in enumerate((0.0, 20.0, 25.0)):
+            nodes.update({10 * k + i: latlon(100.0 * i, y) for i in range(5)})
+            edges += [(10 * k + i, 10 * k + i + 1, None) for i in range(4)]
+        edges += [(0, 10, None), (10, 20, None), (4, 14, None),
+                  (14, 24, None)]
+        net = dict_network(nodes, edges)
+        lats, lons = fixes(*(latlon(x, 22.0 if x == 220.0 else 1.0)
+                             for x in np.arange(20.0, 400.0, 40.0)))
+        lattice = build_lattice(lats, lons, net)
+        path, _ = viterbi_path(lattice[1], lattice[2])
+        assert path[5] >= 2
+        assert lattice.candidates.edge[lattice[0][5][path[5]]] == 2
+        self._assert_equals_per_candidate(net, lats, lons)
+
+    def test_broken_and_unmatched_traces_raise_the_same_error(self):
+        nodes = {0: latlon(0.0, 0.0), 1: latlon(100.0, 0.0),
+                 10: latlon(200.0, 0.0), 11: latlon(300.0, 0.0)}
+        net = dict_network(nodes, [(0, 1, None), (10, 11, None)])
+        for xy in ([(20.0, 2.0), (50.0, 500.0), (60.0, 2.0), (250.0, 2.0)],
+                   [(20.0, 2.0), (50.0, 500.0), (np.nan, 0.0)]):
+            lats, lons = fixes(*(latlon(*p) for p in xy))
+            with pytest.raises(ValueError) as want:
+                per_candidate_lattice(lats, lons, net)
+            with pytest.raises(type(want.value), match=f"{want.value}$"):
+                build_lattice(lats, lons, net)
 
 
 def _line_reference(n_segs, seg_len=10.0):
