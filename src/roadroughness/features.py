@@ -5,8 +5,9 @@ Per channel, 34 extractors are evaluated; over the two channels
 (vertical acceleration and speed) this yields the 68-column feature matrix.
 The catalog follows tsfel (Barandas et al. 2020). Every extractor works on a
 whole (n_windows x n_points) matrix at once, one window per row: reductions
-along the rows, one row sort for the order statistics, a sliding-window view
-for the neighbourhood peaks and a row-wise copy of ``np.histogram``'s
+along the rows, one row sort for the order statistics (which the ECDF
+percentiles index directly), running maxima of doubling length for the
+neighbourhood peaks and a row-wise copy of ``np.histogram``'s
 equal-width binning for the entropy.
 
 Conventions pinned here: population variance/std, quantiles by linear
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Dataset, Windows, iri_levels
 
@@ -73,11 +73,11 @@ def resample_segment(windows: Windows, target_len: int) -> Windows:
                    windows.window_id, windows.iri)
 
 
-def _ecdf_percentile(x: np.ndarray, p: float) -> np.ndarray:
+def _ecdf_percentile(xs: np.ndarray, p: float) -> np.ndarray:
     """Smallest sample value whose empirical CDF is at least p, along the
-    last axis."""
-    k = int(np.ceil(p * x.shape[-1]))
-    return np.sort(x, axis=-1)[..., max(k, 1) - 1]
+    last axis of ``xs``, which is sorted along it."""
+    k = int(np.ceil(p * xs.shape[-1]))
+    return xs[..., max(k, 1) - 1]
 
 
 def _entropy(x: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -112,13 +112,23 @@ def _entropy(x: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 
 def _neighbourhood_peaks(x: np.ndarray, n: int = PEAK_NEIGHBOURHOOD) -> np.ndarray:
-    """Per row, samples strictly above all n neighbours on each side."""
-    if x.shape[1] < 2 * n + 1:
+    """Per row, samples strictly above all n neighbours on each side.
+
+    ``run[:, i]`` is the max of ``x[:, i:i + n]``, built in log2(n) steps
+    from the maxima of runs of doubling length. A sample is a peak when it
+    is above the run that ends just before it and the one that starts just
+    after it; max and > are exact, so this is the 2n comparisons."""
+    m = x.shape[1]
+    if m < 2 * n + 1:
         return np.zeros(len(x), dtype=int)
-    win = sliding_window_view(x, 2 * n + 1, axis=1)
-    centre = win[..., n]
-    peak = (centre > win[..., :n].max(axis=-1)) \
-        & (centre > win[..., n + 1:].max(axis=-1))
+    run, width = x, 1
+    while width < n:
+        step = min(width, n - width)
+        run = np.maximum(run[:, :-step], run[:, step:])
+        width += step
+    centre = x[:, n:m - n]
+    peak = centre > run[:, :m - 2 * n]
+    peak &= centre > run[:, n + 1:]
     return peak.sum(axis=1)
 
 

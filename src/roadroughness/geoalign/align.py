@@ -12,6 +12,16 @@ from .match import MatchedTrace
 
 WINDOW_PIECES = 10  # 100 m window out of 10 m pieces
 MIN_PIECE_SAMPLES = 2
+# Samples between the anchors whose distances bound the unmeasured part of
+# a search window (``_search``). Pieces span ~36 samples at the default
+# settings. Set by timing the survey drive.
+ANCHOR_STRIDE = 32
+# Relative margin taken off each triangle-inequality bound for rounding.
+BOUND_MARGIN = 1e-9
+# Piece ends searched together, and how far (in samples) the match before
+# each may lie from its guess.
+SEARCH_ROWS = 64
+GUESS_SLACK = 32
 
 
 @dataclass
@@ -72,25 +82,179 @@ def piece_boundaries(reference: Reference,
     end is searched for from ``search_back`` samples before to
     ``search_ahead`` samples after the previous match. Ties go to the
     earlier timestamp, by argmin's first-occurrence rule.
+
+    The result is that of one argmin over each whole window, but most of a
+    window is only bounded, not measured (``_search``): a sample between
+    anchors a and b is at least ``(d_a + d_b - path_ab) / 2`` from the end,
+    less BOUND_MARGIN (1e-9) times ``d_a + d_b + path_ab`` for rounding
+    (``_Track.gap_bound``).
+
+    Up to SEARCH_ROWS ends are searched at a time. Each end's window is
+    taken from a guess of the previous match: the sample at the summed
+    distance between the ends along the samples' path, or the result of
+    the last pass. The window is widened by the slack the guess is allowed,
+    so a result holds when the match before it lies within that slack of
+    its guess and the result lies in that match's window. The results are
+    kept up to the first end where this fails; the ends after it are
+    searched again, in a pass of at most twice as many ends as were kept.
     """
-    # Every search measures from these samples: convert them once.
-    lat = np.radians(positions.lat)
-    lon = np.radians(positions.lon)
-    cos_lat = np.cos(lat)
+    if search_back < 0 or search_ahead < 1:
+        raise ValueError("search_back must be at least 0 and search_ahead "
+                         "at least 1")
+    track = _Track.of(positions)
     end_lat = np.radians(np.append(reference.start_lat[:1], reference.end_lat))
     end_lon = np.radians(np.append(reference.start_lon[:1], reference.end_lon))
     end_cos = np.cos(end_lat)
-    n = len(positions)
-    boundaries = []
-    lo, hi = 0, n
-    for k in range(len(end_lat)):
-        d = haversine_radians(lat[lo:hi], lon[lo:hi], cos_lat[lo:hi],
-                              end_lat[k], end_lon[k], end_cos[k])
-        cursor = lo + int(np.argmin(d))
-        boundaries.append(cursor)
-        lo = max(0, cursor - search_back)
-        hi = min(n, cursor + search_ahead)
-    return boundaries
+    n, n_ends = len(track.lat), len(end_lat)
+    if not n_ends:
+        return []
+    hop = haversine_radians(end_lat[:-1], end_lon[:-1], end_cos[:-1],
+                            end_lat[1:], end_lon[1:], end_cos[1:])
+    hops = np.concatenate([[0.0], np.cumsum(hop)])
+    cursor = np.empty(n_ends, dtype=np.intp)
+    # The first end's window is the whole trace.
+    cursor[0] = _search(track, (end_lat[:1], end_lon[:1], end_cos[:1]),
+                        np.zeros(1, np.intp), np.full(1, n),
+                        np.zeros(1, np.intp), np.ones(1, bool))[0][0]
+    guess = np.empty_like(cursor)
+    done = searched = 1
+    rows = SEARCH_ROWS
+    # A result found in a window widened by much more than the window's own
+    # size would often fall outside the window of the actual match.
+    slack = np.full(SEARCH_ROWS, min(GUESS_SLACK, search_back // 2,
+                                     search_ahead // 4))
+    slack[0] = 0
+    while done < n_ends:
+        k = np.arange(done, min(n_ends, done + rows))
+        # The first row's previous match is known: its slack is 0.
+        guess[done - 1] = cursor[done - 1]
+        fresh = k[k >= searched]
+        if len(fresh):
+            # Path-length guesses, each within the window of the one before.
+            base = guess[fresh[0] - 1]
+            at = np.searchsorted(track.path, track.path[base] + hops[fresh]
+                                 - hops[fresh[0] - 1])
+            guess[fresh] = np.clip(base + np.cumsum(np.clip(
+                np.diff(at, prepend=base), -search_back, search_ahead - 1)),
+                0, n - 1)
+            searched = k[-1] + 1
+        prev = guess[k - 1]
+        slack_k = slack[:len(k)]
+        found, certain = _search(
+            track, (end_lat[k], end_lon[k], end_cos[k]),
+            np.maximum(prev - slack_k - search_back, 0),
+            np.minimum(prev + slack_k + search_ahead, n), guess[k],
+            slack_k == 0)
+        move = found[1:] - found[:-1]
+        bad = np.flatnonzero(~certain[1:]
+                             | (np.abs(found[:-1] - prev[1:]) > slack_k[1:])
+                             | (move < -search_back) | (move >= search_ahead))
+        kept = bad[0] + 1 if len(bad) else len(k)
+        cursor[done:done + kept] = found[:kept]
+        guess[k] = found
+        done += kept
+        rows = min(SEARCH_ROWS, 2 * kept)
+    return cursor.tolist()
+
+
+@dataclass
+class _Track:
+    """The positioned samples in radians, the path length along them from
+    the first to each, and the anchors: every ANCHOR_STRIDE-th sample and
+    the last one, with the path length from each to the next (0 after the
+    last), summed over the anchor's own steps."""
+
+    lat: np.ndarray
+    lon: np.ndarray
+    cos_lat: np.ndarray
+    path: np.ndarray
+    anchor: np.ndarray
+    gap: np.ndarray
+
+    @classmethod
+    def of(cls, positions: InterpolatedPositions) -> "_Track":
+        lat = np.radians(positions.lat)
+        lon = np.radians(positions.lon)
+        cos_lat = np.cos(lat)
+        step = haversine_radians(lat[:-1], lon[:-1], cos_lat[:-1],
+                                 lat[1:], lon[1:], cos_lat[1:])
+        anchor = np.append(np.arange(0, len(lat) - 1, ANCHOR_STRIDE),
+                           len(lat) - 1)
+        gap = np.append(np.add.reduceat(step, anchor[:-1])
+                        if len(step) else step, 0.0)
+        return cls(lat, lon, cos_lat, np.concatenate([[0.0], np.cumsum(step)]),
+                   anchor, gap)
+
+    def distance(self, idx, end) -> np.ndarray:
+        """Distance of the samples ``idx`` to the ends ``end`` (radians and
+        cosine of latitude, broadcast against ``idx``)."""
+        return haversine_radians(self.lat[idx], self.lon[idx],
+                                 self.cos_lat[idx], *end)
+
+    def gap_bound(self, first, last, end) -> np.ndarray:
+        """Per row, a lower bound on the distance to the row's end of every
+        sample from anchor ``first`` to anchor ``last`` (indices into
+        ``anchor``; +inf where ``first > last``).
+
+        A sample j between anchors a and b lies within the path length from
+        a to j of a and from j to b of b, so by the triangle inequality its
+        distance is at least ``(d_a + d_b - path_ab) / 2``. Each of the
+        three terms is computed to a few ulps (a path of ANCHOR_STRIDE steps
+        to ~40), so the bound is lowered by BOUND_MARGIN times their sum,
+        some 10^5 times that rounding.
+        """
+        empty = first > last
+        first = np.where(empty, last, first)
+        a = np.minimum(first[:, None] + np.arange(max(np.max(last - first), 1)
+                                                  + 1), last[:, None])
+        d = self.distance(self.anchor[a], end)
+        total = d[:, :-1] + d[:, 1:]
+        path = np.where(a[:, 1:] > a[:, :-1], self.gap[a[:, :-1]], 0.0)
+        bound = np.min(0.5 * (total - path) - BOUND_MARGIN * (total + path),
+                       axis=1)
+        bound[empty] = np.inf
+        return bound
+
+
+def _search(track: _Track, end, lo, hi, guess, exact):
+    """Per row, the first sample of ``lo:hi`` nearest to the row's end
+    (``end`` holds the ends' latitudes and longitudes in radians and the
+    cosines of the latitudes), and whether it is certainly that of an
+    argmin over the whole window.
+
+    Only a block of samples around ``guess`` is measured: the anchor gap
+    that holds it and the gap on either side. The rest of the window is
+    bounded from below (``_Track.gap_bound``); the result is certain when
+    every bound exceeds the block's minimum. Rows marked ``exact`` whose
+    result is not certain are measured in full.
+    """
+    stride = ANCHOR_STRIDE
+    guess = np.clip(guess, lo, hi - 1)
+    b0 = np.maximum(lo, (guess // stride - 1) * stride)
+    b1 = np.minimum(hi, (guess // stride + 2) * stride)
+    column = tuple(e[:, None] for e in end)
+    idx = b0[:, None] + np.arange(np.max(b1 - b0))
+    outside = idx >= b1[:, None]
+    np.minimum(idx, (b1 - 1)[:, None], out=idx)
+    d = track.distance(idx, column)
+    d[outside] = np.inf
+    j = np.argmin(d, axis=1)
+    nearest = d[np.arange(len(j)), j]
+    # The block starts and ends at an anchor unless it starts at lo or ends
+    # at hi; the bounds run from the anchor at or before lo to the block,
+    # and from the block to the anchor at or after the window's last sample.
+    last = np.minimum(-(-(hi - 1) // stride), len(track.anchor) - 1)
+    bound = np.minimum(
+        track.gap_bound(np.where(b0 > lo, lo // stride, b0 // stride + 1),
+                        b0 // stride, column),
+        track.gap_bound(np.where(b1 < hi, b1 // stride, last + 1),
+                        last, column))
+    found, certain = b0 + j, bound > nearest
+    for r in np.flatnonzero(exact & ~certain).tolist():
+        d = track.distance(slice(lo[r], hi[r]), [e[r] for e in end])
+        found[r] = lo[r] + int(np.argmin(d))
+        certain[r] = True
+    return found, certain
 
 
 def align_segments(reference: Reference,

@@ -23,6 +23,8 @@ from .geo import LocalProjection, Polyline
 IRI_SPEED_MS = 80.0 / 3.6
 PSD_REF_FREQ = 0.1  # cycles/m
 INIT_SLOPE_LENGTH_M = 11.0  # profile run-in used to seed the initial state
+# The quarter car's outputs, in the row order of its output matrix.
+QUARTER_CAR_OUTPUTS = ("z_s", "v_s", "z_u", "v_u", "acc_s")
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,15 @@ class RoadProfile:
 
 @dataclass
 class QuarterCarResponse:
-    """Time series of the quarter-car state over a run."""
+    """Time series of the quarter-car state over a run; an output that was
+    not asked for is None."""
 
     t: np.ndarray
-    z_s: np.ndarray
-    v_s: np.ndarray
-    z_u: np.ndarray
-    v_u: np.ndarray
-    acc_s: np.ndarray
+    z_s: np.ndarray | None = None
+    v_s: np.ndarray | None = None
+    z_u: np.ndarray | None = None
+    v_u: np.ndarray | None = None
+    acc_s: np.ndarray | None = None
 
 
 @dataclass
@@ -188,7 +191,9 @@ def _foh_matrices(params: QuarterCarParams, dt: float):
 
 
 def _run_series(u: np.ndarray, dt: float, params: QuarterCarParams,
-                x0: np.ndarray) -> QuarterCarResponse:
+                x0: np.ndarray,
+                outputs: tuple[str, ...] = QUARTER_CAR_OUTPUTS
+                ) -> QuarterCarResponse:
     """Step the quarter car over a uniformly sampled road input series.
 
     The FOH-discretized system x[k+1] = Ad x[k] + b0 u[k] + b1 u[k+1],
@@ -198,6 +203,11 @@ def _run_series(u: np.ndarray, dt: float, params: QuarterCarParams,
     the first filter: the one left by past outputs C Ad^-j x0 (j = 1..4) and
     no past input. (Filtering an impulse for it instead runs into subnormal
     numbers on long series, where ``lfilter`` is ~30x slower.)
+
+    Only the ``outputs`` named (of QUARTER_CAR_OUTPUTS) are filtered; the
+    two ``lfilter`` passes per output are nearly all of the cost. The small
+    matrices are built for all five rows whatever is asked for, so each
+    output is bit for bit the same alone as among the five.
     """
     a, ad, b0, b1 = _foh_matrices(params, dt)
     n = len(u)
@@ -210,14 +220,15 @@ def _run_series(u: np.ndarray, dt: float, params: QuarterCarParams,
     ad_inv = np.linalg.inv(ad)
     y_past = c @ np.column_stack([np.linalg.matrix_power(ad_inv, j) @ x0
                                   for j in (1, 2, 3, 4)])
-    responses = []
-    for i in range(5):
+    responses = {}
+    for name in outputs:
+        i = QUARTER_CAR_OUTPUTS.index(name)
         zi = lfiltic(num_u[i], den, y_past[i])
         y, _ = lfilter(num_u[i], den, u, zi=zi)
         y += lfilter(num_next[i], den, u_next)
-        responses.append(y)
+        responses[name] = y
     t = np.arange(n) * dt
-    return QuarterCarResponse(t, *responses)
+    return QuarterCarResponse(t, **responses)
 
 
 def _initial_state(u: np.ndarray, dx_effective: float, speed: float) -> np.ndarray:
@@ -231,11 +242,14 @@ def _initial_state(u: np.ndarray, dx_effective: float, speed: float) -> np.ndarr
 
 def quarter_car_response(profile: RoadProfile, speed: float,
                          params: QuarterCarParams = GOLDEN_CAR,
-                         dt: float | None = None) -> QuarterCarResponse:
+                         dt: float | None = None,
+                         outputs: tuple[str, ...] = QUARTER_CAR_OUTPUTS
+                         ) -> QuarterCarResponse:
     """Integrate the quarter car driving over ``profile`` at constant speed.
 
     Uses exact state-transition stepping with a first-order hold on the road
-    input sampled along distance = speed * t.
+    input sampled along distance = speed * t; only the ``outputs`` named
+    are computed (``_run_series``).
     """
     if speed <= 0:
         raise ValueError(f"speed must be positive, got {speed}")
@@ -248,7 +262,7 @@ def quarter_car_response(profile: RoadProfile, speed: float,
     t = np.arange(n) * dt
     u = np.interp(speed * t, profile.x, profile.elevation)
     x0 = _initial_state(u, speed * dt, speed)
-    return _run_series(u, dt, params, x0)
+    return _run_series(u, dt, params, x0, outputs)
 
 
 def compute_iri(profile: RoadProfile, params: QuarterCarParams = GOLDEN_CAR) -> float:
@@ -256,7 +270,8 @@ def compute_iri(profile: RoadProfile, params: QuarterCarParams = GOLDEN_CAR) -> 
     the Golden Car at 80 km/h divided by the distance traveled."""
     if profile.length < 10.0:
         raise ValueError(f"profile must cover at least 10 m, got {profile.length}")
-    resp = quarter_car_response(profile, IRI_SPEED_MS, params)
+    resp = quarter_car_response(profile, IRI_SPEED_MS, params,
+                                outputs=("v_s", "v_u"))
     rect = np.abs(resp.v_s - resp.v_u)
     travel = np.trapezoid(rect, dx=float(resp.t[1] - resp.t[0]))
     return float(travel / (profile.length / 1000.0))
@@ -276,7 +291,8 @@ def build_reference_segments(profile: RoadProfile, route: Polyline,
         raise ValueError(f"seg_len must be positive, got {seg_len}")
     if profile.length < seg_len:
         raise ValueError("profile shorter than one segment")
-    resp = quarter_car_response(profile, IRI_SPEED_MS, params)
+    resp = quarter_car_response(profile, IRI_SPEED_MS, params,
+                                outputs=("v_s", "v_u"))
     dt = float(resp.t[1] - resp.t[0])
     rect = np.abs(resp.v_s - resp.v_u)
     # Trapezoid contribution of step k, binned by the step's midpoint chainage.
@@ -313,7 +329,7 @@ def synthesize_telemetry(profile: RoadProfile, route: Polyline,
     u = np.interp(x_t, xg, profile.elevation)
     v0 = float(vg[0])
     x0 = _initial_state(u, v0 * dt, v0)
-    resp = _run_series(u, dt, config.vehicle, x0)
+    resp = _run_series(u, dt, config.vehicle, x0, ("acc_s",))
     acc = resp.acc_s + rng.normal(0.0, config.acc_noise_sigma, n) \
         if config.acc_noise_sigma > 0 else resp.acc_s.copy()
     speed = np.interp(x_t, xg, vg)

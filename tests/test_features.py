@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from roadroughness.core import Windows
 from roadroughness.features import (CHANNELS, EXTRACTOR_NAMES,
                                     _channel_matrix, _ecdf_percentile,
+                                    _neighbourhood_peaks,
                                     build_feature_matrix,
                                     extract_channel_features, feature_names,
                                     resample_segment, standardize_apply,
@@ -239,12 +240,55 @@ class TestEcdfPercentile:
             xs = np.sort(x)
             ecdf = np.arange(1, len(xs) + 1) / len(xs)
             expected = xs[int(np.argmax(ecdf >= p))]
-            assert _ecdf_percentile(x, p) == expected
+            assert _ecdf_percentile(xs, p) == expected
 
     def test_small_example(self):
-        # ECDF of [1,2,3,4] is 0.25/0.5/0.75/1.0.
-        assert _ecdf_percentile(np.array([4.0, 1.0, 3.0, 2.0]), 0.5) == 2.0
-        assert _ecdf_percentile(np.array([4.0, 1.0, 3.0, 2.0]), 0.51) == 3.0
+        # ECDF of [1,2,3,4] is 0.25/0.5/0.75/1.0; the kernel takes the
+        # sorted row.
+        xs = np.sort(np.array([4.0, 1.0, 3.0, 2.0]))
+        assert _ecdf_percentile(xs, 0.5) == 2.0
+        assert _ecdf_percentile(xs, 0.51) == 3.0
+
+
+def _peak_rows():
+    """Rows whose peaks hinge on exact comparisons: plateaus (an equal
+    neighbour is not below), the shortest rows with and without a centre,
+    signed zeros, and magnitudes near the float64 limit."""
+    rng = np.random.default_rng(11)
+    plateau = np.zeros(60)
+    plateau[10:13] = 1.0          # three equal tops: no peak
+    plateau[30] = 2.0
+    plateau[40] = 2.0             # equal tops 10 apart: neither is a peak
+    plateau[52] = 3.0
+    steps = np.repeat(rng.integers(0, 4, 12).astype(float), 5)
+    zeros = np.where(rng.random(50) < 0.5, -0.0, 0.0)
+    zeros[25] = 0.0
+    zeros[[24, 26]] = -0.0        # 0.0 is not above -0.0
+    zeros[5] = 5e-324
+    big = rng.choice([-1.0, 1.0], 50) * 1.7e308 * rng.random(50)
+    big[20] = np.finfo(float).max
+    big[35] = -np.finfo(float).max
+    return [plateau, steps, zeros, big, rng.normal(size=20),
+            rng.normal(size=21), rng.normal(size=22), np.arange(21.0),
+            np.abs(np.arange(21.0) - 10.0) * -1.0]
+
+
+class TestNeighbourhoodPeaks:
+    @pytest.mark.parametrize("row", _peak_rows())
+    def test_equals_per_sample_reference(self, row):
+        x = np.vstack([row, row[::-1], -row])
+        want = np.array([_ref_neighbourhood_peaks(r) for r in x])
+        got = _neighbourhood_peaks(x)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 16])
+    def test_every_neighbourhood_equals_reference(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 3, size=(20, 2 * n + 9)).astype(float)
+        for m in (2 * n, 2 * n + 1, 2 * n + 9):
+            want = np.array([_ref_neighbourhood_peaks(r, n) for r in x[:, :m]])
+            assert _neighbourhood_peaks(x[:, :m], n).tobytes() == want.tobytes()
 
 
 class TestExtractorValues:

@@ -1394,23 +1394,62 @@ def assert_alignment_equals_oracle(reference, positions, search_back=100,
     assert pieces.iri.tolist() == [reference.iri.tolist()[i] for i in kept]
 
 
+@pytest.fixture(scope="module")
+def survey_drive(tmp_path_factory):
+    """Reference segments and positioned samples of the 2 km drive of the
+    default config."""
+    from roadroughness.cli import io
+    from roadroughness.cli.config import load_config
+    from roadroughness.cli.pipeline import run_stage
+    workdir = tmp_path_factory.mktemp("survey")
+    config = load_config(workdir=workdir)
+    config["simulate"]["route_length_m"] = 2000.0
+    for stage in ("simulate", "match"):
+        run_stage(stage, config)
+    trace = io.read_telemetry_csv(workdir / "telemetry.csv")
+    reference = io.read_reference_csv(workdir / "reference.csv")
+    with pytest.warns(UserWarning, match="outside GPS fix range"):
+        positions = interpolate_positions(
+            trace, io.read_matched_json(workdir / "matched.json"))
+    return reference, positions
+
+
 class TestAlignmentOracle:
-    def test_survey_drive_equals_per_search_haversine(self, tmp_path):
-        from roadroughness.cli import io
-        from roadroughness.cli.config import load_config
-        from roadroughness.cli.pipeline import run_stage
-        config = load_config(workdir=tmp_path)
-        config["simulate"]["route_length_m"] = 2000.0
-        for stage in ("simulate", "match"):
-            run_stage(stage, config)
-        trace = io.read_telemetry_csv(tmp_path / "telemetry.csv")
-        reference = io.read_reference_csv(tmp_path / "reference.csv")
-        with pytest.warns(UserWarning, match="outside GPS fix range"):
-            positions = interpolate_positions(
-                trace, io.read_matched_json(tmp_path / "matched.json"))
+    def test_survey_drive_equals_per_search_haversine(self, survey_drive):
+        reference, positions = survey_drive
         assert len(reference) == 200
         assert_alignment_equals_oracle(reference, positions)
         assert_alignment_equals_oracle(reference, positions, 7, 300)
+
+    def test_edge_cases(self):
+        trace, matched = _line_trace_and_match(51)
+        pos = interpolate_positions(trace, matched)
+        assert piece_boundaries(_line_reference(0), pos, 100, 2000) == []
+        for back, ahead in ((-1, 10), (10, 0)):
+            with pytest.raises(ValueError, match="search_back must be"):
+                piece_boundaries(_line_reference(5), pos, back, ahead)
+
+    def test_survey_drive_measures_a_fraction_of_the_windows(
+            self, survey_drive, monkeypatch):
+        """The bounds spare most distances: a search that measured every
+        window in full would show here."""
+        from roadroughness.geoalign import align
+        reference, positions = survey_drive
+        measured = []
+        original = align.haversine_radians
+
+        def counting(*args):
+            d = original(*args)
+            measured.append(np.size(d))
+            return d
+
+        monkeypatch.setattr(align, "haversine_radians", counting)
+        got = piece_boundaries(reference, positions, 100, 2000)
+        monkeypatch.undo()
+        n = len(positions)
+        full = n + sum(min(n, c + 2000) - max(0, c - 100) for c in got[:-1])
+        assert got == boundaries_oracle(reference, positions)
+        assert sum(measured) < full / 4
 
 
 @st.composite
@@ -1446,3 +1485,59 @@ def curved_drives(draw):
 @given(curved_drives())
 def test_alignment_equals_per_search_haversine_on_curved_drives(case):
     assert_alignment_equals_oracle(*case)
+
+
+SEARCH_PAIRS = [(100, 2000), (7, 300), (0, 1), (1, 5), (50, 60), (400, 9000)]
+
+
+@st.composite
+def doubling_back_drives(draw):
+    """Drives that pass again where they were, inside the search window: a
+    U-turn on an open route (forward, back over the same positions, forward
+    again) or laps of a closed loop over the same positions, so exact ties
+    lie far apart. They also stop now and then (runs of one repeated
+    position), hold up to ~1000 samples, so that most of a long window is
+    only bounded, and are searched with windows from shorter than the
+    measured block to longer than the drive."""
+    if draw(st.booleans()):
+        radius = draw(st.floats(15.0, 120.0))
+        angle = np.linspace(0.0, 2 * np.pi, draw(st.integers(8, 64)))
+        route = Polyline(*PROJ.to_latlon(radius * np.cos(angle),
+                                         radius * np.sin(angle)))
+        lap = np.linspace(0.0, route.length, draw(st.integers(5, 300)),
+                          endpoint=False)
+        s = np.tile(lap, draw(st.integers(2, 4)))
+    else:
+        route = generate_route(draw(st.floats(60.0, 600.0)),
+                               draw(st.integers(0, 2**16)),
+                               vertex_spacing=draw(st.floats(5.0, 60.0)),
+                               max_turn_deg=draw(st.floats(0.0, 60.0)))
+        turn = draw(st.floats(0.1, 1.0)) * route.length
+        ahead = np.linspace(0.0, turn, draw(st.integers(2, 300)))
+        back = ahead[::-1][1:draw(st.integers(2, len(ahead)))]
+        again = np.linspace(back[-1], route.length,
+                            draw(st.integers(2, 300)))
+        s = np.concatenate([ahead, back, again])
+    counts = np.ones(len(s), dtype=int)
+    for i, c in draw(st.lists(st.tuples(st.integers(0, len(s) - 1),
+                                        st.integers(2, 60)), max_size=4)):
+        counts[i] = c
+    lat, lon = route.point_at(np.repeat(s, counts))
+    seg_len = draw(st.floats(3.0, 40.0))
+    cuts = np.arange(int(route.length // seg_len) + 1) * seg_len
+    clat, clon = route.point_at(cuts)
+    reference = Reference(clat[:-1], clon[:-1], clat[1:], clon[1:],
+                          np.diff(cuts), np.arange(len(cuts) - 1.0))
+    positions = InterpolatedPositions(np.arange(len(lat)), lat, lon, 0)
+    back, ahead = draw(st.one_of(
+        st.sampled_from(SEARCH_PAIRS),
+        st.tuples(st.integers(0, 300), st.integers(1, 1200))))
+    return reference, positions, back, ahead
+
+
+@settings(max_examples=200, deadline=None)
+@given(doubling_back_drives())
+def test_boundaries_equal_oracle_on_drives_that_double_back(case):
+    reference, positions, back, ahead = case
+    assert (piece_boundaries(reference, positions, back, ahead)
+            == boundaries_oracle(reference, positions, back, ahead))

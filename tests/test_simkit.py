@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from scipy import signal
+from scipy.signal import lfilter, lfiltic, ss2tf
 
 from roadroughness.core import iri_levels
-from roadroughness.simkit import (GOLDEN_CAR, IRI_SPEED_MS, RoadProfile,
+from roadroughness.simkit import (GOLDEN_CAR, IRI_SPEED_MS,
+                                  QUARTER_CAR_OUTPUTS, RoadProfile,
                                   SimConfig, _foh_matrices, _initial_state,
                                   _run_series, _state_matrices,
                                   build_reference_segments, compute_iri,
@@ -120,6 +122,52 @@ class TestFilterAgainstDlsim:
         got = _outputs(resp)
         peak = np.max(np.abs(want), axis=0)
         assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-10 * peak)
+
+
+def five_output_series(u, dt, params, x0):
+    """The lfilter evaluation as it was when every call filtered all five
+    outputs (z_s, v_s, z_u, v_u, acc_s): the bit-for-bit oracle for
+    filtering only the outputs a caller reads."""
+    a, ad, b0, b1 = _foh_matrices(params, dt)
+    n = len(u)
+    u_next = np.empty(n)
+    u_next[:-1] = u[1:]
+    u_next[-1] = u[-1]
+    c = np.vstack([np.eye(4), a[1]])
+    num_u, den = ss2tf(ad, b0[:, None], c, np.zeros((5, 1)))
+    num_next, _ = ss2tf(ad, b1[:, None], c, np.zeros((5, 1)))
+    ad_inv = np.linalg.inv(ad)
+    y_past = c @ np.column_stack([np.linalg.matrix_power(ad_inv, j) @ x0
+                                  for j in (1, 2, 3, 4)])
+    responses = []
+    for i in range(5):
+        zi = lfiltic(num_u[i], den, y_past[i])
+        y, _ = lfilter(num_u[i], den, u, zi=zi)
+        y += lfilter(num_next[i], den, u_next)
+        responses.append(y)
+    return responses
+
+
+class TestOutputsAlone:
+    """Each output filtered alone, as the reference segments (v_s, v_u) and
+    the telemetry (acc_s) filter them, against all five filtered together."""
+
+    @pytest.mark.parametrize("params", [GOLDEN_CAR,
+                                        perturbed_params(GOLDEN_CAR, 0.1, 4)])
+    @pytest.mark.parametrize("speed, dx, dt", [
+        (IRI_SPEED_MS, 0.05, 0.05 / IRI_SPEED_MS), (13.9, 0.05, 0.02)])
+    def test_each_output_alone_equals_all_five(self, params, speed, dx, dt):
+        u, x0 = _road_series(1500.0, dx, speed, dt, seed=6)
+        want = five_output_series(u, dt, params, x0)
+        for name, y in zip(QUARTER_CAR_OUTPUTS, want):
+            resp = _run_series(u, dt, params, x0, (name,))
+            assert getattr(resp, name).tobytes() == y.tobytes()
+            assert all(getattr(resp, other) is None
+                       for other in QUARTER_CAR_OUTPUTS if other != name)
+        both = _run_series(u, dt, params, x0, ("v_s", "v_u"))
+        assert both.v_s.tobytes() == want[1].tobytes()
+        assert both.v_u.tobytes() == want[3].tobytes()
+        assert both.t.tobytes() == (np.arange(len(u)) * dt).tobytes()
 
 
 class TestProfileGeneration:
