@@ -118,11 +118,18 @@ def validate_config(config: dict) -> None:
             raise ValueError(f"align.{old} is a sample count, not metres: "
                              f"it is now called align.{new}")
     for key in ("search_back_samples", "search_ahead_samples"):
-        v = align[key]
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        if not (_is_int(align[key]) and align[key] >= 1):
             raise ValueError(f"align.{key} must be a positive integer")
-    if config["select"]["k_folds"] < 2 or config["train"]["k_folds"] < 2:
-        raise ValueError("k_folds must be at least 2")
+    for section, key, least in (("align", "window_pieces", 1),
+                                ("featurize", "target_len", 3),
+                                ("select", "k_folds", 2),
+                                ("select", "max_features", 1),
+                                ("select", "sfs_trees", 1),
+                                ("train", "k_folds", 2)):
+        v = config[section][key]
+        if not (_is_int(v) and v >= least):
+            raise ValueError(f"{section}.{key} must be an integer of at "
+                             f"least {least}, got {v!r}")
     _validate_select(config["select"])
     for task in TASKS:
         for family in config["train"][f"{task}_families"]:
@@ -137,10 +144,6 @@ def _is_int(v) -> bool:
 
 
 def _validate_select(select: dict) -> None:
-    for key in ("max_features", "sfs_trees"):
-        if not (_is_int(select[key]) and select[key] >= 1):
-            raise ValueError(f"select.{key} must be an integer of at least "
-                             f"1, got {select[key]!r}")
     depth = select["sfs_depth"]
     if not (_is_int(depth) and 1 <= depth <= MAX_DEPTH):
         raise ValueError(f"select.sfs_depth must be an integer in "

@@ -207,7 +207,7 @@ def read_matched_json(path) -> MatchedTrace:
 
 # ----------------------------------------------------------------- windows
 
-WINDOW_FIELDS = ("t", "acc_z", "speed", "offsets", "window_id", "iri")
+WINDOW_FIELDS = tuple(f.name for f in fields(Windows))
 
 
 def write_windows(dirpath, windows: Windows) -> None:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import (classification_metrics, confusion_matrix,
+from ..core import (N_LEVELS, classification_metrics, confusion_matrix,
                     ordered_split, regression_metrics)
 from ..features import (Standardizer, build_feature_matrix,
                         resample_segment, standardize_apply, standardize_fit)
@@ -136,7 +136,7 @@ def stage_align(config: dict) -> dict:
         reference, positions, search_back=a["search_back_samples"],
         search_ahead=a["search_ahead_samples"])
     windows = sliding_windows(pieces, positions, trace,
-                              window=int(a["window_pieces"]))
+                              window=a["window_pieces"])
     io.write_windows(paths["windows"], windows)
     summary = {"n_positions": len(positions),
                "n_dropped_samples": positions.n_dropped,
@@ -149,7 +149,7 @@ def stage_align(config: dict) -> dict:
 
 def stage_featurize(config: dict) -> dict:
     paths = _paths(config)
-    target_len = int(config["featurize"]["target_len"])
+    target_len = config["featurize"]["target_len"]
     windows = io.read_windows(paths["windows"])
     if not windows:
         raise ValueError("no windows to featurize")
@@ -418,7 +418,8 @@ def export_report(config: dict) -> list:
     if classif:
         best = max(sorted(classif),
                    key=lambda f: classif[f]["metrics_macro"]["f1"])
-        lines = ["family,actual_level,pred_0,pred_1,pred_2"]
+        lines = ["family,actual_level," + ",".join(
+            f"pred_{level}" for level in range(N_LEVELS))]
         for actual, row in enumerate(classif[best]["confusion"]):
             cells = ",".join(str(int(v)) for v in row)
             lines.append(f"{best},{actual},{cells}")

@@ -25,6 +25,10 @@ class IriLevel(enum.IntEnum):
     HIGH = 2
 
 
+# The number of severity levels: classifiers predict 0 .. N_LEVELS - 1.
+N_LEVELS = len(IriLevel)
+
+
 def iri_levels(iri) -> np.ndarray:
     """Map continuous IRI values (m/km) onto their severity levels, the
     ``IriLevel`` values as ints, in one comparison per boundary."""
@@ -34,6 +38,19 @@ def iri_levels(iri) -> np.ndarray:
         raise ValueError(f"IRI must be finite and non-negative, got "
                          f"{iri[bad][0]}")
     return (iri > IRI_LOW_MAX).astype(int) + (iri > IRI_MEDIUM_MAX)
+
+
+def level_labels(y) -> np.ndarray:
+    """The class labels ``y`` (integral floats pass) as ints; raises
+    ValueError naming the first row whose label is not a level."""
+    y = np.asarray(y)
+    with np.errstate(invalid="ignore"):
+        labels = y.astype(int)
+    bad = np.flatnonzero((labels != y) | (labels < 0) | (labels >= N_LEVELS))
+    if len(bad):
+        raise ValueError(f"class labels must lie in 0..{N_LEVELS - 1}: "
+                         f"row {bad[0]} is {y[bad[0]]}")
+    return labels
 
 
 @dataclass
@@ -259,19 +276,18 @@ def regression_metrics(y, yhat) -> dict[str, float]:
     }
 
 
-def confusion_matrix(y, yhat, n_classes: int = 3) -> np.ndarray:
+def confusion_matrix(y, yhat) -> np.ndarray:
     """Counts with entry (i, j) = true class i predicted as class j."""
-    y = np.asarray(y, dtype=int)
-    yhat = np.asarray(yhat, dtype=int)
+    y, yhat = level_labels(y), level_labels(yhat)
     if y.shape != yhat.shape:
         raise ValueError(f"length mismatch: {y.shape} vs {yhat.shape}")
-    cm = np.zeros((n_classes, n_classes), dtype=int)
+    cm = np.zeros((N_LEVELS, N_LEVELS), dtype=int)
     np.add.at(cm, (y, yhat), 1)
     return cm
 
 
-def classification_metrics(y, yhat, n_classes: int = 3,
-                           average: str = "macro") -> dict[str, float]:
+def classification_metrics(y, yhat, average: str = "macro"
+                           ) -> dict[str, float]:
     """Precision, recall and F1 averaged over all classes.
 
     A class absent from both truth and prediction contributes zeros to the
@@ -279,7 +295,7 @@ def classification_metrics(y, yhat, n_classes: int = 3,
     """
     if average not in ("macro", "weighted"):
         raise ValueError(f"unknown average: {average}")
-    cm = confusion_matrix(y, yhat, n_classes)
+    cm = confusion_matrix(y, yhat)
     tp = np.diag(cm).astype(float)
     pred = cm.sum(axis=0).astype(float)
     support = cm.sum(axis=1).astype(float)
@@ -289,7 +305,7 @@ def classification_metrics(y, yhat, n_classes: int = 3,
         pr = precision + recall
         f1 = np.where(pr > 0, 2 * precision * recall / pr, 0.0)
     if average == "macro":
-        w = np.full(n_classes, 1.0 / n_classes)
+        w = np.full(N_LEVELS, 1.0 / N_LEVELS)
     else:
         w = support / support.sum()
     return {

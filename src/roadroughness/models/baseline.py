@@ -3,18 +3,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import N_CLASSES
+from ..core import N_LEVELS, level_labels
 
 
 class BaselineModel:
     """Predicts the train mean (regression) or majority class (classification),
     with class ties resolved to the lower ordinal."""
 
-    def __init__(self, task: str = "regression", n_classes: int = N_CLASSES):
+    def __init__(self, task: str = "regression"):
         if task not in ("regression", "classification"):
             raise ValueError(f"unknown task: {task}")
         self.task = task
-        self.n_classes = n_classes
         self.constant: float | None = None
 
     def fit(self, x, y) -> "BaselineModel":
@@ -24,7 +23,7 @@ class BaselineModel:
         if self.task == "regression":
             self.constant = float(np.mean(y))
         else:
-            counts = np.bincount(y.astype(int), minlength=self.n_classes)
+            counts = np.bincount(level_labels(y), minlength=N_LEVELS)
             self.constant = float(np.argmax(counts))
         return self
 
@@ -34,11 +33,10 @@ class BaselineModel:
         return np.full(len(np.asarray(x)), self.constant)
 
     def state_dict(self) -> dict:
-        return {"task": self.task, "n_classes": self.n_classes,
-                "constant": self.constant}
+        return {"task": self.task, "constant": self.constant}
 
     @classmethod
     def from_state(cls, state: dict) -> "BaselineModel":
-        model = cls(state["task"], state["n_classes"])
+        model = cls(state["task"])
         model.constant = state["constant"]
         return model

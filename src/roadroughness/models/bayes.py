@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tree import N_CLASSES
+from ..core import N_LEVELS, level_labels
 
 VAR_FLOOR = 1e-9
 
@@ -14,24 +14,23 @@ class GaussianNBModel:
 
     task = "classification"
 
-    def __init__(self, n_classes: int = N_CLASSES):
-        self.n_classes = n_classes
+    def __init__(self):
         self.log_prior: np.ndarray | None = None
         self.mean: np.ndarray | None = None
         self.var: np.ndarray | None = None
 
     def fit(self, x, y) -> "GaussianNBModel":
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=int)
-        counts = np.bincount(y, minlength=self.n_classes)
+        y = level_labels(y)
+        counts = np.bincount(y, minlength=N_LEVELS)
         present = counts > 0
         if present.sum() < 1:
             raise ValueError("empty training set")
         d = x.shape[1]
-        self.mean = np.zeros((self.n_classes, d))
-        self.var = np.full((self.n_classes, d), VAR_FLOOR)
-        log_prior = np.full(self.n_classes, -np.inf)
-        for k in range(self.n_classes):
+        self.mean = np.zeros((N_LEVELS, d))
+        self.var = np.full((N_LEVELS, d), VAR_FLOOR)
+        log_prior = np.full(N_LEVELS, -np.inf)
+        for k in range(N_LEVELS):
             if not present[k]:
                 continue
             xk = x[y == k]
@@ -46,8 +45,8 @@ class GaussianNBModel:
         if self.mean is None:
             raise ValueError("model is not fitted")
         x = np.asarray(x, dtype=float)
-        out = np.empty((len(x), self.n_classes))
-        for k in range(self.n_classes):
+        out = np.empty((len(x), N_LEVELS))
+        for k in range(N_LEVELS):
             ll = -0.5 * np.sum(np.log(2.0 * np.pi * self.var[k])
                                + (x - self.mean[k]) ** 2 / self.var[k], axis=1)
             out[:, k] = self.log_prior[k] + ll
@@ -57,13 +56,12 @@ class GaussianNBModel:
         return np.argmax(self.log_posterior(x), axis=1).astype(float)
 
     def state_dict(self) -> dict:
-        return {"n_classes": self.n_classes,
-                "log_prior": self.log_prior.tolist(),
+        return {"log_prior": self.log_prior.tolist(),
                 "mean": self.mean.tolist(), "var": self.var.tolist()}
 
     @classmethod
     def from_state(cls, state: dict) -> "GaussianNBModel":
-        model = cls(state["n_classes"])
+        model = cls()
         model.log_prior = np.array(state["log_prior"], dtype=float)
         model.mean = np.array(state["mean"], dtype=float)
         model.var = np.array(state["var"], dtype=float)

@@ -6,10 +6,10 @@ norm falls below tolerance.
 
 The solver and the MLP run thousands of steps on arrays of a few hundred
 rows, so numpy's cost per call, not the arithmetic, decides their speed.
-Below 8 classes ``softmax`` takes the class-axis max and sum column by
-column: a row reduction over fewer than 8 elements is a plain
-left-to-right loop in numpy, so the floats are the same, in fewer and
-longer calls. Only an accepted line-search trial gets a gradient.
+``softmax`` takes the row max and sum over the ``N_LEVELS`` = 3 columns
+one column at a time: numpy reduces a row of fewer than 8 elements left
+to right, so the floats are the same, in fewer and longer calls.
+Only an accepted line-search trial gets a gradient.
 """
 from __future__ import annotations
 
@@ -17,13 +17,11 @@ import math
 
 import numpy as np
 
+from ..core import N_LEVELS, level_labels
 from .errors import ConvergenceError
 
 GRAD_TOL = 1e-6
 MAX_ITER = 50_000
-# Widest row whose numpy sum is a plain left-to-right loop: from 8 elements
-# on, numpy's pairwise summation groups the terms differently.
-COLUMNWISE_CLASSES = 7
 
 
 def _fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
@@ -40,18 +38,15 @@ def _fold_columns(ufunc, a: np.ndarray) -> np.ndarray:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row-wise softmax of the logits ``z`` (rows x classes)."""
-    if z.shape[1] > COLUMNWISE_CLASSES:
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
     e = z - _fold_columns(np.maximum, z)[:, None]
     np.exp(e, out=e)
     e /= _fold_columns(np.add, e)[:, None]
     return e
 
 
-def one_hot(y: np.ndarray, n_classes: int) -> np.ndarray:
-    """Rows of 0.0 with 1.0 in column ``y[i]``."""
-    onehot = np.zeros((len(y), n_classes))
+def one_hot(y: np.ndarray) -> np.ndarray:
+    """Rows of ``N_LEVELS`` 0.0s with 1.0 in column ``y[i]``."""
+    onehot = np.zeros((len(y), N_LEVELS))
     onehot[np.arange(len(y)), y.astype(int)] = 1.0
     return onehot
 
@@ -122,12 +117,11 @@ def _descend(x: np.ndarray, y_onehot: np.ndarray, lam: float, tol: float,
 class LogisticModel:
     task = "classification"
 
-    def __init__(self, lam: float = 0.1, n_classes: int = 3,
-                 tol: float = GRAD_TOL, max_iter: int = MAX_ITER):
+    def __init__(self, lam: float = 0.1, tol: float = GRAD_TOL,
+                 max_iter: int = MAX_ITER):
         if lam < 0:
             raise ValueError("lam must be non-negative")
         self.lam = lam
-        self.n_classes = n_classes
         self.tol = tol
         self.max_iter = max_iter
         self.weights: np.ndarray | None = None
@@ -137,11 +131,11 @@ class LogisticModel:
 
     def fit(self, x, y) -> "LogisticModel":
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=int)
+        y = level_labels(y)
         if len(np.unique(y)) < 2:
             raise ValueError("need at least 2 classes in training data")
         self.weights, self.bias, self.n_iter = _descend(
-            x, one_hot(y, self.n_classes), self.lam, self.tol, self.max_iter)
+            x, one_hot(y), self.lam, self.tol, self.max_iter)
         return self
 
     def decision_values(self, x) -> np.ndarray:
@@ -153,12 +147,12 @@ class LogisticModel:
         return np.argmax(self.decision_values(x), axis=1).astype(float)
 
     def state_dict(self) -> dict:
-        return {"lam": self.lam, "n_classes": self.n_classes,
-                "weights": self.weights.tolist(), "bias": self.bias.tolist()}
+        return {"lam": self.lam, "weights": self.weights.tolist(),
+                "bias": self.bias.tolist()}
 
     @classmethod
     def from_state(cls, state: dict) -> "LogisticModel":
-        model = cls(state["lam"], state["n_classes"])
+        model = cls(state["lam"])
         model.weights = np.array(state["weights"], dtype=float)
         model.bias = np.array(state["bias"], dtype=float)
         return model

@@ -1,10 +1,11 @@
 """Fully connected feedforward network trained with Adam.
 
 ReLU hidden activations; linear output with squared-error loss for
-regression, softmax output with cross-entropy for classification; L2 weight
-decay on the weights (not biases). Training runs in batches of 200 with an
-adaptive learning rate (halved after a 2-epoch plateau) and stops early when
-the epoch loss fails to improve by 1e-4 for 10 epochs.
+regression, softmax over the ``N_LEVELS`` levels with cross-entropy for
+classification; L2 weight decay on the weights (not biases). Training runs
+in batches of 200 with an adaptive learning rate (halved after a 2-epoch
+plateau) and stops early when the epoch loss fails to improve by 1e-4 for
+10 epochs.
 
 Batches are a few hundred rows, so the cost per numpy call decides the
 speed: the softmax takes its class-axis max and sum column by column
@@ -18,9 +19,9 @@ import math
 
 import numpy as np
 
+from ..core import N_LEVELS, level_labels
 from .errors import ConvergenceError
 from .logistic import cross_entropy, one_hot, softmax
-from .tree import N_CLASSES
 
 BATCH_SIZE = 200
 LOSS_TOL = 1e-4
@@ -112,7 +113,7 @@ def loss_and_grads(weights, biases, x, y, task: str, l2: float):
     """Objective (data loss + L2 penalty) and analytic parameter gradients."""
     grads_w = [np.empty_like(w) for w in weights]
     grads_b = [np.empty_like(b) for b in biases]
-    target = y if task == "regression" else one_hot(y, weights[-1].shape[1])
+    target = y if task == "regression" else one_hot(y)
     loss = _loss_and_grads_into(weights, biases, x, target, task, l2,
                                 penalty([w * w for w in weights], l2),
                                 grads_w, grads_b)
@@ -122,8 +123,7 @@ def loss_and_grads(weights, biases, x, y, task: str, l2: float):
 class MlpModel:
     def __init__(self, layers=(16, 16), lr0: float = 0.01, l2: float = 0.1,
                  task: str = "regression", seed: int = 0,
-                 n_classes: int = N_CLASSES, batch_size: int = BATCH_SIZE,
-                 max_epochs: int = MAX_EPOCHS):
+                 batch_size: int = BATCH_SIZE, max_epochs: int = MAX_EPOCHS):
         layers = tuple(int(v) for v in layers)
         if any(v < 1 for v in layers):
             raise ValueError("layer sizes must be positive")
@@ -134,7 +134,6 @@ class MlpModel:
         self.l2 = l2
         self.task = task
         self.seed = seed
-        self.n_classes = n_classes
         self.batch_size = batch_size
         self.max_epochs = max_epochs
         self.weights: list[np.ndarray] | None = None
@@ -143,9 +142,11 @@ class MlpModel:
 
     def fit(self, x, y) -> "MlpModel":
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        if self.task == "regression":
+            out_dim, target = 1, np.asarray(y, dtype=float)
+        else:
+            out_dim, target = N_LEVELS, one_hot(level_labels(y))
         n, d = x.shape
-        out_dim = 1 if self.task == "regression" else self.n_classes
         sizes = [d, *self.layers, out_dim]
         rng = np.random.default_rng(self.seed)
         # Every parameter is a view into one flat vector, and so is every
@@ -163,7 +164,6 @@ class MlpModel:
         v = np.zeros_like(theta)
         upd = np.empty_like(theta)
         den = np.empty_like(theta)
-        target = y if self.task == "regression" else one_hot(y, out_dim)
         lr = self.lr0
         best_loss = np.inf
         stall_stop = 0
@@ -237,14 +237,13 @@ class MlpModel:
     def state_dict(self) -> dict:
         return {"layers": list(self.layers), "lr0": self.lr0, "l2": self.l2,
                 "task": self.task, "seed": self.seed,
-                "n_classes": self.n_classes,
                 "weights": [w.tolist() for w in self.weights],
                 "biases": [b.tolist() for b in self.biases]}
 
     @classmethod
     def from_state(cls, state: dict) -> "MlpModel":
         model = cls(state["layers"], state["lr0"], state["l2"], state["task"],
-                    state["seed"], state["n_classes"])
+                    state["seed"])
         model.weights = [np.array(w, dtype=float) for w in state["weights"]]
         model.biases = [np.array(b, dtype=float) for b in state["biases"]]
         return model

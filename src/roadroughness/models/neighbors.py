@@ -3,8 +3,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import N_LEVELS
 from ..topk import smallest_k
-from .tree import N_CLASSES, _training_data
+from .tree import _training_data
 
 # Bytes of the (query chunk x n_train x d) difference tensor built per chunk
 # of a brute-force neighbour search.
@@ -36,20 +37,18 @@ class KnnModel:
     Euclidean distance. Distance ties go to the lower row index and vote
     ties to the lower ordinal class."""
 
-    def __init__(self, k: int = 5, task: str = "regression",
-                 n_classes: int = N_CLASSES):
+    def __init__(self, k: int = 5, task: str = "regression"):
         if k < 1:
             raise ValueError("k must be positive")
         if task not in ("regression", "classification"):
             raise ValueError(f"unknown task: {task}")
         self.k = k
         self.task = task
-        self.n_classes = n_classes
         self.x_train: np.ndarray | None = None
         self.y_train: np.ndarray | None = None
 
     def fit(self, x, y) -> "KnnModel":
-        x, _ = _training_data(x, y, self.task, self.n_classes)
+        x, _ = _training_data(x, y, self.task)
         if self.k > len(x):
             raise ValueError(f"k={self.k} exceeds {len(x)} training rows")
         self.x_train = x
@@ -65,15 +64,15 @@ class KnnModel:
         if self.task == "regression":
             return vals.mean(axis=1)
         votes = (vals.astype(int)[:, :, None]
-                 == np.arange(self.n_classes)).sum(axis=1)
+                 == np.arange(N_LEVELS)).sum(axis=1)
         return np.argmax(votes, axis=1).astype(float)
 
     def state_dict(self) -> dict:
-        return {"k": self.k, "task": self.task, "n_classes": self.n_classes,
+        return {"k": self.k, "task": self.task,
                 "x_train": self.x_train.tolist(),
                 "y_train": self.y_train.tolist()}
 
     @classmethod
     def from_state(cls, state: dict) -> "KnnModel":
-        return cls(state["k"], state["task"], state["n_classes"]).fit(
+        return cls(state["k"], state["task"]).fit(
             state["x_train"], state["y_train"])

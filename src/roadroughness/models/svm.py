@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import N_LEVELS, level_labels
 from .errors import ConvergenceError
-from .tree import N_CLASSES
 
 KKT_TOL = 1e-3
 MAX_ITER = 500_000
@@ -129,7 +129,7 @@ class SvmModel:
 
     def __init__(self, task: str = "svr", c: float = 1.0, gamma: float = 0.01,
                  epsilon: float = 0.1, tol: float = KKT_TOL,
-                 max_iter: int = MAX_ITER, n_classes: int = N_CLASSES):
+                 max_iter: int = MAX_ITER):
         if task not in ("svr", "svc"):
             raise ValueError(f"unknown task: {task}")
         if c <= 0 or gamma <= 0:
@@ -143,9 +143,8 @@ class SvmModel:
         self.epsilon = epsilon
         self.tol = tol
         self.max_iter = max_iter
-        self.n_classes = n_classes
         self.sv_x: np.ndarray | None = None
-        self.sv_coef: np.ndarray | None = None   # (n_sv,) or (n_sv, n_classes)
+        self.sv_coef: np.ndarray | None = None   # (n_sv,) or (n_sv, N_LEVELS)
         self.bias: np.ndarray | None = None
         # Solver diagnostics of the last fit: SMO iterations and final KKT
         # gap, one per one-vs-rest class for classification.
@@ -154,7 +153,8 @@ class SvmModel:
 
     def fit(self, x, y) -> "SvmModel":
         x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        y = (np.asarray(y, dtype=float) if self.kind == "svr"
+             else level_labels(y))
         k = rbf_kernel(x, x, self.gamma)
         if self.kind == "svr":
             beta, bias, _, self.kkt_gap, self.n_iter = _solve_svr(
@@ -164,12 +164,11 @@ class SvmModel:
             self.sv_coef = beta[keep]
             self.bias = np.array([bias])
         else:
-            labels = y.astype(int)
-            coefs = np.zeros((len(x), self.n_classes))
-            biases = np.zeros(self.n_classes)
+            coefs = np.zeros((len(x), N_LEVELS))
+            biases = np.zeros(N_LEVELS)
             self.n_iter, self.kkt_gap = [], []
-            for cls in range(self.n_classes):
-                z = np.where(labels == cls, 1.0, -1.0)
+            for cls in range(N_LEVELS):
+                z = np.where(y == cls, 1.0, -1.0)
                 if np.all(z < 0) or np.all(z > 0):
                     biases[cls] = -np.inf if np.all(z < 0) else np.inf
                     self.n_iter.append(0)
@@ -201,14 +200,13 @@ class SvmModel:
 
     def state_dict(self) -> dict:
         return {"kind": self.kind, "c": self.c, "gamma": self.gamma,
-                "epsilon": self.epsilon, "n_classes": self.n_classes,
-                "sv_x": self.sv_x.tolist(), "sv_coef": self.sv_coef.tolist(),
-                "bias": self.bias.tolist()}
+                "epsilon": self.epsilon, "sv_x": self.sv_x.tolist(),
+                "sv_coef": self.sv_coef.tolist(), "bias": self.bias.tolist()}
 
     @classmethod
     def from_state(cls, state: dict) -> "SvmModel":
         model = cls(state["kind"], state["c"], state["gamma"],
-                    state["epsilon"], n_classes=state["n_classes"])
+                    state["epsilon"])
         model.sv_x = np.array(state["sv_x"], dtype=float)
         model.sv_coef = np.array(state["sv_coef"], dtype=float)
         model.bias = np.array(state["bias"], dtype=float)

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import numpy as np
 
-N_CLASSES = 3
+from ..core import N_LEVELS, level_labels
+
 MAX_DEPTH = 63  # heap indices 0 .. 2**(MAX_DEPTH + 1) - 2 fit in uint64
 # Bootstrap rows grown in one pass. The engine's temporaries take about
 # 0.5 KB per row, so this caps their memory; it also sets speed. Each
@@ -209,7 +210,7 @@ def _check_depth(max_depth: int) -> None:
                          "(heap index width)")
 
 
-def _best_splits(task, xs, ys, lens, n_classes):
+def _best_splits(task, xs, ys, lens):
     """Best (score, threshold) of every segment of ``xs``/``ys``, which
     hold each segment's rows (at least 2) sorted by its feature, segment
     after segment. A segment without a strict partition scores inf."""
@@ -236,7 +237,7 @@ def _best_splits(task, xs, ys, lens, n_classes):
         scores = sse_l + sse_r
     else:
         # Class counts are integers, exact in any order of addition.
-        onehot = (ys[:, None] == np.arange(n_classes)).astype(float)
+        onehot = (ys[:, None] == np.arange(N_LEVELS)).astype(float)
         cum = np.add.accumulate(onehot, axis=0)
         before = cum[first] - onehot[first]
         tot = cum[ends - 1] - before
@@ -256,8 +257,7 @@ def _best_splits(task, xs, ys, lens, n_classes):
 
 
 def grow_trees(x, y, boots, keys, task: str, max_depth: int,
-               max_features: int | None, n_classes: int = N_CLASSES,
-               cols=None):
+               max_features: int | None, cols=None):
     """Grow one tree per bootstrap row of ``boots`` (trees x n indices into
     ``x``), level by level, in groups of at most ``GROW_ROWS`` bootstrap
     rows.
@@ -295,13 +295,13 @@ def grow_trees(x, y, boots, keys, task: str, max_depth: int,
     parts = [_grow_group(x, y, dense, boots[lo:lo + group],
                          keys[lo:lo + group], cols[lo:lo + group],
                          local[lo:lo + group], task,
-                         max_depth, max_features, n_classes)
+                         max_depth, max_features)
              for lo in range(0, n_trees, group)]
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _grow_group(x, y, dense, boots, keys, cols, local, task, max_depth,
-                max_features, n_classes):
+                max_features):
     """``grow_trees`` for one group of trees; ``dense`` ranks the columns
     of ``x`` that ``cols`` uses, row ``local[t, f]`` for ``cols[t, f]``."""
     n_trees, n = boots.shape
@@ -335,9 +335,9 @@ def _grow_group(x, y, dense, boots, keys, cols, local, task, max_depth,
                     - np.minimum.reduceat(y_seg, starts)) == 0.0
         else:
             counts = np.bincount(np.arange(n_seg).repeat(seg_len)
-                                 * n_classes + y_seg,
-                                 minlength=n_seg * n_classes)
-            counts = counts.reshape(n_seg, n_classes)
+                                 * N_LEVELS + y_seg,
+                                 minlength=n_seg * N_LEVELS)
+            counts = counts.reshape(n_seg, N_LEVELS)
             value = counts.argmax(axis=1).astype(float)
             pure = np.count_nonzero(counts, axis=1) == 1
         feat = np.full(n_seg, -1, dtype=np.int64)
@@ -357,7 +357,7 @@ def _grow_group(x, y, dense, boots, keys, cols, local, task, max_depth,
             prow = prow[(rank.ravel()[at_f + prow]
                          + (np.arange(len(plen)) * n).repeat(plen)).argsort()]
             score, pthr = _best_splits(task, xt.ravel()[at_f + prow],
-                                       yb[prow], plen, n_classes)
+                                       yb[prow], plen)
             grid = np.full((len(cand), d), np.inf)
             grid[pnode, pfeat] = score
             tgrid = np.zeros((len(cand), d))
@@ -521,7 +521,7 @@ class DecisionTree:
     one tree, on the rows as given)."""
 
     def __init__(self, task: str = "regression", max_depth: int = 5,
-                 max_features: int | None = None, n_classes: int = N_CLASSES,
+                 max_features: int | None = None,
                  rng: np.random.Generator | None = None):
         if task not in ("regression", "classification"):
             raise ValueError(f"unknown task: {task}")
@@ -529,7 +529,6 @@ class DecisionTree:
         self.task = task
         self.max_depth = max_depth
         self.max_features = max_features
-        self.n_classes = n_classes
         self.rng = rng
         # Flat node arrays: internal nodes carry (feature, threshold, children),
         # leaves carry feature -1 and a prediction value.
@@ -545,12 +544,12 @@ class DecisionTree:
         return self
 
     def fit(self, x, y) -> "DecisionTree":
-        x, y = _training_data(x, y, self.task, self.n_classes)
+        x, y = _training_data(x, y, self.task)
         nodes = grow_trees(x, y, np.arange(len(y))[None, :],
                            [draw_key(self.rng if self.rng is not None
                                      else np.random.default_rng(0))],
                            self.task, self.max_depth,
-                           self.max_features, self.n_classes)
+                           self.max_features)
         return self._set_nodes(_tree_lists(nodes)[0])
 
     def predict(self, x) -> np.ndarray:
@@ -561,7 +560,6 @@ class DecisionTree:
         return {
             "task": self.task,
             "max_depth": self.max_depth,
-            "n_classes": self.n_classes,
             "feature": list(self.feature),
             "threshold": list(self.threshold),
             "left": list(self.left),
@@ -571,8 +569,7 @@ class DecisionTree:
 
     @classmethod
     def from_state(cls, state: dict) -> "DecisionTree":
-        tree = cls(task=state["task"], max_depth=state["max_depth"],
-                   n_classes=state["n_classes"])
+        tree = cls(task=state["task"], max_depth=state["max_depth"])
         tree.feature = [int(v) for v in state["feature"]]
         tree.threshold = [float(v) for v in state["threshold"]]
         tree.left = [int(v) for v in state["left"]]
@@ -581,13 +578,12 @@ class DecisionTree:
         return tree
 
 
-def _training_data(x, y, task, n_classes):
+def _training_data(x, y, task):
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float if task == "regression" else int)
+    y = (np.asarray(y, dtype=float) if task == "regression"
+         else level_labels(y))
     if x.ndim != 2 or len(x) != len(y) or len(y) == 0:
         raise ValueError("bad training data shapes")
-    if task == "classification" and (y.min() < 0 or y.max() >= n_classes):
-        raise ValueError(f"class labels must lie in 0..{n_classes - 1}")
     return x, y
 
 
@@ -618,7 +614,7 @@ class RandomForestModel:
 
     def __init__(self, task: str = "regression", n_trees: int = 100,
                  max_depth: int = 5, max_features: int | str = "sqrt",
-                 seed: int = 0, n_classes: int = N_CLASSES):
+                 seed: int = 0):
         if n_trees < 1:
             raise ValueError("n_trees must be positive")
         self.task = task
@@ -626,7 +622,6 @@ class RandomForestModel:
         self.max_depth = max_depth
         self.max_features = max_features
         self.seed = seed
-        self.n_classes = n_classes
         self.trees: list[DecisionTree] = []
 
     def _resolve_mf(self, d: int) -> int:
@@ -638,14 +633,12 @@ class RandomForestModel:
         return mf
 
     def fit(self, x, y) -> "RandomForestModel":
-        x, y = _training_data(x, y, self.task, self.n_classes)
+        x, y = _training_data(x, y, self.task)
         n, d = x.shape
         mf = self._resolve_mf(d)
         boots, keys = forest_draws(self.seed, self.n_trees, n)
-        nodes = grow_trees(x, y, boots, keys, self.task, self.max_depth, mf,
-                           self.n_classes)
-        self.trees = [DecisionTree(self.task, self.max_depth, mf,
-                                   self.n_classes)._set_nodes(t)
+        nodes = grow_trees(x, y, boots, keys, self.task, self.max_depth, mf)
+        self.trees = [DecisionTree(self.task, self.max_depth, mf)._set_nodes(t)
                       for t in _tree_lists(nodes)]
         return self
 
@@ -655,7 +648,7 @@ class RandomForestModel:
         if self.task == "regression":
             return preds.mean(axis=0)
         votes = np.stack([np.count_nonzero(preds == c, axis=0)
-                          for c in range(self.n_classes)], axis=1)
+                          for c in range(N_LEVELS)], axis=1)
         return np.argmax(votes, axis=1).astype(float)
 
     def state_dict(self) -> dict:
@@ -665,7 +658,6 @@ class RandomForestModel:
             "max_depth": self.max_depth,
             "max_features": self.max_features,
             "seed": self.seed,
-            "n_classes": self.n_classes,
             "trees": [t.state_dict() for t in self.trees],
         }
 
@@ -673,7 +665,6 @@ class RandomForestModel:
     def from_state(cls, state: dict) -> "RandomForestModel":
         model = cls(task=state["task"], n_trees=state["n_trees"],
                     max_depth=state["max_depth"],
-                    max_features=state["max_features"], seed=state["seed"],
-                    n_classes=state["n_classes"])
+                    max_features=state["max_features"], seed=state["seed"])
         model.trees = [DecisionTree.from_state(s) for s in state["trees"]]
         return model

@@ -71,9 +71,6 @@ class RoadProfile:
     def x(self) -> np.ndarray:
         return np.arange(len(self.elevation)) * self.dx
 
-    def scaled(self, alpha: float) -> "RoadProfile":
-        return RoadProfile(self.dx, alpha * self.elevation)
-
 
 @dataclass
 class QuarterCarResponse:

@@ -22,7 +22,8 @@ from roadroughness.models.mlp import loss_and_grads as mlp_loss
 from roadroughness.models.svm import _solve_svr
 from roadroughness.models.tree import DecisionTree
 from roadroughness.selection import pca_fit, sfs_forward
-from roadroughness.simkit import (IRI_SPEED_MS, compute_iri, generate_profile)
+from roadroughness.simkit import (IRI_SPEED_MS, RoadProfile, compute_iri,
+                                  generate_profile)
 
 from test_geoalign import PROJ, dict_network, latlon, n_edges
 from test_models import (_slsqp_dual, _stump_oracle_sse, _tree_sse,
@@ -101,7 +102,8 @@ def test_criterion_1_iri_engine():
     base_profile = generate_profile(400.0, 0.05, 16e-6, seed=5)
     base = compute_iri(base_profile)
     for alpha in (0.5, 2.0):
-        scaled = compute_iri(base_profile.scaled(alpha))
+        scaled = compute_iri(RoadProfile(base_profile.dx,
+                                         alpha * base_profile.elevation))
         if abs(scaled - alpha * base) / (alpha * base) > 1e-6:
             failures.append(f"homogeneity violated for alpha={alpha}")
 

@@ -891,6 +891,21 @@ class TestConfig:
                                              f"positive integer"):
             load_config(p)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("align", "window_pieces", -2), ("align", "window_pieces", 0),
+        ("align", "window_pieces", 2.5), ("align", "window_pieces", "10"),
+        ("featurize", "target_len", 2), ("featurize", "target_len", 40.7),
+        ("featurize", "target_len", True),
+        ("select", "k_folds", 1), ("select", "k_folds", 2.5),
+        ("train", "k_folds", 1), ("train", "k_folds", 2.5),
+    ])
+    def test_bad_count_is_named_at_load(self, tmp_path, section, key, value):
+        """Used to fail in a later stage, or be truncated without a word."""
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ValueError, match=f"{section}.{key} must be an "
+                                             f"integer of at least"):
+            load_config(p)
 
     @pytest.mark.parametrize("key,value", [
         ("max_features", 0), ("max_features", -2), ("max_features", 2.5),

@@ -232,6 +232,23 @@ class TestConfusionMatrix:
         yhat = rng.integers(0, 3, 50)
         assert confusion_matrix(y, yhat).sum() == 50
 
+    @pytest.mark.parametrize("y,yhat,bad", [
+        ([0, 1, -1], [0, 1, 2], "row 2 is -1"),
+        ([0, 1, 1.7], [0, 1, 2], "row 2 is 1.7"),
+        ([0, 1, 2], [0.0, 3.0, 2.0], "row 1 is 3.0"),
+        ([0, 1, 2], [0.0, np.nan, 2.0], "row 1 is nan"),
+    ])
+    def test_label_outside_the_levels_is_named(self, y, yhat, bad):
+        """A -1 used to be counted as level 2 and 1.7 as level 1."""
+        with pytest.raises(ValueError, match=rf"0\.\.2: {bad}"):
+            confusion_matrix(y, yhat)
+        with pytest.raises(ValueError, match=rf"0\.\.2: {bad}"):
+            classification_metrics(y, yhat)
+
+    def test_integral_float_labels_pass(self):
+        assert np.array_equal(confusion_matrix([0.0, 2.0], [2.0, 2.0]),
+                              [[0, 0, 1], [0, 0, 0], [0, 0, 1]])
+
 
 class TestClassificationMetrics:
     def test_perfect(self):

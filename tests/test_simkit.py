@@ -228,7 +228,7 @@ class TestIri:
     def test_homogeneity(self, alpha):
         p = generate_profile(400.0, 0.05, 16e-6, seed=5)
         base = compute_iri(p)
-        scaled = compute_iri(p.scaled(alpha))
+        scaled = compute_iri(RoadProfile(p.dx, alpha * p.elevation))
         assert scaled == pytest.approx(alpha * base, rel=1e-6)
 
     def test_matches_fine_step_rk4_oracle(self):
