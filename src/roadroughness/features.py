@@ -18,7 +18,8 @@ changes of the first difference, neighbourhood peaks with neighbourhood 10
 (none in windows shorter than 21 samples). Degenerate windows fall back to
 fixed values: zero variance gives 0 for skewness, kurtosis, slope and
 autocorrelation, zero energy puts the centroid at the mean time, zero time
-span gives 0 total energy, and zero range gives 0 entropy.
+span gives 0 total energy, and a range too narrow for 10 bins of finite
+width (zero range included) gives 0 entropy.
 """
 from __future__ import annotations
 
@@ -82,13 +83,15 @@ def _ecdf_percentile(xs: np.ndarray, p: float) -> np.ndarray:
 
 def _entropy(x: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Row-wise Shannon entropy of ``np.histogram(row, ENTROPY_BINS)``, with
-    its equal-width bin index and both of its edge corrections; 0 for
-    constant rows. ``xs`` is ``x`` sorted along the rows."""
+    its equal-width bin index and both of its edge corrections; 0 for rows
+    whose range has no ENTROPY_BINS bins of finite width, which
+    ``np.histogram`` refuses (a range of a few ulps), constant rows
+    included. ``xs`` is ``x`` sorted along the rows."""
     lo, hi = xs[:, :1], xs[:, -1:]
-    flat = (hi == lo)[:, 0]
     span = np.where(hi == lo, 1.0, hi - lo)
     edges = lo + np.arange(ENTROPY_BINS + 1) * (span / ENTROPY_BINS)
     edges[:, -1:] = hi
+    flat = np.any(edges[:, :-1] >= edges[:, 1:], axis=1)
     idx = (((x - lo) / span) * ENTROPY_BINS).astype(np.intp)
     idx[idx == ENTROPY_BINS] -= 1
     idx[x < np.take_along_axis(edges, idx, axis=1)] -= 1

@@ -60,7 +60,10 @@ def _ref_kurtosis(x):
 
 
 def _ref_entropy(x):
-    if np.ptp(x) == 0.0:
+    # np.histogram refuses a range it cannot split into 10 bins of finite
+    # width; such rows, constant ones included, have entropy 0.
+    edges = np.linspace(x.min(), x.max(), 11)
+    if np.any(edges[:-1] >= edges[1:]):
         return 0.0
     counts, _ = np.histogram(x, bins=10)
     p = counts[counts > 0] / len(x)
@@ -350,6 +353,17 @@ class TestExtractorValues:
         x = np.repeat(np.arange(10.0), 10) + 0.001
         f = extract_channel_features(x, np.arange(100.0))
         assert f["entropy"] == pytest.approx(np.log2(10), abs=1e-9)
+
+    @pytest.mark.parametrize("row", [
+        [5e-324, 0.0, 0.0],                         # subnormal range
+        [1000.0, np.nextafter(1000.0, 2000.0), 1000.0],  # one-ulp range
+    ])
+    def test_entropy_of_range_too_narrow_for_bins(self, row):
+        x = np.array(row)
+        with pytest.raises(ValueError, match="Too many bins"):
+            np.histogram(x, bins=10)
+        f = extract_channel_features(x, np.arange(3.0))
+        assert f["entropy"] == 0.0
 
     def test_kurtosis_and_skewness_of_gaussian(self):
         rng = np.random.default_rng(1)
