@@ -103,14 +103,20 @@ def validate_config(config: dict) -> None:
             raise ValueError(f"simulate.{key} must be a positive number")
     if sim["envelope_min"] <= 0 or sim["envelope_max"] < sim["envelope_min"]:
         raise ValueError("envelope bounds must satisfy 0 < min <= max")
+    for key in ("roughness_coeff", "gps_noise_sigma_m", "acc_noise_sigma"):
+        v = sim[key]
+        if not (_is_number(v) and math.isfinite(v) and v >= 0):
+            raise ValueError(f"simulate.{key} must be a finite number of at "
+                             f"least 0, got {v!r}")
+    v = sim["vehicle_perturbation"]
+    if not (_is_number(v) and 0 <= v < 1):
+        raise ValueError(f"simulate.vehicle_perturbation must be a number in "
+                         f"[0, 1), got {v!r}")
     match = config["match"]
     for key in ("radius_m", "sigma_m", "beta_m"):
         v = match[key]
         if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
             raise ValueError(f"match.{key} must be a finite positive number")
-    k = match["max_candidates"]
-    if not (isinstance(k, (int, float)) and math.isfinite(k) and k >= 1):
-        raise ValueError("match.max_candidates must be a number of at least 1")
     align = config["align"]
     for old, new in (("search_back_m", "search_back_samples"),
                      ("search_ahead_m", "search_ahead_samples")):
@@ -120,7 +126,8 @@ def validate_config(config: dict) -> None:
     for key in ("search_back_samples", "search_ahead_samples"):
         if not (_is_int(align[key]) and align[key] >= 1):
             raise ValueError(f"align.{key} must be a positive integer")
-    for section, key, least in (("align", "window_pieces", 1),
+    for section, key, least in (("match", "max_candidates", 1),
+                                ("align", "window_pieces", 1),
                                 ("featurize", "target_len", 3),
                                 ("select", "k_folds", 2),
                                 ("select", "max_features", 1),
@@ -131,16 +138,35 @@ def validate_config(config: dict) -> None:
             raise ValueError(f"{section}.{key} must be an integer of at "
                              f"least {least}, got {v!r}")
     _validate_select(config["select"])
+    if not isinstance(config["train"]["adasyn"], bool):
+        raise ValueError(f"train.adasyn must be true or false, got "
+                         f"{config['train']['adasyn']!r}")
     for task in TASKS:
         for family in config["train"][f"{task}_families"]:
             try:
                 family_record(family, task)
             except ValueError as exc:
                 raise ValueError(f"train.{task}_families: {exc}") from None
+    _check_known_keys(config, DEFAULT_CONFIG)
+
+
+def _check_known_keys(config: dict, defaults: dict, prefix: str = "") -> None:
+    """Name the first key of ``config`` that ``defaults`` does not hold, at
+    any depth outside ``train.grids``."""
+    for key, value in config.items():
+        name = prefix + key
+        if key not in defaults:
+            raise ValueError(f"unknown config key: {name}")
+        if isinstance(value, dict) and name != "train.grids":
+            _check_known_keys(value, defaults[key], name + ".")
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _validate_select(select: dict) -> None:

@@ -114,7 +114,7 @@ def stage_match(config: dict) -> dict:
     network = RoadNetwork.load(paths["network"])
     matched = match_fixes(t, lats, lons, network, sigma=float(m["sigma_m"]),
                           beta=float(m["beta_m"]),
-                          max_candidates=int(m["max_candidates"]),
+                          max_candidates=m["max_candidates"],
                           radius=float(m["radius_m"]))
     io.write_matched_json(paths["matched"], matched)
     summary = {"n_fixes": len(matched),
@@ -230,7 +230,7 @@ def stage_train(config: dict) -> dict:
 
     paths["models"].mkdir(parents=True, exist_ok=True)
     training = {"n_train": n_train, "n_total": len(dataset), "tasks": {}}
-    adasyn = bool(train_cfg["adasyn"])
+    adasyn = train_cfg["adasyn"]
     for task, key in (("regression", "regression_families"),
                       ("classification", "classification_families")):
         training["tasks"][task] = {}

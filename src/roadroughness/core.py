@@ -53,6 +53,19 @@ def level_labels(y) -> np.ndarray:
     return labels
 
 
+def training_data(x, y, task: str) -> tuple[np.ndarray, np.ndarray]:
+    """A model's training rows: ``x`` as a float matrix, ``y`` as floats
+    (regression) or class labels (``level_labels``). Raises ValueError
+    unless there is at least one row and x has a row per value of y."""
+    x = np.asarray(x, dtype=float)
+    y = (np.asarray(y, dtype=float) if task == "regression"
+         else level_labels(y))
+    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y) or len(y) == 0:
+        raise ValueError(f"bad training data shapes: x {x.shape}, "
+                         f"y {y.shape}")
+    return x, y
+
+
 @dataclass
 class TelemetryTrace:
     """A time-ordered trace of vertical acceleration, speed and GPS fixes.

@@ -5,7 +5,7 @@ from .linear import LinearModel
 from .logistic import LogisticModel
 from .neighbors import KnnModel
 from .bayes import GaussianNBModel
-from .tree import DecisionTree, RandomForestModel
+from .tree import RandomForestModel
 from .svm import SvmModel, rbf_kernel
 from .mlp import MlpModel
 from .resample import adasyn_resample
@@ -14,7 +14,7 @@ from .errors import ConvergenceError
 
 __all__ = [
     "BaselineModel", "LinearModel", "LogisticModel", "KnnModel",
-    "GaussianNBModel", "DecisionTree", "RandomForestModel", "SvmModel",
+    "GaussianNBModel", "RandomForestModel", "SvmModel",
     "rbf_kernel", "MlpModel", "adasyn_resample", "grid_search",
     "GridSearchResult", "make_model", "ConvergenceError", "fold_plan",
 ]

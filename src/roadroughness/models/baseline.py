@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import N_LEVELS, level_labels
+from ..core import N_LEVELS, training_data
 
 
 class BaselineModel:
@@ -17,13 +17,11 @@ class BaselineModel:
         self.constant: float | None = None
 
     def fit(self, x, y) -> "BaselineModel":
-        y = np.asarray(y)
-        if len(y) == 0:
-            raise ValueError("empty training set")
+        _, y = training_data(x, y, self.task)
         if self.task == "regression":
             self.constant = float(np.mean(y))
         else:
-            counts = np.bincount(level_labels(y), minlength=N_LEVELS)
+            counts = np.bincount(y, minlength=N_LEVELS)
             self.constant = float(np.argmax(counts))
         return self
 

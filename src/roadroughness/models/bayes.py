@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import N_LEVELS, level_labels
+from ..core import N_LEVELS, training_data
 
 VAR_FLOOR = 1e-9
 
@@ -20,12 +20,9 @@ class GaussianNBModel:
         self.var: np.ndarray | None = None
 
     def fit(self, x, y) -> "GaussianNBModel":
-        x = np.asarray(x, dtype=float)
-        y = level_labels(y)
+        x, y = training_data(x, y, self.task)
         counts = np.bincount(y, minlength=N_LEVELS)
         present = counts > 0
-        if present.sum() < 1:
-            raise ValueError("empty training set")
         d = x.shape[1]
         self.mean = np.zeros((N_LEVELS, d))
         self.var = np.full((N_LEVELS, d), VAR_FLOOR)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import training_data
 from .errors import ConvergenceError
 
 CD_TOL = 1e-6
@@ -92,10 +93,7 @@ class LinearModel:
             f"(last max coefficient change {max_delta:.3e})")
 
     def fit(self, x, y) -> "LinearModel":
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.ndim != 2 or len(x) != len(y):
-            raise ValueError("bad training data shapes")
+        x, y = training_data(x, y, self.task)
         # Centering makes the intercept exact and keeps it unpenalized.
         x_mean = x.mean(axis=0)
         y_mean = float(y.mean())

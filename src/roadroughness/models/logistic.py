@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..core import N_LEVELS, level_labels
+from ..core import N_LEVELS, training_data
 from .errors import ConvergenceError
 
 GRAD_TOL = 1e-6
@@ -130,8 +130,7 @@ class LogisticModel:
         self.n_iter: int | None = None
 
     def fit(self, x, y) -> "LogisticModel":
-        x = np.asarray(x, dtype=float)
-        y = level_labels(y)
+        x, y = training_data(x, y, self.task)
         if len(np.unique(y)) < 2:
             raise ValueError("need at least 2 classes in training data")
         self.weights, self.bias, self.n_iter = _descend(

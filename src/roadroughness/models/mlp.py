@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ..core import N_LEVELS, level_labels
+from ..core import N_LEVELS, training_data
 from .errors import ConvergenceError
 from .logistic import cross_entropy, one_hot, softmax
 
@@ -141,11 +141,11 @@ class MlpModel:
         self.loss_history: list[float] = []
 
     def fit(self, x, y) -> "MlpModel":
-        x = np.asarray(x, dtype=float)
+        x, y = training_data(x, y, self.task)
         if self.task == "regression":
-            out_dim, target = 1, np.asarray(y, dtype=float)
+            out_dim, target = 1, y
         else:
-            out_dim, target = N_LEVELS, one_hot(level_labels(y))
+            out_dim, target = N_LEVELS, one_hot(y)
         n, d = x.shape
         sizes = [d, *self.layers, out_dim]
         rng = np.random.default_rng(self.seed)

@@ -3,9 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import N_LEVELS
+from ..core import N_LEVELS, training_data
 from ..topk import smallest_k
-from .tree import _training_data
 
 # Bytes of the (query chunk x n_train x d) difference tensor built per chunk
 # of a brute-force neighbour search.
@@ -48,7 +47,7 @@ class KnnModel:
         self.y_train: np.ndarray | None = None
 
     def fit(self, x, y) -> "KnnModel":
-        x, _ = _training_data(x, y, self.task)
+        x, y = training_data(x, y, self.task)
         if self.k > len(x):
             raise ValueError(f"k={self.k} exceeds {len(x)} training rows")
         self.x_train = x

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import N_LEVELS, level_labels
+from ..core import N_LEVELS, training_data
 from .errors import ConvergenceError
 
 KKT_TOL = 1e-3
@@ -152,9 +152,7 @@ class SvmModel:
         self.kkt_gap: float | list | None = None
 
     def fit(self, x, y) -> "SvmModel":
-        x = np.asarray(x, dtype=float)
-        y = (np.asarray(y, dtype=float) if self.kind == "svr"
-             else level_labels(y))
+        x, y = training_data(x, y, self.task)
         k = rbf_kernel(x, x, self.gamma)
         if self.kind == "svr":
             beta, bias, _, self.kkt_gap, self.n_iter = _solve_svr(

@@ -1,4 +1,4 @@
-"""Decision trees and random forests for regression and classification.
+"""Random forests for regression and classification.
 
 Splits minimize the weighted child impurity (SSE for regression, Gini for
 classification). All tie-breaking is deterministic: candidate features are
@@ -23,14 +23,17 @@ draw: the features with the smallest hashes of (tree key, heap index,
 feature), so it does not depend on the order in which nodes grow.
 
 A forest's bootstraps and keys come from its seed and row count alone
-(``forest_draws``), and trees are stored as flat node lists; prediction
-walks every row down every tree at once (``_descend``).
+(``forest_draws``). It keeps each tree as a ``Tree`` of node arrays, views
+into the engine's output; prediction walks every row down every tree at
+once (``_descend``).
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from ..core import N_LEVELS, level_labels
+from ..core import N_LEVELS, training_data
 
 MAX_DEPTH = 63  # heap indices 0 .. 2**(MAX_DEPTH + 1) - 2 fit in uint64
 # Bootstrap rows grown in one pass. The engine's temporaries take about
@@ -257,7 +260,7 @@ def _best_splits(task, xs, ys, lens):
 
 
 def grow_trees(x, y, boots, keys, task: str, max_depth: int,
-               max_features: int | None, cols=None):
+               max_features: int, cols=None):
     """Grow one tree per bootstrap row of ``boots`` (trees x n indices into
     ``x``), level by level, in groups of at most ``GROW_ROWS`` bootstrap
     rows.
@@ -265,8 +268,9 @@ def grow_trees(x, y, boots, keys, task: str, max_depth: int,
     Tree ``t`` grows on the columns ``cols[t]`` of ``x`` (a trees x d
     array of column indices; every column of ``x`` when None), as on
     ``x[:, cols[t]]``: its split features are indices into ``cols[t]``.
-    It draws its feature subsets with ``keys[t]``. Each column of ``x``
-    that some tree uses is ranked once per call.
+    Each node draws ``max_features`` of them (all, and no draw, when that
+    is at least their count) with ``keys[t]``. Each column of ``x`` that
+    some tree uses is ranked once per call.
 
     Returns the flat node arrays (feature, threshold, left, right, value)
     of all trees, tree after tree, and the node count of every tree. A
@@ -306,7 +310,7 @@ def _grow_group(x, y, dense, boots, keys, cols, local, task, max_depth,
     of ``x`` that ``cols`` uses, row ``local[t, f]`` for ``cols[t, f]``."""
     n_trees, n = boots.shape
     d = cols.shape[1]
-    mf = d if max_features is None else min(max_features, d)
+    mf = min(max_features, d)
     n_rows = n_trees * n
     # Bootstrap row r is sample boots.flat[r]; feature f of its tree is
     # column cols[r // n, f].
@@ -447,27 +451,6 @@ def _depth_first(levels, n_trees):
     return feature, threshold, left, right, value, total
 
 
-def _tree_lists(nodes):
-    """Per tree, its node lists (feature, threshold, left, right, value)
-    from ``grow_trees``' flat arrays."""
-    *arrays, sizes = nodes
-    arrays = [a.tolist() for a in arrays]
-    bounds = np.add.accumulate(sizes).tolist()
-    return [tuple(a[lo:hi] for a in arrays)
-            for lo, hi in zip([0] + bounds[:-1], bounds)]
-
-
-def _flat_nodes(trees):
-    """The node lists of ``trees`` as ``grow_trees``' flat arrays."""
-    def cat(name, dtype):
-        return np.concatenate([getattr(t, name) for t in trees]).astype(dtype)
-
-    return (cat("feature", np.int64), cat("threshold", float),
-            cat("left", np.int64), cat("right", np.int64),
-            cat("value", float),
-            np.array([len(t.feature) for t in trees], dtype=np.int64))
-
-
 def forest_draws(seed: int, n_trees: int, n: int):
     """Bootstrap rows (n_trees x n indices below n) and feature-draw keys
     of a forest's trees: tree t draws both, in that order, from child t of
@@ -516,75 +499,22 @@ def forests_predict(x, y, cols, x_eval, n_trees: int, max_depth: int,
 
 # ------------------------------------------------------------- models
 
-class DecisionTree:
-    """A single CART-style tree grown to ``max_depth`` (``grow_trees`` for
-    one tree, on the rows as given)."""
-
-    def __init__(self, task: str = "regression", max_depth: int = 5,
-                 max_features: int | None = None,
-                 rng: np.random.Generator | None = None):
-        if task not in ("regression", "classification"):
-            raise ValueError(f"unknown task: {task}")
-        _check_depth(max_depth)
-        self.task = task
-        self.max_depth = max_depth
-        self.max_features = max_features
-        self.rng = rng
-        # Flat node arrays: internal nodes carry (feature, threshold, children),
-        # leaves carry feature -1 and a prediction value.
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
-
-    def _set_nodes(self, nodes) -> "DecisionTree":
-        (self.feature, self.threshold, self.left, self.right,
-         self.value) = nodes
-        return self
-
-    def fit(self, x, y) -> "DecisionTree":
-        x, y = _training_data(x, y, self.task)
-        nodes = grow_trees(x, y, np.arange(len(y))[None, :],
-                           [draw_key(self.rng if self.rng is not None
-                                     else np.random.default_rng(0))],
-                           self.task, self.max_depth,
-                           self.max_features)
-        return self._set_nodes(_tree_lists(nodes)[0])
-
-    def predict(self, x) -> np.ndarray:
-        return _descend(_flat_nodes([self]), np.asarray(x, dtype=float),
-                        self.max_depth)[0]
-
-    def state_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "max_depth": self.max_depth,
-            "feature": list(self.feature),
-            "threshold": list(self.threshold),
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": list(self.value),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "DecisionTree":
-        tree = cls(task=state["task"], max_depth=state["max_depth"])
-        tree.feature = [int(v) for v in state["feature"]]
-        tree.threshold = [float(v) for v in state["threshold"]]
-        tree.left = [int(v) for v in state["left"]]
-        tree.right = [int(v) for v in state["right"]]
-        tree.value = [float(v) for v in state["value"]]
-        return tree
+class Tree(NamedTuple):
+    """One tree's nodes, in ``grow_trees``' layout: internal nodes carry a
+    feature, a threshold and their children's indices within the tree;
+    leaves carry feature -1 and a prediction value."""
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
 
-def _training_data(x, y, task):
-    x = np.asarray(x, dtype=float)
-    y = (np.asarray(y, dtype=float) if task == "regression"
-         else level_labels(y))
-    if x.ndim != 2 or len(x) != len(y) or len(y) == 0:
-        raise ValueError("bad training data shapes")
-    return x, y
+def split_trees(nodes) -> list[Tree]:
+    """Per tree, views of its nodes in ``grow_trees``' flat arrays."""
+    *arrays, sizes = nodes
+    cuts = np.add.accumulate(sizes)[:-1]
+    return [Tree(*t) for t in zip(*(np.split(a, cuts) for a in arrays))]
 
 
 def _descend(nodes, x: np.ndarray, max_depth: int) -> np.ndarray:
@@ -615,14 +545,17 @@ class RandomForestModel:
     def __init__(self, task: str = "regression", n_trees: int = 100,
                  max_depth: int = 5, max_features: int | str = "sqrt",
                  seed: int = 0):
+        if task not in ("regression", "classification"):
+            raise ValueError(f"unknown task: {task}")
         if n_trees < 1:
             raise ValueError("n_trees must be positive")
+        _check_depth(max_depth)
         self.task = task
         self.n_trees = n_trees
         self.max_depth = max_depth
         self.max_features = max_features
         self.seed = seed
-        self.trees: list[DecisionTree] = []
+        self.trees: list[Tree] = []
 
     def _resolve_mf(self, d: int) -> int:
         if self.max_features == "sqrt":
@@ -633,18 +566,20 @@ class RandomForestModel:
         return mf
 
     def fit(self, x, y) -> "RandomForestModel":
-        x, y = _training_data(x, y, self.task)
+        x, y = training_data(x, y, self.task)
         n, d = x.shape
-        mf = self._resolve_mf(d)
         boots, keys = forest_draws(self.seed, self.n_trees, n)
-        nodes = grow_trees(x, y, boots, keys, self.task, self.max_depth, mf)
-        self.trees = [DecisionTree(self.task, self.max_depth, mf)._set_nodes(t)
-                      for t in _tree_lists(nodes)]
+        self.trees = split_trees(grow_trees(x, y, boots, keys, self.task,
+                                            self.max_depth,
+                                            self._resolve_mf(d)))
         return self
 
     def predict(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        preds = _descend(_flat_nodes(self.trees), x, self.max_depth)
+        if not self.trees:
+            raise ValueError("model is not fitted")
+        nodes = (*map(np.concatenate, zip(*self.trees)),
+                 np.array([len(t.feature) for t in self.trees]))
+        preds = _descend(nodes, np.asarray(x, dtype=float), self.max_depth)
         if self.task == "regression":
             return preds.mean(axis=0)
         votes = np.stack([np.count_nonzero(preds == c, axis=0)
@@ -658,7 +593,9 @@ class RandomForestModel:
             "max_depth": self.max_depth,
             "max_features": self.max_features,
             "seed": self.seed,
-            "trees": [t.state_dict() for t in self.trees],
+            "trees": [{"task": self.task, "max_depth": self.max_depth,
+                       **{k: a.tolist() for k, a in t._asdict().items()}}
+                      for t in self.trees],
         }
 
     @classmethod
@@ -666,5 +603,8 @@ class RandomForestModel:
         model = cls(task=state["task"], n_trees=state["n_trees"],
                     max_depth=state["max_depth"],
                     max_features=state["max_features"], seed=state["seed"])
-        model.trees = [DecisionTree.from_state(s) for s in state["trees"]]
+        dtypes = (np.int64, float, np.int64, np.int64, float)
+        model.trees = [Tree(*(np.array(s[k], dtype=dt)
+                              for k, dt in zip(Tree._fields, dtypes)))
+                       for s in state["trees"]]
         return model

@@ -20,14 +20,13 @@ from roadroughness.models.logistic import loss_and_grad as logistic_loss
 from roadroughness.models.mlp import init_params
 from roadroughness.models.mlp import loss_and_grads as mlp_loss
 from roadroughness.models.svm import _solve_svr
-from roadroughness.models.tree import DecisionTree
 from roadroughness.selection import pca_fit, sfs_forward
 from roadroughness.simkit import (IRI_SPEED_MS, RoadProfile, compute_iri,
                                   generate_profile)
 
 from test_geoalign import PROJ, dict_network, latlon, n_edges
 from test_models import (_slsqp_dual, _stump_oracle_sse, _tree_sse,
-                         finite_difference)
+                         finite_difference, one_tree)
 from test_selection import _cv_rmse
 from test_simkit import rk4_iri_oracle
 
@@ -304,7 +303,7 @@ def test_criterion_4_optimizers():
         rng3 = np.random.default_rng(seed)
         xt = rng3.normal(size=(20, 2))
         yt = rng3.normal(size=20)
-        tree = DecisionTree(task="regression", max_depth=2).fit(xt, yt)
+        tree = one_tree("regression", xt, yt, max_depth=2)
         _, f, thr = _stump_oracle_sse(xt, yt)
         mask = xt[:, f] <= thr
         total = 0.0

@@ -864,7 +864,8 @@ class TestConfig:
         ("radius_m", 0.0), ("sigma_m", float("nan")), ("sigma_m", -4.0),
         ("beta_m", float("inf")), ("beta_m", 0.0),
         ("max_candidates", 0), ("max_candidates", float("nan")),
-        ("max_candidates", "8"),
+        ("max_candidates", "8"), ("max_candidates", 2.5),
+        ("max_candidates", True),
     ])
     def test_bad_match_setting_is_named(self, tmp_path, key, value):
         p = tmp_path / "c.json"
@@ -898,6 +899,7 @@ class TestConfig:
         ("featurize", "target_len", True),
         ("select", "k_folds", 1), ("select", "k_folds", 2.5),
         ("train", "k_folds", 1), ("train", "k_folds", 2.5),
+        ("match", "max_candidates", 2.5), ("match", "max_candidates", 8.0),
     ])
     def test_bad_count_is_named_at_load(self, tmp_path, section, key, value):
         """Used to fail in a later stage, or be truncated without a word."""
@@ -934,6 +936,50 @@ class TestConfig:
         p.write_text(json.dumps({"select": select}))
         assert load_config(p)["select"] == {**DEFAULT_CONFIG["select"],
                                             **select}
+
+    @pytest.mark.parametrize("override,message", [
+        ({"simulate": {"gps_noise_sigma_m": float("nan")}},
+         "simulate.gps_noise_sigma_m must be a finite number of at least 0"),
+        ({"simulate": {"acc_noise_sigma": float("nan")}},
+         "simulate.acc_noise_sigma must be a finite number of at least 0"),
+        ({"simulate": {"acc_noise_sigma": -0.01}},
+         "simulate.acc_noise_sigma must be a finite number of at least 0"),
+        ({"simulate": {"gps_noise_sigma_m": "3"}},
+         "simulate.gps_noise_sigma_m must be a finite number of at least 0"),
+        ({"simulate": {"roughness_coeff": -1e-6}},
+         "simulate.roughness_coeff must be a finite number of at least 0"),
+        ({"simulate": {"vehicle_perturbation": 1.0}},
+         r"simulate.vehicle_perturbation must be a number in \[0, 1\)"),
+        ({"simulate": {"vehicle_perturbation": -0.1}},
+         r"simulate.vehicle_perturbation must be a number in \[0, 1\)"),
+        ({"train": {"adasyn": "no"}}, "train.adasyn must be true or false"),
+        ({"train": {"adasyn": 0}}, "train.adasyn must be true or false"),
+        ({"select": {"sfs_tree": 20}}, "unknown config key: select.sfs_tree"),
+        ({"match": {"max_candidate": 4}},
+         "unknown config key: match.max_candidate"),
+        ({"sed": 3}, "unknown config key: sed"),
+    ])
+    def test_silently_wrong_value_is_named_at_load(self, tmp_path, override,
+                                                   message):
+        """Each used to load and run: bool("no") is True, a NaN sigma adds
+        no noise, and a misspelt key was ignored."""
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(override))
+        with pytest.raises(ValueError, match=message):
+            load_config(p)
+
+    @pytest.mark.parametrize("override", [
+        {"simulate": {"gps_noise_sigma_m": 0, "acc_noise_sigma": 0.0,
+                      "roughness_coeff": 0, "vehicle_perturbation": 0}},
+        {"simulate": {"vehicle_perturbation": 0.99}},
+        {"train": {"adasyn": False}},
+        {"match": {"max_candidates": 1}},
+        {"train": {"grids": {"regression": {"ridge": {"lam": [1.0]}}}}},
+    ])
+    def test_edge_values_accepted(self, tmp_path, override):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(override))
+        load_config(p)
 
     def test_row_cap_below_the_folds_fails_at_load(self, tmp_path):
         # Used to fail in select, after simulate .. featurize had run.

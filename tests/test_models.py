@@ -10,7 +10,7 @@ from scipy.optimize import minimize
 
 from roadroughness.cli.pipeline import bundle_model
 from roadroughness.models import (BaselineModel, ConvergenceError,
-                                  DecisionTree, GaussianNBModel, KnnModel,
+                                  GaussianNBModel, KnnModel,
                                   LinearModel, LogisticModel, MlpModel,
                                   RandomForestModel, SvmModel,
                                   adasyn_resample, grid_search, make_model,
@@ -24,16 +24,16 @@ from roadroughness.models.mlp import (ADAM_B1, ADAM_B2, ADAM_EPS, LOSS_TOL,
                                       LR_PATIENCE, STOP_PATIENCE,
                                       init_params, loss_and_grads as mlp_loss)
 from roadroughness.core import (N_LEVELS, classification_metrics,
-                                ordered_kfold)
+                                ordered_kfold, training_data)
 from roadroughness.features import standardize_apply, standardize_fit
 from roadroughness.models.search import (FAMILIES, fold_plan, grid_points,
                                          prepare_train_rows)
 from roadroughness.models.svm import _solve_binary_svc, _solve_svr, smo_solve
-from roadroughness.models.tree import (MAX_DEPTH, _Padded,
-                                       _segment_sums, _splitmix64,
-                                       _tree_lists, draw_key, feature_subsets,
-                                       forest_draws, forests_predict,
-                                       grow_trees)
+from roadroughness.models.tree import (MAX_DEPTH, _Padded, _descend,
+                                       _segment_sums, _splitmix64, draw_key,
+                                       feature_subsets, forest_draws,
+                                       forests_predict, grow_trees,
+                                       split_trees)
 
 
 class TestBaseline:
@@ -453,8 +453,25 @@ def _stump_oracle_sse(x, y):
     return best
 
 
+def one_tree(task, x, y, max_depth, max_features=None, rng=None):
+    """One tree of the forest engine, grown on the rows as given (no
+    bootstrap), its feature draws keyed by ``draw_key(rng)``; without
+    ``max_features`` it draws no feature subsets."""
+    x, y = training_data(x, y, task)
+    key = draw_key(rng if rng is not None else np.random.default_rng(0))
+    mf = x.shape[1] if max_features is None else max_features
+    return split_trees(grow_trees(x, y, np.arange(len(y))[None], [key], task,
+                                  max_depth, mf))[0]
+
+
+def tree_predict(tree, x):
+    """The leaf value of every row of ``x`` in ``tree`` (``_descend``)."""
+    return _descend((*tree, np.array([len(tree.feature)])),
+                    np.asarray(x, dtype=float), MAX_DEPTH)[0]
+
+
 def _tree_sse(tree, x, y):
-    pred = tree.predict(x)
+    pred = tree_predict(tree, x)
     return float(np.sum((y - pred) ** 2))
 
 
@@ -464,7 +481,7 @@ class TestDecisionTree:
         for trial in range(5):
             x = rng.normal(size=(25, 3))
             y = rng.normal(size=25)
-            tree = DecisionTree(task="regression", max_depth=1).fit(x, y)
+            tree = one_tree("regression", x, y, max_depth=1)
             sse, f, thr = _stump_oracle_sse(x, y)
             assert tree.feature[0] == f
             assert tree.threshold[0] == pytest.approx(thr)
@@ -475,7 +492,7 @@ class TestDecisionTree:
         for trial in range(5):
             x = rng.normal(size=(20, 2))
             y = rng.normal(size=20)
-            tree = DecisionTree(task="regression", max_depth=2).fit(x, y)
+            tree = one_tree("regression", x, y, max_depth=2)
             # Greedy oracle: best stump at the root, then best stump in each
             # child computed exhaustively.
             _, f, thr = _stump_oracle_sse(x, y)
@@ -494,8 +511,8 @@ class TestDecisionTree:
     def test_classification_pure_leaves(self):
         x = np.array([[0.0], [1.0], [10.0], [11.0]])
         y = np.array([0, 0, 2, 2])
-        tree = DecisionTree(task="classification", max_depth=3).fit(x, y)
-        assert list(tree.predict(x)) == [0.0, 0.0, 2.0, 2.0]
+        tree = one_tree("classification", x, y, max_depth=3)
+        assert tree_predict(tree, x).tolist() == [0.0, 0.0, 2.0, 2.0]
 
 
 # ------------------------------------------------ recursive tree oracle
@@ -631,10 +648,10 @@ def stack_forest_predict(forest, x):
 
 
 def assert_same_tree(tree, oracle):
-    assert tree.feature == oracle.feature
-    assert tree.threshold == oracle.threshold
-    assert tree.left == oracle.left
-    assert tree.right == oracle.right
+    assert tree.feature.tolist() == oracle.feature
+    assert tree.threshold.tolist() == oracle.threshold
+    assert tree.left.tolist() == oracle.left
+    assert tree.right.tolist() == oracle.right
     np.testing.assert_allclose(tree.value, oracle.value, rtol=1e-12,
                                atol=0.0)
 
@@ -679,12 +696,11 @@ class TestForestEngine:
     @given(tree_problems())
     def test_property_matches_recursive_oracle(self, problem):
         task, x, y, mf, depth, seed = problem
-        tree = DecisionTree(task, depth, mf,
-                            rng=np.random.default_rng(seed)).fit(x, y)
+        tree = one_tree(task, x, y, depth, mf, rng=np.random.default_rng(seed))
         oracle = RecursiveTree(task, depth, mf, key=draw_key(
             np.random.default_rng(seed))).fit(x, y)
         assert_same_tree(tree, oracle)
-        assert np.array_equal(tree.predict(x), stack_predict(oracle, x))
+        assert np.array_equal(tree_predict(tree, x), stack_predict(oracle, x))
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
     @pytest.mark.parametrize("n", [1, 2, 3, 9, 130, 300, 700])
@@ -696,10 +712,10 @@ class TestForestEngine:
         x = np.round(rng.normal(size=(n, 3)), 1)
         y = (rng.normal(0.0, 50.0, n) if task == "regression"
              else rng.integers(0, 2, n))
-        tree = DecisionTree(task, 12).fit(x, y)
+        tree = one_tree(task, x, y, 12)
         oracle = RecursiveTree(task, 12).fit(x, y)
         assert_same_tree(tree, oracle)
-        assert tree.value == oracle.value
+        assert tree.value.tolist() == oracle.value
 
     @pytest.mark.parametrize("task", ["regression", "classification"])
     def test_forest_trees_match_oracle_on_bootstrap_rows(self, task):
@@ -735,8 +751,7 @@ class TestForestEngine:
         rng = np.random.default_rng(22)
         x = rng.normal(size=(300, 8))
         y = x @ rng.normal(size=8)
-        tree = DecisionTree("regression", 7, 3,
-                            rng=np.random.default_rng(5)).fit(x, y)
+        tree = one_tree("regression", x, y, 7, 3, rng=np.random.default_rng(5))
         key = draw_key(np.random.default_rng(5))
         stack = [(0, 0)]
         while stack:
@@ -785,25 +800,25 @@ class TestForestEngine:
         a = np.nextafter(1.0, 2.0)      # odd last bit: a + ulp / 2 rounds
         b = np.nextafter(a, 2.0)        # up to b
         x = np.array([[a], [b], [a], [b]])
-        tree = DecisionTree(max_depth=1).fit(x, [0.0, 1.0, 0.0, 1.0])
+        tree = one_tree("regression", x, [0.0, 1.0, 0.0, 1.0], max_depth=1)
         assert a + (b - a) / 2.0 == b
-        assert tree.threshold == [a, 0.0, 0.0]
-        assert tree.predict(x).tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert tree.threshold.tolist() == [a, 0.0, 0.0]
+        assert tree_predict(tree, x).tolist() == [0.0, 1.0, 0.0, 1.0]
 
     def test_depth_beyond_heap_width_rejected(self):
         with pytest.raises(ValueError, match="max_depth"):
-            DecisionTree(max_depth=MAX_DEPTH + 1)
+            one_tree("regression", np.zeros((4, 1)), np.arange(4.0),
+                     MAX_DEPTH + 1)
         with pytest.raises(ValueError, match="max_depth"):
-            RandomForestModel(max_depth=MAX_DEPTH + 1).fit(
-                np.zeros((4, 1)), np.arange(4.0))
-        tree = DecisionTree(max_depth=MAX_DEPTH).fit(
-            np.arange(70.0)[:, None], np.arange(70.0) ** 2)
-        assert tree.predict(np.arange(70.0)[:, None]).tolist() == (
+            RandomForestModel(max_depth=MAX_DEPTH + 1)
+        tree = one_tree("regression", np.arange(70.0)[:, None],
+                        np.arange(70.0) ** 2, MAX_DEPTH)
+        assert tree_predict(tree, np.arange(70.0)[:, None]).tolist() == (
             (np.arange(70.0) ** 2).tolist())
 
     def test_class_labels_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="class labels"):
-            DecisionTree("classification").fit(np.zeros((2, 1)), [0, 3])
+            RandomForestModel("classification").fit(np.zeros((2, 1)), [0, 3])
 
     @staticmethod
     def _peak_bytes(n_trees, n_rows):
@@ -858,15 +873,14 @@ class TestForestEngine:
         nodes = grow_trees(x, y, np.tile(boots, (len(subsets), 1)),
                            np.tile(keys, len(subsets)), task, 6, 2,
                            cols=np.repeat(subsets, n_trees, axis=0))
-        grown = _tree_lists(nodes)
+        grown = split_trees(nodes)
         for i, cols in enumerate(subsets):
             forest = RandomForestModel(task, n_trees=n_trees, max_depth=6,
                                        max_features=2, seed=9).fit(
                                            x[:, cols], y)
             for t, tree in enumerate(forest.trees):
-                assert grown[i * n_trees + t] == (
-                    tree.feature, tree.threshold, tree.left, tree.right,
-                    tree.value)
+                assert ([a.tolist() for a in grown[i * n_trees + t]]
+                        == [a.tolist() for a in tree])
 
     def test_forests_predict_equals_each_forest(self, monkeypatch):
         rng = np.random.default_rng(27)
@@ -891,7 +905,8 @@ class TestForestEngine:
                                    seed=1).fit(x, y)
         q = np.vstack([x, np.round(rng.normal(size=(200, 4)), 1)])
         for tree in forest.trees:
-            assert np.array_equal(tree.predict(q), stack_predict(tree, q))
+            assert np.array_equal(tree_predict(tree, q),
+                                  stack_predict(tree, q))
         assert np.array_equal(forest.predict(q),
                               stack_forest_predict(forest, q))
         loaded = RandomForestModel.from_state(forest.state_dict())
@@ -931,9 +946,25 @@ class TestRandomForest:
         x = rng.normal(size=(40, 3))
         y = rng.normal(size=40)
         m = RandomForestModel(n_trees=5, max_depth=3, seed=2).fit(x, y)
-        m2 = RandomForestModel.from_state(m.state_dict())
+        state = json.loads(json.dumps(m.state_dict()))
+        assert all(sorted(s) == ["feature", "left", "max_depth", "right",
+                                 "task", "threshold", "value"]
+                   for s in state["trees"])
+        m2 = RandomForestModel.from_state(state)
+        assert m2.state_dict() == state
+        assert [a.dtype for a in m2.trees[0]] == [a.dtype for a in m.trees[0]]
         q = rng.normal(size=(10, 3))
         assert np.array_equal(m.predict(q), m2.predict(q))
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"task": "bogus"}, "unknown task: bogus"),
+        ({"n_trees": 0}, "n_trees must be positive"),
+        ({"max_depth": 0}, "max_depth must be between"),
+        ({"max_depth": MAX_DEPTH + 1}, "max_depth must be between"),
+    ])
+    def test_bad_argument_is_named_when_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            RandomForestModel(**kwargs)
 
 
 def _first_order_smo(q_row, diag, p, z, c, tol, max_iter):
@@ -1702,6 +1733,20 @@ class TestFactory:
         model = make_model(family, "classification", params, seed=5)
         with pytest.raises(ValueError, match=rf"class labels must lie in "
                                              rf"0\.\.2: row 17 is {label}"):
+            model.fit(x, y)
+
+    @pytest.mark.parametrize("rows,values", [(6, 5), (0, 0)])
+    @pytest.mark.parametrize("family,task", [
+        (family, task) for family, record in FAMILIES.items()
+        for task in record.tasks])
+    def test_fit_names_bad_training_shapes(self, family, task, rows, values):
+        """Every family names x and y of different lengths, and an empty
+        training set, before it fits anything."""
+        x = np.random.default_rng(45).normal(size=(rows, 8))
+        y = np.arange(values) % 2.0
+        params = grid_points(FAMILIES[family].grid)[0]
+        model = make_model(family, task, params, seed=5)
+        with pytest.raises(ValueError, match="bad training data shapes"):
             model.fit(x, y)
 
     def test_make_model_dispatch(self):
