@@ -5,6 +5,7 @@ import json
 import math
 from pathlib import Path
 
+from ..core import is_integer
 from ..models.search import TASKS, family_record
 from ..models.tree import MAX_DEPTH
 
@@ -124,7 +125,7 @@ def validate_config(config: dict) -> None:
             raise ValueError(f"align.{old} is a sample count, not metres: "
                              f"it is now called align.{new}")
     for key in ("search_back_samples", "search_ahead_samples"):
-        if not (_is_int(align[key]) and align[key] >= 1):
+        if not (is_integer(align[key]) and align[key] >= 1):
             raise ValueError(f"align.{key} must be a positive integer")
     for section, key, least in (("match", "max_candidates", 1),
                                 ("align", "window_pieces", 1),
@@ -134,7 +135,7 @@ def validate_config(config: dict) -> None:
                                 ("select", "sfs_trees", 1),
                                 ("train", "k_folds", 2)):
         v = config[section][key]
-        if not (_is_int(v) and v >= least):
+        if not (is_integer(v) and v >= least):
             raise ValueError(f"{section}.{key} must be an integer of at "
                              f"least {least}, got {v!r}")
     _validate_select(config["select"])
@@ -147,7 +148,31 @@ def validate_config(config: dict) -> None:
                 family_record(family, task)
             except ValueError as exc:
                 raise ValueError(f"train.{task}_families: {exc}") from None
+    _validate_grids(config["train"]["grids"])
     _check_known_keys(config, DEFAULT_CONFIG)
+
+
+def _validate_grids(grids) -> None:
+    """Name a ``train.grids`` task or family key that ``stage_train`` would
+    never look up, which would leave that family on its default grid."""
+    if grids is None:
+        return
+    if not isinstance(grids, dict):
+        raise ValueError(f"train.grids must be an object, got {grids!r}")
+    for task, families in grids.items():
+        if task not in TASKS:
+            raise ValueError(f"train.grids: unknown task {task!r}, "
+                             f"expected one of {', '.join(TASKS)}")
+        if families is None:
+            continue
+        if not isinstance(families, dict):
+            raise ValueError(f"train.grids.{task} must be an object, got "
+                             f"{families!r}")
+        for family in families:
+            try:
+                family_record(family, task)
+            except ValueError as exc:
+                raise ValueError(f"train.grids.{task}: {exc}") from None
 
 
 def _check_known_keys(config: dict, defaults: dict, prefix: str = "") -> None:
@@ -161,21 +186,18 @@ def _check_known_keys(config: dict, defaults: dict, prefix: str = "") -> None:
             _check_known_keys(value, defaults[key], name + ".")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _validate_select(select: dict) -> None:
     depth = select["sfs_depth"]
-    if not (_is_int(depth) and 1 <= depth <= MAX_DEPTH):
+    if not (is_integer(depth) and 1 <= depth <= MAX_DEPTH):
         raise ValueError(f"select.sfs_depth must be an integer in "
                          f"1..{MAX_DEPTH}, got {depth!r}")
     rows = select.get("sfs_max_rows")
-    if rows is not None and not (_is_int(rows) and rows >= select["k_folds"]):
+    if rows is not None and not (is_integer(rows)
+                                 and rows >= select["k_folds"]):
         raise ValueError(f"select.sfs_max_rows must be null or an integer of "
                          f"at least select.k_folds ({select['k_folds']}), "
                          f"got {rows!r}")

@@ -6,12 +6,25 @@ write -> read -> write is byte-identical. ``reference.csv`` holds a
 ``Reference`` record after an unread ``seg_id`` column, and ``windows/`` a
 ``Windows`` record, one .npy file per field plus a JSON manifest holding
 the window count.
+
+Each text artifact kind (``telemetry.csv``, ``reference.csv``,
+``matched.json``, ``features.csv``) keeps the record that this process last
+wrote, with the blake2b digest of the bytes written. Its reader takes the
+record from memory only when the file holds exactly those bytes; otherwise
+it parses the file. A record whose text would read back differently (a NaN
+other than the one "nan" parses to, a value its reader refuses) is not
+kept. A returned record's arrays are read-only views of the kept copy, so
+that neither the writer's record nor a reader's changes reach a later read.
 """
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
+import math
+import os
 from dataclasses import fields
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,10 +40,89 @@ REFERENCE_HEADER = ("seg_id,start_lat,start_lon,end_lat,end_lon,"
 BUNDLE_SCHEMA_VERSION = 1
 # Rows formatted and written at a time: bounds the strings held at once.
 WRITE_BLOCK_ROWS = 1024
+# The bits of the NaN that the readers give for "nan", the repr of every NaN.
+_NAN_BITS = np.array(np.nan).view(np.uint64)
+
+# Per artifact kind: (absolute path, blake2b digest of the bytes written,
+# the record as its reader returns it, over read-only arrays).
+_WRITTEN: dict[str, tuple] = {}
 
 
 def fmt(value: float) -> str:
     return repr(float(value))
+
+
+def forget_written() -> None:
+    """Drop every kept record, so that each next read parses its file."""
+    _WRITTEN.clear()
+
+
+def _write_text(path, chunks) -> bytes:
+    """Write the strings ``chunks`` to ``path`` as UTF-8 and return the
+    blake2b digest of the bytes written."""
+    digest = hashlib.blake2b()
+    with open(path, "wb") as f:
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            digest.update(data)
+            f.write(data)
+    return digest.digest()
+
+
+def _joined(lines):
+    """The strings of ``lines`` joined WRITE_BLOCK_ROWS at a time."""
+    lines = iter(lines)
+    while block := "".join(islice(lines, WRITE_BLOCK_ROWS)):
+        yield block
+
+
+def _remember(kind: str, path, digest: bytes, record) -> None:
+    """Keep ``record`` as what the reader of ``kind`` gives for ``path``
+    while the file holds the bytes of ``digest``; None drops the entry."""
+    if record is None:
+        _WRITTEN.pop(kind, None)
+    else:
+        _WRITTEN[kind] = (os.path.abspath(path), digest, record)
+
+
+def _recall(kind: str, path):
+    """The bytes of ``path``, and the record kept for them: the one last
+    written there as ``kind`` if the file holds exactly the bytes written,
+    else None."""
+    data = Path(path).read_bytes()
+    entry = _WRITTEN.get(kind)
+    if (entry is not None and entry[0] == os.path.abspath(path)
+            and entry[1] == hashlib.blake2b(data).digest()):
+        return data, entry[2]
+    return data, None
+
+
+def _frozen(a: np.ndarray, dtype, ndim: int = 1) -> np.ndarray | None:
+    """A read-only copy of ``a`` if its text reads back as ``a`` bit for
+    bit: ``ndim`` dimensions of ``dtype``, and every NaN the one "nan"
+    parses to. Else None."""
+    if a.dtype != dtype or a.ndim != ndim:
+        return None
+    if a.dtype.kind == "f":
+        nan = np.isnan(a)
+        if nan.any() and np.any(a[nan].view(np.uint64) != _NAN_BITS):
+            return None
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+def _fresh(record):
+    """A new record object over views of ``record``'s arrays and a copy of
+    its lists, so that what one caller does to it reaches no other."""
+    new = copy.copy(record)
+    for f in fields(new):
+        value = getattr(new, f.name)
+        if isinstance(value, np.ndarray):
+            setattr(new, f.name, value.view())
+        elif isinstance(value, list):
+            setattr(new, f.name, list(value))
+    return new
 
 
 def _json_value(obj):
@@ -46,9 +138,13 @@ def _json_value(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+def _json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1,
+                      default=_json_value) + "\n"
+
+
 def write_json(path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=1, default=_json_value)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    Path(path).write_text(_json_text(obj), encoding="utf-8")
 
 
 def read_json(path):
@@ -64,21 +160,35 @@ def write_telemetry_csv(path, trace: TelemetryTrace) -> None:
                                    map(repr, trace.gps_lat.tolist()),
                                    map(repr, trace.gps_lon.tolist())):
         lat[i], lon[i] = fix_lat, fix_lon
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(TELEMETRY_HEADER + "\n")
-        for a in range(0, n, WRITE_BLOCK_ROWS):
-            b = a + WRITE_BLOCK_ROWS
-            f.write("".join(map("{!r},{!r},{!r},{},{}\n".format,
-                                trace.t[a:b].tolist(),
-                                trace.acc_z[a:b].tolist(),
-                                trace.speed[a:b].tolist(),
-                                lat[a:b], lon[a:b])))
+    ends = range(WRITE_BLOCK_ROWS, n + WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS)
+    blocks = ("".join(map("{!r},{!r},{!r},{},{}\n".format,
+                          trace.t[a:b].tolist(), trace.acc_z[a:b].tolist(),
+                          trace.speed[a:b].tolist(), lat[a:b], lon[a:b]))
+              for a, b in zip(range(0, n, WRITE_BLOCK_ROWS), ends))
+    digest = _write_text(path, chain([TELEMETRY_HEADER + "\n"], blocks))
+    _remember("telemetry", path, digest, _telemetry_as_read(trace))
 
 
-def _telemetry_rows(path) -> list[str]:
-    """The data rows of a telemetry file, each checked for its column count
-    and for characters that the float parser may read otherwise."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+def _telemetry_as_read(trace: TelemetryTrace) -> TelemetryTrace | None:
+    """The trace that reading its written text gives, or None where that
+    differs from ``trace`` or is refused. The reader finds the fixes in row
+    order, so ``gps_idx`` must increase."""
+    arrays = [_frozen(getattr(trace, f.name), dtype) for f, dtype in
+              zip(fields(trace), (float, float, float, np.int64, float,
+                                  float))]
+    if any(a is None for a in arrays) or np.any(np.diff(arrays[3]) <= 0):
+        return None
+    try:
+        return TelemetryTrace(*arrays)
+    except ValueError:
+        return None
+
+
+def _telemetry_rows(path, data: bytes) -> list[str]:
+    """The data rows of a telemetry file's bytes, each checked for its
+    column count and for characters that the float parser may read
+    otherwise."""
+    lines = data.decode("utf-8").splitlines()
     if not lines or lines[0] != TELEMETRY_HEADER:
         raise ValueError(f"{path}: bad telemetry header")
     rows = lines[1:]
@@ -100,7 +210,10 @@ def _has_fix(rows: list[str]) -> list[bool]:
 
 
 def read_telemetry_csv(path) -> TelemetryTrace:
-    rows = _telemetry_rows(path)
+    data, written = _recall("telemetry", path)
+    if written is not None:
+        return _fresh(written)
+    rows = _telemetry_rows(path, data)
     t, acc, speed = _parse_columns(rows, (0, 1, 2))
     gps_idx = np.flatnonzero(_has_fix(rows))
     gps_lat, gps_lon = _parse_columns([rows[i] for i in gps_idx], (3, 4))
@@ -117,7 +230,11 @@ def read_gps_fixes(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     three fields of the fix rows are parsed: a bad acceleration or speed
     number is left for the reader of the whole trace to name.
     """
-    rows = _telemetry_rows(path)
+    data, written = _recall("telemetry", path)
+    if written is not None:
+        return (written.t[written.gps_idx], written.gps_lat.view(),
+                written.gps_lon.view())
+    rows = _telemetry_rows(path, data)
     fix_rows = np.flatnonzero(_has_fix(rows))
     t, lat, lon = _parse_columns([rows[i] for i in fix_rows], (0, 3, 4))
     bad = np.flatnonzero(~np.isfinite(t))
@@ -161,12 +278,22 @@ def write_reference_csv(path, reference: Reference) -> None:
                range(len(reference)),
                *(getattr(reference, f.name).tolist()
                  for f in fields(reference)))
-    Path(path).write_text(REFERENCE_HEADER + "\n" + "".join(rows),
-                          encoding="utf-8")
+    digest = _write_text(path, [REFERENCE_HEADER + "\n" + "".join(rows)])
+    arrays = [_frozen(getattr(reference, f.name), float)
+              for f in fields(reference)]
+    try:
+        kept = (None if any(a is None for a in arrays)
+                else Reference(*arrays))
+    except ValueError:
+        kept = None
+    _remember("reference", path, digest, kept)
 
 
 def read_reference_csv(path) -> Reference:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    data, written = _recall("reference", path)
+    if written is not None:
+        return _fresh(written)
+    lines = data.decode("utf-8").splitlines()
     if not lines or lines[0] != REFERENCE_HEADER:
         raise ValueError(f"{path}: bad reference header")
     rows = lines[1:]
@@ -183,26 +310,29 @@ def read_reference_csv(path) -> Reference:
 
 # ------------------------------------------------------------ matched trace
 
+MATCHED_FIELDS = ("t", "fix_lat", "fix_lon", "edge", "offset", "lat", "lon")
+
+
 def write_matched_json(path, matched: MatchedTrace) -> None:
-    write_json(path, {
-        "t": matched.t.tolist(),
-        "fix_lat": matched.fix_lat.tolist(),
-        "fix_lon": matched.fix_lon.tolist(),
-        "edge": matched.edge.tolist(),
-        "offset": matched.offset.tolist(),
-        "lat": matched.lat.tolist(),
-        "lon": matched.lon.tolist(),
-        "log_score": float(matched.log_score),
-    })
+    obj = {name: getattr(matched, name).tolist() for name in MATCHED_FIELDS}
+    obj["log_score"] = log_score = float(matched.log_score)
+    digest = _write_text(path, [_json_text(obj)])
+    arrays = [_frozen(getattr(matched, name), np.int64 if name == "edge"
+                      else float) for name in MATCHED_FIELDS]
+    # The file holds no n_unmatched: its reader gives the default.
+    kept = (None if any(a is None for a in arrays) or math.isnan(log_score)
+            else MatchedTrace(*arrays, log_score))
+    _remember("matched", path, digest, kept)
 
 
 def read_matched_json(path) -> MatchedTrace:
-    d = read_json(path)
-    return MatchedTrace(np.array(d["t"]), np.array(d["fix_lat"]),
-                        np.array(d["fix_lon"]),
-                        np.array(d["edge"], dtype=int),
-                        np.array(d["offset"]), np.array(d["lat"]),
-                        np.array(d["lon"]), d["log_score"])
+    data, written = _recall("matched", path)
+    if written is not None:
+        return _fresh(written)
+    d = json.loads(data.decode("utf-8"))
+    return MatchedTrace(*(np.array(d[name], dtype=int if name == "edge"
+                                   else None) for name in MATCHED_FIELDS),
+                        d["log_score"])
 
 
 # ----------------------------------------------------------------- windows
@@ -231,17 +361,41 @@ def read_windows(dirpath) -> Windows:
 # ----------------------------------------------------------------- features
 
 def write_features_csv(path, dataset: Dataset, window_ids) -> None:
-    names = ",".join(dataset.feature_names)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"window_id,{names},iri_mkm,level\n")
-        f.writelines(f"{i},{','.join(map(repr, x.tolist()))},{y!r},{level}\n"
-                     for i, x, y, level in zip(map(int, window_ids),
-                                               dataset.X, dataset.y.tolist(),
-                                               dataset.level.tolist()))
+    header = f"window_id,{','.join(dataset.feature_names)},iri_mkm,level"
+    ids = list(map(int, window_ids))
+    rows = (f"{i},{','.join(map(repr, x.tolist()))},{y!r},{level}\n"
+            for i, x, y, level in zip(ids, dataset.X, dataset.y.tolist(),
+                                      dataset.level.tolist()))
+    digest = _write_text(path, chain([header + "\n"], _joined(rows)))
+    _remember("features", path, digest,
+              _features_as_read(dataset, ids, header))
+
+
+def _features_as_read(dataset: Dataset, ids: list, header: str):
+    """The (dataset, window ids) that reading the written text gives, or
+    None where that differs from what was written or is refused."""
+    names = header.split(",")[1:-2]
+    x = _frozen(dataset.X, float, ndim=2)
+    y, level = _frozen(dataset.y, float), _frozen(dataset.level, np.int64)
+    if (header.splitlines() != [header] or x is None or y is None
+            or level is None or not 0 < len(ids) == len(x)
+            or x.shape[1] != len(names)):
+        return None
+    try:
+        ids = np.array(ids, dtype=np.int64)
+        kept = Dataset(x, y, level, names)
+    except (ValueError, OverflowError):
+        return None
+    ids.setflags(write=False)
+    return kept, ids
 
 
 def read_features_csv(path) -> tuple[Dataset, np.ndarray]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    data, written = _recall("features", path)
+    if written is not None:
+        dataset, ids = written
+        return _fresh(dataset), ids.view()
+    lines = data.decode("utf-8").splitlines()
     header = lines[0].split(",") if lines else []
     if header[:1] != ["window_id"] or header[-2:] != ["iri_mkm", "level"]:
         raise ValueError(f"{path}: bad features header")

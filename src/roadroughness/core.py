@@ -53,6 +53,11 @@ def level_labels(y) -> np.ndarray:
     return labels
 
 
+def is_integer(v) -> bool:
+    """Whether ``v`` is a Python or numpy integer; a bool is not."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def training_data(x, y, task: str) -> tuple[np.ndarray, np.ndarray]:
     """A model's training rows: ``x`` as a float matrix, ``y`` as floats
     (regression) or class labels (``level_labels``). Raises ValueError

@@ -81,6 +81,36 @@ def _ecdf_percentile(xs: np.ndarray, p: float) -> np.ndarray:
     return xs[..., max(k, 1) - 1]
 
 
+def _sorted_median(xs: np.ndarray) -> np.ndarray:
+    """``np.median`` along the rows of ``xs``, which are sorted: numpy's
+    mean of the one or two middle values. The mean starts from +0.0, so a
+    zero median has one sign whichever zero sits in the middle."""
+    n = xs.shape[1]
+    return np.mean(xs[:, (n - 1) // 2:n // 2 + 1], axis=1)
+
+
+def _sorted_iqr(xs: np.ndarray) -> np.ndarray:
+    """``np.quantile(xs, 0.75) - np.quantile(xs, 0.25)`` along the rows of
+    ``xs``, which are sorted: each quantile from the two values around
+    index (n - 1) q by numpy's ``_lerp`` arithmetic. Between two zeros that
+    arithmetic keeps the sign of the zeros that numpy's partition puts
+    there, which sorting need not match, so rows whose quantiles are both
+    zero are left to ``np.quantile``."""
+    n = xs.shape[1]
+    q = []
+    for p in (0.75, 0.25):
+        lo, gamma = divmod((n - 1) * p, 1.0)
+        a, b = xs[:, int(lo)], xs[:, int(lo) + 1]
+        diff = b - a
+        q.append(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
+    iqr = q[0] - q[1]
+    zero = (q[0] == 0.0) & (q[1] == 0.0)
+    if zero.any():
+        iqr[zero] = (np.quantile(xs[zero], 0.75, axis=1)
+                     - np.quantile(xs[zero], 0.25, axis=1))
+    return iqr
+
+
 def _entropy(x: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Row-wise Shannon entropy of ``np.histogram(row, ENTROPY_BINS)``, with
     its equal-width bin index and both of its edge corrections; 0 for rows
@@ -150,7 +180,7 @@ def _channel_matrix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     sq, sq_c = x ** 2, xc ** 2
     energy, energy_c = np.sum(sq, axis=1), np.sum(sq_c, axis=1)
     m2 = energy_c / n
-    median = np.median(xs, axis=1)
+    median = _sorted_median(xs)
     d = np.diff(x, axis=1)
     t_mean = np.mean(t, axis=1)
     tc = t - t_mean[:, None]
@@ -171,8 +201,7 @@ def _channel_matrix(x: np.ndarray, t: np.ndarray) -> np.ndarray:
             "mean_diff": np.mean(d, axis=1),
             "median_diff": np.median(d, axis=1),
             "sum_abs_diff": np.sum(np.abs(d), axis=1),
-            "iqr": (np.quantile(xs, 0.75, axis=1)
-                    - np.quantile(xs, 0.25, axis=1)),
+            "iqr": _sorted_iqr(xs),
             "ecdf_pct_5": _ecdf_percentile(xs, 0.05),
             "ecdf_pct_20": _ecdf_percentile(xs, 0.20),
             "ecdf_pct_80": _ecdf_percentile(xs, 0.80),

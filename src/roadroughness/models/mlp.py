@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from ..core import N_LEVELS, training_data
+from ..core import N_LEVELS, is_integer, training_data
 from .errors import ConvergenceError
 from .logistic import cross_entropy, one_hot, softmax
 
@@ -124,9 +124,11 @@ class MlpModel:
     def __init__(self, layers=(16, 16), lr0: float = 0.01, l2: float = 0.1,
                  task: str = "regression", seed: int = 0,
                  batch_size: int = BATCH_SIZE, max_epochs: int = MAX_EPOCHS):
-        layers = tuple(int(v) for v in layers)
-        if any(v < 1 for v in layers):
-            raise ValueError("layer sizes must be positive")
+        layers = tuple(layers)
+        if not all(is_integer(v) and v >= 1 for v in layers):
+            raise ValueError(f"layer sizes must be positive integers, got "
+                             f"{layers!r}")
+        layers = tuple(map(int, layers))
         if task not in ("regression", "classification"):
             raise ValueError(f"unknown task: {task}")
         self.layers = layers

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..core import N_LEVELS, training_data
+from ..core import N_LEVELS, is_integer, training_data
 
 MAX_DEPTH = 63  # heap indices 0 .. 2**(MAX_DEPTH + 1) - 2 fit in uint64
 # Bootstrap rows grown in one pass. The engine's temporaries take about
@@ -550,6 +550,9 @@ class RandomForestModel:
         if n_trees < 1:
             raise ValueError("n_trees must be positive")
         _check_depth(max_depth)
+        if max_features != "sqrt" and not is_integer(max_features):
+            raise ValueError(f"max_features must be an integer or 'sqrt', "
+                             f"got {max_features!r}")
         self.task = task
         self.n_trees = n_trees
         self.max_depth = max_depth
@@ -560,7 +563,7 @@ class RandomForestModel:
     def _resolve_mf(self, d: int) -> int:
         if self.max_features == "sqrt":
             return sqrt_features(d)
-        mf = int(self.max_features)
+        mf = self.max_features
         if mf < 1 or mf > d:
             raise ValueError(f"max_features {mf} out of range for d={d}")
         return mf
@@ -600,9 +603,13 @@ class RandomForestModel:
 
     @classmethod
     def from_state(cls, state: dict) -> "RandomForestModel":
+        # Older bundles may hold a float or bool max_features, which their
+        # fit truncated: their trees were grown with int(max_features).
+        mf = state["max_features"]
         model = cls(task=state["task"], n_trees=state["n_trees"],
                     max_depth=state["max_depth"],
-                    max_features=state["max_features"], seed=state["seed"])
+                    max_features=mf if mf == "sqrt" else int(mf),
+                    seed=state["seed"])
         dtypes = (np.int64, float, np.int64, np.int64, float)
         model.trees = [Tree(*(np.array(s[k], dtype=dt)
                               for k, dt in zip(Tree._fields, dtypes)))

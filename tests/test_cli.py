@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -287,6 +289,7 @@ class TestTelemetryReader:
             rng.uniform(-180.0, 180.0, len(gps_idx)))
         p = tmp_path / "telemetry.csv"
         io.write_telemetry_csv(p, trace)
+        io.forget_written()
         assert_same_trace(io.read_telemetry_csv(p), per_cell_telemetry(p))
         assert_same_trace(io.read_telemetry_csv(p), trace)
 
@@ -360,6 +363,7 @@ class TestTelemetryReader:
                                rng.uniform(-180.0, 180.0, 400))
         p = tmp_path / "telemetry.csv"
         io.write_telemetry_csv(p, trace)
+        io.forget_written()
         for a, b in zip(io.read_gps_fixes(p),
                         (trace.t[trace.gps_idx], trace.gps_lat, trace.gps_lon)):
             assert a.tobytes() == b.tobytes()
@@ -471,6 +475,7 @@ class TestWriters:
         segments = random_reference(np.random.default_rng(20 + n), n)
         self._assert_same_bytes(tmp_path, io.write_reference_csv,
                                 per_element_reference_writer, segments)
+        io.forget_written()
         io.write_reference_csv(tmp_path / "again.csv",
                                io.read_reference_csv(tmp_path / "got.csv"))
         assert ((tmp_path / "again.csv").read_bytes()
@@ -585,6 +590,7 @@ class TestReferenceReader:
         segments = random_reference(np.random.default_rng(6), 4000)
         p = tmp_path / "reference.csv"
         io.write_reference_csv(p, segments)
+        io.forget_written()
         got = reference_bits(io.read_reference_csv(p))
         assert got == reference_bits(per_cell_reference(p))
         assert got == reference_bits(segments)
@@ -655,6 +661,7 @@ class TestFeaturesReader:
         ds = random_table(rng, 3000, k=68)
         p = tmp_path / "features.csv"
         io.write_features_csv(p, ds, np.arange(3000) + 7)
+        io.forget_written()
         got = io.read_features_csv(p)
         assert features_bits(got) == features_bits(per_cell_features(p))
         assert got[0].X.flags["C_CONTIGUOUS"]
@@ -707,6 +714,7 @@ class TestArtifactRoundTrips:
     def test_telemetry_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         io.write_telemetry_csv(p1, _trace())
+        io.forget_written()
         io.write_telemetry_csv(p2, io.read_telemetry_csv(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -730,6 +738,7 @@ class TestArtifactRoundTrips:
                          np.full(5, 10.0), 1.0 + np.arange(5) / 7)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         io.write_reference_csv(p1, segs)
+        io.forget_written()
         io.write_reference_csv(p2, io.read_reference_csv(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -740,6 +749,7 @@ class TestArtifactRoundTrips:
                          np.full(3, 12.5501), -12.345)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         io.write_matched_json(p1, m)
+        io.forget_written()
         io.write_matched_json(p2, io.read_matched_json(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -767,6 +777,7 @@ class TestArtifactRoundTrips:
                      rng.integers(0, 3, 6), ["a", "b", "c"])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         io.write_features_csv(p1, ds, np.arange(6))
+        io.forget_written()
         ds2, ids = io.read_features_csv(p1)
         io.write_features_csv(p2, ds2, ids)
         assert p1.read_bytes() == p2.read_bytes()
@@ -818,6 +829,331 @@ class TestArtifactRoundTrips:
         with pytest.raises(ValueError) as exc:
             io.load_bundle(p)
         assert str(p) in str(exc.value)
+
+
+# A NaN with its sign bit set: repr writes it as "nan", which reads back as
+# np.nan, so its text round trip is not exact.
+_NEG_NAN = -np.float64(np.nan)
+# Signed zeros, subnormals and magnitudes whose repr switches notation.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e16, -1e16, 1e-5,
+                -1e-5, 1.7976931348623157e308]
+_FINITE = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False,
+                                                    allow_infinity=False)
+_ANY_FLOAT = (_FINITE | st.sampled_from([np.inf, -np.inf, np.nan,
+                                         _NEG_NAN]))
+_INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+def reader_bits(result):
+    """A reader's result, or the error it raised, with every array as its
+    dtype, shape and bytes and every float as its bytes."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    if isinstance(result, tuple):
+        return tuple(map(reader_bits, result))
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, float):
+        return np.float64(result).tobytes()
+    if dataclasses.is_dataclass(result):
+        return {f.name: reader_bits(getattr(result, f.name))
+                for f in dataclasses.fields(result)}
+    return result
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return exc
+
+
+def kept_and_parsed(read, path):
+    """What ``read`` gives for ``path`` with the written records kept, and
+    after they are dropped, when it parses the file."""
+    kept = _outcome(read, path)
+    io.forget_written()
+    return kept, _outcome(read, path)
+
+
+def _is_kept(result) -> bool:
+    """Whether a reader's result came from memory: its arrays are read-only
+    views there, writable arrays from the parser otherwise."""
+    record = result[0] if isinstance(result, tuple) else result
+    arrays = [getattr(record, f.name) for f in dataclasses.fields(record)]
+    return not next(a for a in arrays
+                    if isinstance(a, np.ndarray)).flags.writeable
+
+
+def _has_neg_nan(*arrays) -> bool:
+    return any(np.any(np.asarray(a, dtype=float).view(np.uint64)
+                      == _NEG_NAN.view(np.uint64)) for a in arrays)
+
+
+@st.composite
+def telemetry_cases(draw):
+    """A trace with rows with and without fixes, fix positions of any
+    float, and (``spoiled``) a channel value that the reader refuses, set
+    after construction."""
+    n = draw(st.integers(0, 20))
+    fix = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                   dtype=bool)
+    m = int(fix.sum())
+    floats = st.lists(_ANY_FLOAT, min_size=m, max_size=m)
+    trace = TelemetryTrace(
+        np.cumsum(draw(st.lists(st.floats(1e-3, 10.0), min_size=n,
+                                max_size=n))) if n else np.zeros(0),
+        draw(st.lists(_FINITE, min_size=n, max_size=n)),
+        np.abs(draw(st.lists(_FINITE, min_size=n, max_size=n))),
+        np.flatnonzero(fix), draw(floats), draw(floats))
+    spoiled = n > 0 and draw(st.booleans())
+    if spoiled:
+        trace.acc_z[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return trace, spoiled
+
+
+@st.composite
+def reference_cases(draw):
+    n = draw(st.integers(0, 8))
+
+    def column(lo, hi):
+        return draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, lo, hi])
+                             | st.floats(lo, hi), min_size=n, max_size=n))
+    reference = Reference(
+        column(-90.0, 90.0), column(-180.0, 180.0), column(-90.0, 90.0),
+        column(-180.0, 180.0),
+        draw(st.lists(st.sampled_from([5e-324, 1e16, 1e-5])
+                      | st.floats(5e-324, 1e300), min_size=n, max_size=n)),
+        np.abs(column(0.0, 1e300)))
+    spoiled = n > 0 and draw(st.booleans())
+    if spoiled:
+        reference.iri[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([np.nan, -1.0, np.inf]))
+    return reference, spoiled
+
+
+@st.composite
+def matched_cases(draw):
+    n = draw(st.integers(0, 8))
+    floats = st.lists(_ANY_FLOAT, min_size=n, max_size=n)
+    return MatchedTrace(
+        np.array(draw(floats)), np.array(draw(floats)),
+        np.array(draw(floats)),
+        np.array(draw(st.lists(_INT64, min_size=n, max_size=n)),
+                 dtype=np.int64), *(np.array(draw(floats)) for _ in range(3)),
+        draw(_ANY_FLOAT), draw(st.integers(0, 5)))
+
+
+@st.composite
+def features_cases(draw):
+    """A table, its window ids and (``spoiled``) a non-finite feature set
+    after construction. Names with a comma or a line break read back as
+    other names, or not at all."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    names = draw(st.lists(st.text("ab,\n\x1c", max_size=3), min_size=k,
+                          max_size=k))
+    ds = Dataset(np.reshape(draw(st.lists(_FINITE, min_size=n * k,
+                                          max_size=n * k)), (n, k)),
+                 draw(st.lists(_FINITE, min_size=n, max_size=n)),
+                 draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)),
+                 names)
+    spoiled = draw(st.booleans())
+    if spoiled:
+        ds.X[draw(st.integers(0, n - 1)), draw(st.integers(0, k - 1))] = (
+            np.nan)
+    ids = np.array(draw(st.lists(_INT64, min_size=n, max_size=n)),
+                   dtype=np.int64)
+    return ds, ids, spoiled
+
+
+class TestArtifactReuse:
+    """A reader gives the record that this process wrote when the file holds
+    exactly the bytes written, and it must equal the parse of that file."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(telemetry_cases())
+    def test_telemetry_kept_equals_parsed(self, case):
+        trace, spoiled = case
+        results = []
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "telemetry.csv"
+            for read in (io.read_telemetry_csv, io.read_gps_fixes):
+                io.write_telemetry_csv(p, trace)
+                kept, parsed = kept_and_parsed(read, p)
+                assert reader_bits(kept) == reader_bits(parsed)
+                results.append(kept)
+        trace_kept, fixes_kept = results
+        assert isinstance(trace_kept, ValueError) == spoiled
+        if not spoiled:
+            exact = not _has_neg_nan(trace.gps_lat, trace.gps_lon)
+            assert _is_kept(trace_kept) == exact
+            assert (not fixes_kept[1].flags.writeable) == exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(reference_cases())
+    def test_reference_kept_equals_parsed(self, case):
+        reference, spoiled = case
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "reference.csv"
+            io.write_reference_csv(p, reference)
+            kept, parsed = kept_and_parsed(io.read_reference_csv, p)
+        assert reader_bits(kept) == reader_bits(parsed)
+        assert isinstance(parsed, ValueError) == spoiled
+        assert spoiled or _is_kept(kept)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matched_cases())
+    def test_matched_kept_equals_parsed(self, matched):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "matched.json"
+            io.write_matched_json(p, matched)
+            kept, parsed = kept_and_parsed(io.read_matched_json, p)
+        assert reader_bits(kept) == reader_bits(parsed)
+        exact = not (_has_neg_nan(*(getattr(matched, name) for name in
+                                    io.MATCHED_FIELDS if name != "edge"))
+                     or np.isnan(matched.log_score))
+        assert _is_kept(kept) == exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(features_cases())
+    def test_features_kept_equals_parsed(self, case):
+        ds, ids, spoiled = case
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "features.csv"
+            io.write_features_csv(p, ds, ids)
+            kept, parsed = kept_and_parsed(io.read_features_csv, p)
+        assert reader_bits(kept) == reader_bits(parsed)
+        plain = not any(c in name for name in ds.feature_names
+                        for c in ",\n\x1c")
+        assert isinstance(parsed, ValueError) == (spoiled or not plain)
+        assert isinstance(parsed, ValueError) or _is_kept(kept)
+
+    @staticmethod
+    def _write(tmp_path, kind):
+        """A file of ``kind``, written by its writer, and its reader."""
+        rng = np.random.default_rng(4)
+        write, read, args = {
+            "telemetry": (io.write_telemetry_csv, io.read_telemetry_csv,
+                          (_trace(),)),
+            "gps_fixes": (io.write_telemetry_csv, io.read_gps_fixes,
+                          (_trace(),)),
+            "reference": (io.write_reference_csv, io.read_reference_csv,
+                          (Reference(np.full(5, 55.65), np.full(5, 12.55),
+                                     np.full(5, 55.6501), np.full(5, 12.55),
+                                     np.full(5, 10.0),
+                                     1.0 + np.arange(5) / 7),)),
+            "matched": (io.write_matched_json, io.read_matched_json,
+                        (MatchedTrace(np.arange(3.0), np.full(3, 55.65),
+                                      np.full(3, 12.55), np.array([0, 0, 1]),
+                                      np.array([1.5, 9.7, 3.2]),
+                                      np.full(3, 55.6501),
+                                      np.full(3, 12.5501), -12.345),)),
+            "features": (io.write_features_csv, io.read_features_csv,
+                         (Dataset(rng.normal(size=(5, 3)),
+                                  rng.uniform(0.5, 3.0, 5),
+                                  rng.integers(0, 3, 5), ["a", "b", "c"]),
+                          np.arange(5))),
+        }[kind]
+        path = tmp_path / kind
+        write(path, *args)
+        return path, read
+
+    @pytest.mark.parametrize("kind", ["telemetry", "gps_fixes", "reference",
+                                      "matched", "features"])
+    def test_same_size_edit_under_the_same_mtime_is_parsed(self, tmp_path,
+                                                            kind):
+        """Size and mtime would both say the file is unchanged."""
+        path, read = self._write(tmp_path, kind)
+        written = read(path)
+        assert _is_kept(written if kind != "gps_fixes" else
+                        io.read_telemetry_csv(path))
+        stat = path.stat()
+        data = bytearray(path.read_bytes())
+        # The last number that ends a line is one that the reader reads:
+        # the lon of a fix row in telemetry.csv, the last IRI, time or
+        # level in the others. Its first digit changes its value.
+        end = max(data.rfind(f"{d}\n".encode()) for d in range(10))
+        i = max(data.rfind(c, 0, end) for c in (b",", b" ")) + 1
+        data[i] = ord(str((int(chr(data[i])) + 1) % 10))
+        path.write_bytes(bytes(data))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+        got = reader_bits(read(path))
+        io.forget_written()
+        assert got == reader_bits(read(path)) != reader_bits(written)
+
+    def test_changing_a_record_reaches_no_later_read(self, tmp_path):
+        trace = _trace()
+        p = tmp_path / "telemetry.csv"
+        io.write_telemetry_csv(p, trace)
+        trace.acc_z[0] += 1.0
+        trace.gps_lat[:] = 0.0
+        got = io.read_telemetry_csv(p)
+        for array in (got.acc_z, io.read_gps_fixes(p)[1]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
+        got.t = np.zeros(3)
+        ds = Dataset(np.ones((2, 2)), np.ones(2), np.zeros(2, dtype=int),
+                     ["a", "b"])
+        f = tmp_path / "features.csv"
+        io.write_features_csv(f, ds, [0, 1])
+        ds.X[0, 0] = 7.0
+        ds.feature_names.append("c")
+        io.read_features_csv(f)[0].feature_names[0] = "z"
+        kept = io.read_telemetry_csv(p), io.read_features_csv(f)
+        io.forget_written()
+        parsed = io.read_telemetry_csv(p), io.read_features_csv(f)
+        assert reader_bits(kept) == reader_bits(parsed)
+        assert parsed[1][0].feature_names == ["a", "b"]
+        assert parsed[1][0].X[0, 0] == 1.0
+        assert parsed[0].acc_z[0] == _trace().acc_z[0]
+
+    def test_refused_trace_is_not_kept(self, tmp_path):
+        """A channel value that construction refuses, set afterwards, as in
+        ``TestWriters.test_telemetry_on_any_floats``."""
+        trace = _trace()
+        trace.acc_z[2] = np.nan
+        p = tmp_path / "telemetry.csv"
+        io.write_telemetry_csv(p, trace)
+        with pytest.raises(ValueError, match="acc_z must be finite: sample "
+                                             "2 is nan"):
+            io.read_telemetry_csv(p)
+
+    @pytest.mark.parametrize("gps_idx", [[8, 0, 4], [0, 4, 4]])
+    def test_fixes_out_of_row_order_are_not_kept(self, tmp_path, gps_idx):
+        """The file holds one fix per row, in row order, so the reader gives
+        other fixes than these."""
+        trace = _trace()
+        trace.gps_idx = np.array(gps_idx)
+        p = tmp_path / "telemetry.csv"
+        io.write_telemetry_csv(p, trace)
+        kept, parsed = kept_and_parsed(io.read_telemetry_csv, p)
+        assert reader_bits(kept) == reader_bits(parsed)
+        assert reader_bits(kept.gps_idx) != reader_bits(trace.gps_idx)
+
+    def test_nan_whose_sign_the_text_drops_is_not_kept(self, tmp_path):
+        trace = _trace()
+        trace.gps_lat[1] = _NEG_NAN
+        p = tmp_path / "telemetry.csv"
+        io.write_telemetry_csv(p, trace)
+        got = io.read_telemetry_csv(p)
+        assert got.gps_lat.flags.writeable
+        assert got.gps_lat[1:2].view(np.uint64) == np.array(
+            np.nan).view(np.uint64)
+
+    def test_pipeline_stages_read_what_they_wrote_from_memory(self, tmp_path):
+        config = load_config(workdir=tmp_path)
+        config["simulate"]["route_length_m"] = 600.0
+        for stage in ("simulate", "match", "align", "featurize"):
+            run_stage(stage, config)
+        assert _is_kept(io.read_telemetry_csv(tmp_path / "telemetry.csv"))
+        assert _is_kept(io.read_reference_csv(tmp_path / "reference.csv"))
+        assert _is_kept(io.read_matched_json(tmp_path / "matched.json"))
+        assert _is_kept(io.read_features_csv(tmp_path / "features.csv"))
 
 
 class TestConfig:
@@ -958,11 +1294,25 @@ class TestConfig:
         ({"match": {"max_candidate": 4}},
          "unknown config key: match.max_candidate"),
         ({"sed": 3}, "unknown config key: sed"),
+        ({"train": {"grids": {"regresion": {"ridge": {"lam": [1.0]}}}}},
+         "train.grids: unknown task 'regresion', expected one of "
+         "regression, classification"),
+        ({"train": {"grids": {"regression": {"randomforest": {
+            "n_trees": [5]}}}}},
+         "train.grids.regression: unknown model family: randomforest$"),
+        ({"train": {"grids": {"classification": {"ridge": {
+            "lam": [1.0]}}}}},
+         "train.grids.classification: ridge does not support "
+         "classification$"),
+        ({"train": {"grids": ["ridge"]}}, "train.grids must be an object"),
+        ({"train": {"grids": {"regression": ["ridge"]}}},
+         "train.grids.regression must be an object"),
     ])
     def test_silently_wrong_value_is_named_at_load(self, tmp_path, override,
                                                    message):
         """Each used to load and run: bool("no") is True, a NaN sigma adds
-        no noise, and a misspelt key was ignored."""
+        no noise, and a misspelt key was ignored (a misspelt grid key left
+        its family on the default grid)."""
         p = tmp_path / "c.json"
         p.write_text(json.dumps(override))
         with pytest.raises(ValueError, match=message):
@@ -975,6 +1325,9 @@ class TestConfig:
         {"train": {"adasyn": False}},
         {"match": {"max_candidates": 1}},
         {"train": {"grids": {"regression": {"ridge": {"lam": [1.0]}}}}},
+        {"train": {"grids": {"regression": None, "classification": {
+            "random_forest": {"max_features": [1]}, "mlp": {}}}}},
+        {"train": {"grids": None}},
     ])
     def test_edge_values_accepted(self, tmp_path, override):
         p = tmp_path / "c.json"

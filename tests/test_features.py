@@ -7,8 +7,8 @@ from hypothesis.extra.numpy import arrays
 from roadroughness.core import Windows
 from roadroughness.features import (CHANNELS, EXTRACTOR_NAMES,
                                     _channel_matrix, _ecdf_percentile,
-                                    _neighbourhood_peaks,
-                                    build_feature_matrix,
+                                    _neighbourhood_peaks, _sorted_iqr,
+                                    _sorted_median, build_feature_matrix,
                                     extract_channel_features, feature_names,
                                     resample_segment, standardize_apply,
                                     standardize_fit)
@@ -567,3 +567,58 @@ class TestBatchEquivalence:
         min_size=1, max_size=4)))
     def test_property_matches_reference(self, rows):
         assert_matches_reference(self._segments(rows))
+
+
+_MAX = np.finfo(float).max
+# Signed zeros, the smallest subnormals, near-float64-max values and a few
+# small ones, so that rows hold ties and sums that overflow.
+_ORDER_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, 2.5, _MAX, -_MAX,
+                 1e308, -1e308]
+
+
+class TestSortedOrderStatistics:
+    """The median and IQR that ``_channel_matrix`` reads off its sorted
+    rows, against the catalog's ``np.median`` and ``np.quantile``."""
+
+    @staticmethod
+    def _assert_catalog_bits(x):
+        catalog = dict(REFERENCE_CATALOG)
+        xs = np.sort(x, axis=1)
+        with np.errstate(all="ignore"):
+            median, iqr = _sorted_median(xs), _sorted_iqr(xs)
+            for i, row in enumerate(x):
+                want = catalog["median"](row, None)
+                assert median[i].tobytes() == np.float64(want).tobytes()
+                # The IQR of the sorted row, as the kernel had it before:
+                # np.quantile keeps the sign of the zeros its partition puts
+                # between, and that depends on their input order.
+                want = catalog["iqr"](xs[i], None)
+                assert iqr[i].tobytes() == np.float64(want).tobytes()
+
+    @pytest.mark.parametrize("row", [
+        [-0.0, -0.0, -0.0], [-0.0, -0.0, -0.0, -0.0],
+        [-0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0],
+        [0.0, -0.0, -0.0, 0.0, -0.0, -0.0, -0.0, -0.0, -0.0, 0.0],
+        [-1.0, -0.0, -0.0, 0.0, 1.0, -0.0],
+        [_MAX, _MAX, -_MAX, _MAX], [_MAX, -_MAX, _MAX], [-_MAX, 0.0, _MAX],
+        [5e-324, -5e-324, 5e-324, 0.0], [2.5, 2.5, 2.5, 2.5, 1.0],
+    ])
+    def test_edge_rows(self, row):
+        self._assert_catalog_bits(np.array([row]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(3, 14).flatmap(lambda n: arrays(
+        np.float64, (4, n), elements=st.sampled_from(_ORDER_VALUES)
+        | st.floats(-1e3, 1e3, width=64))))
+    def test_property_equals_catalog(self, x):
+        self._assert_catalog_bits(x)
+
+    def test_the_kernel_takes_them(self):
+        rng = np.random.default_rng(31)
+        x = np.round(rng.normal(size=(16, 21)), 1)
+        out = _channel_matrix(x, np.tile(np.arange(21.0), (16, 1)))
+        xs = np.sort(x, axis=1)
+        assert (out[:, EXTRACTOR_NAMES.index("median")].tobytes()
+                == _sorted_median(xs).tobytes())
+        assert (out[:, EXTRACTOR_NAMES.index("iqr")].tobytes()
+                == _sorted_iqr(xs).tobytes())

@@ -961,10 +961,36 @@ class TestRandomForest:
         ({"n_trees": 0}, "n_trees must be positive"),
         ({"max_depth": 0}, "max_depth must be between"),
         ({"max_depth": MAX_DEPTH + 1}, "max_depth must be between"),
+        ({"max_features": 2.5}, "max_features must be an integer or 'sqrt', "
+                                "got 2.5"),
+        ({"max_features": True}, "max_features must be an integer or "
+                                 "'sqrt', got True"),
+        ({"max_features": 2.0}, "max_features must be an integer"),
+        ({"max_features": "log2"}, "max_features must be an integer"),
     ])
     def test_bad_argument_is_named_when_built(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             RandomForestModel(**kwargs)
+
+    @pytest.mark.parametrize("mf", [2, np.int64(2), "sqrt"])
+    def test_integer_or_sqrt_max_features_accepted(self, mf):
+        x = np.random.default_rng(17).normal(size=(50, 4))
+        RandomForestModel(n_trees=3, max_features=mf).fit(x, x[:, 0])
+
+    @pytest.mark.parametrize("stored,grown", [(2.5, 2), (True, 1)])
+    def test_bundle_with_a_truncated_max_features_still_loads(self, stored,
+                                                              grown):
+        # Such a bundle was written before max_features was checked; its
+        # fit truncated the value, so its trees are those of int(value).
+        rng = np.random.default_rng(18)
+        x, q = rng.normal(size=(50, 4)), rng.normal(size=(10, 4))
+        m = RandomForestModel(n_trees=5, max_features=grown, seed=1).fit(
+            x, x[:, 0] ** 2)
+        state = json.loads(json.dumps(m.state_dict()))
+        state["max_features"] = stored
+        loaded = RandomForestModel.from_state(state)
+        assert loaded.max_features == grown
+        assert np.array_equal(loaded.predict(q), m.predict(q))
 
 
 def _first_order_smo(q_row, diag, p, z, c, tol, max_iter):
@@ -1386,6 +1412,18 @@ class TestMlp:
         m = MlpModel(layers=(4,), seed=0, max_epochs=20).fit(x, y)
         m2 = MlpModel.from_state(m.state_dict())
         assert np.array_equal(m.predict(x), m2.predict(x))
+
+    @pytest.mark.parametrize("layers", [(2.5,), (4, True), (4.0,), ("4",),
+                                        (0,), (4, -1)])
+    def test_layer_size_that_is_not_a_positive_integer_is_named(self,
+                                                                 layers):
+        # 2.5 and True used to be truncated to layers of 2 and 1.
+        with pytest.raises(ValueError, match=r"layer sizes must be positive "
+                                             r"integers, got \("):
+            MlpModel(layers=layers)
+
+    def test_numpy_integer_layer_sizes_accepted(self):
+        assert MlpModel(layers=np.array([4, 2])).layers == (4, 2)
 
 
 class TestAdasyn:
