@@ -7,14 +7,15 @@ write -> read -> write is byte-identical. ``reference.csv`` holds a
 ``Windows`` record, one .npy file per field plus a JSON manifest holding
 the window count.
 
-Each text artifact kind (``telemetry.csv``, ``reference.csv``,
-``matched.json``, ``features.csv``) keeps the record that this process last
-wrote, with the blake2b digest of the bytes written. Its reader takes the
-record from memory only when the file holds exactly those bytes; otherwise
-it parses the file. A record whose text would read back differently (a NaN
-other than the one "nan" parses to, a value its reader refuses) is not
-kept. A returned record's arrays are read-only views of the kept copy, so
-that neither the writer's record nor a reader's changes reach a later read.
+Each text artifact kind (``network.txt``, ``telemetry.csv``,
+``reference.csv``, ``matched.json``, ``features.csv``) keeps the record
+that this process last wrote, with the blake2b digest of the bytes
+written. Its reader takes the record from memory only when the file holds
+exactly those bytes; otherwise it parses the file. A record whose text
+would read back differently (a NaN other than the one "nan" parses to, a
+value its reader refuses) is not kept. A returned record's arrays are
+read-only views of the kept copy, so that neither the writer's record nor
+a reader's changes reach a later read.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import numpy as np
 from ..core import (BadSegmentError, Dataset, Reference, TelemetryTrace,
                     Windows)
 from ..geoalign.match import MatchedTrace
-from ..geoalign.network import unreadable
+from ..geoalign.network import RoadNetwork, unreadable
 
 TELEMETRY_HEADER = "t_s,acc_z_ms2,speed_ms,lat,lon"
 REFERENCE_HEADER = ("seg_id,start_lat,start_lon,end_lat,end_lon,"
@@ -116,12 +117,11 @@ def _fresh(record):
     """A new record object over views of ``record``'s arrays and a copy of
     its lists, so that what one caller does to it reaches no other."""
     new = copy.copy(record)
-    for f in fields(new):
-        value = getattr(new, f.name)
+    for name, value in list(vars(new).items()):
         if isinstance(value, np.ndarray):
-            setattr(new, f.name, value.view())
+            setattr(new, name, value.view())
         elif isinstance(value, list):
-            setattr(new, f.name, list(value))
+            setattr(new, name, list(value))
     return new
 
 
@@ -149,6 +149,42 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+# ------------------------------------------------------------- road network
+
+def write_network(path, network: RoadNetwork) -> None:
+    digest = hashlib.blake2b(network.save(path)).digest()
+    _remember("network", path, digest, _network_as_read(network))
+
+
+def _network_as_read(network: RoadNetwork) -> RoadNetwork | None:
+    """The network that ``RoadNetwork.load`` builds from the written text,
+    over read-only arrays, or None where that differs or is refused."""
+    ids = network.node_ids
+    arrays = [_frozen(a, dtype) for a, dtype in (
+        (ids, np.int64), (network.node_lat, float), (network.node_lon, float),
+        (ids[network.edge_a], np.int64), (ids[network.edge_b], np.int64),
+        (network.edge_len, float))]
+    if any(a is None for a in arrays):
+        return None
+    try:
+        kept = RoadNetwork(*arrays)
+    except ValueError:
+        return None
+    for value in vars(kept).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return kept
+
+
+def read_network(path) -> RoadNetwork:
+    """The network of ``path``, parsed by ``RoadNetwork.load`` unless this
+    process wrote the file and it still holds the bytes written."""
+    _, written = _recall("network", path)
+    if written is not None:
+        return _fresh(written)
+    return RoadNetwork.load(path)
 
 
 # ---------------------------------------------------------------- telemetry

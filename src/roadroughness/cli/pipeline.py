@@ -77,7 +77,7 @@ def stage_simulate(config: dict) -> dict:
 
     route = generate_route(profile.length, s_route)
     network = RoadNetwork.from_polyline(route)
-    network.save(paths["network"])
+    io.write_network(paths["network"], network)
 
     vehicle = perturbed_params(GOLDEN_CAR, float(sim["vehicle_perturbation"]),
                                s_veh)
@@ -111,7 +111,7 @@ def stage_match(config: dict) -> dict:
     paths = _paths(config)
     m = config["match"]
     t, lats, lons = io.read_gps_fixes(paths["telemetry"])
-    network = RoadNetwork.load(paths["network"])
+    network = io.read_network(paths["network"])
     matched = match_fixes(t, lats, lons, network, sigma=float(m["sigma_m"]),
                           beta=float(m["beta_m"]),
                           max_candidates=m["max_candidates"],

@@ -118,7 +118,14 @@ def _entropy(x: np.ndarray, xs: np.ndarray) -> np.ndarray:
     ``np.histogram`` refuses (a range of a few ulps), constant rows
     included. ``xs`` is ``x`` sorted along the rows."""
     lo, hi = xs[:, :1], xs[:, -1:]
-    span = np.where(hi == lo, 1.0, hi - lo)
+    span = hi - lo
+    # A range that overflows float64 has no bins of finite width either.
+    # Such a row is binned as if every sample were lo, which keeps its bin
+    # indices in range; like a constant row it gets a span of 1.
+    wide = np.isinf(span)
+    if wide.any():
+        x = np.where(wide, lo, x)
+    span[(span == 0.0) | wide] = 1.0
     edges = lo + np.arange(ENTROPY_BINS + 1) * (span / ENTROPY_BINS)
     edges[:, -1:] = hi
     flat = np.any(edges[:, :-1] >= edges[:, 1:], axis=1)

@@ -303,16 +303,19 @@ class RoadNetwork:
         return float(route_distances(ends, slice(i, i + 1), slice(j, j + 1),
                                      dists)[0])
 
-    def save(self, path) -> None:
-        """Write the text format: node,<id>,<lat>,<lon> / edge,<a>,<b>,<length_m>."""
+    def save(self, path) -> bytes:
+        """Write the text format: node,<id>,<lat>,<lon> / edge,<a>,<b>,<length_m>.
+        Returns the bytes written."""
         ids = self.node_ids.tolist()
         lines = [f"node,{nid},{lat!r},{lon!r}\n" for nid, lat, lon in zip(
             ids, self.node_lat.tolist(), self.node_lon.tolist())]
         lines += [f"edge,{ids[a]},{ids[b]},{length!r}\n" for a, b, length
                   in zip(self.edge_a.tolist(), self.edge_b.tolist(),
                          self.edge_len.tolist())]
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("".join(lines))
+        data = "".join(lines).encode("utf-8")
+        with open(path, "wb") as f:
+            f.write(data)
+        return data
 
     @classmethod
     def load(cls, path) -> "RoadNetwork":

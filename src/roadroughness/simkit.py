@@ -8,14 +8,19 @@ constants are the Golden Car values that define the IRI filter.
 Road profiles are random realizations with a displacement PSD
 G(n) = G0 * (n / n0)^-2 (n in cycles/m, n0 = 0.1), synthesized as superposed
 cosines with uniform random phases.
+
+scipy is imported inside the two functions that use it (``expm`` in
+``_foh_matrices``; ``ss2tf``, ``lfiltic`` and ``lfilter`` in
+``_run_series``): importing ``scipy.signal`` takes most of a second and
+~75 MB, and of the processes that import this package only those that
+simulate need it. After the first call each import is a ``sys.modules``
+lookup.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.signal import lfilter, lfiltic, ss2tf
 
 from .core import Reference, TelemetryTrace
 from .geo import LocalProjection, Polyline
@@ -173,6 +178,8 @@ def _state_matrices(params: QuarterCarParams):
 
 def _foh_matrices(params: QuarterCarParams, dt: float):
     """Exact discretization with first-order hold on the road input."""
+    from scipy.linalg import expm
+
     a, b = _state_matrices(params)
     m = np.zeros((6, 6))
     m[:4, :4] = a
@@ -206,6 +213,8 @@ def _run_series(u: np.ndarray, dt: float, params: QuarterCarParams,
     matrices are built for all five rows whatever is asked for, so each
     output is bit for bit the same alone as among the five.
     """
+    from scipy.signal import lfilter, lfiltic, ss2tf
+
     a, ad, b0, b1 = _foh_matrices(params, dt)
     n = len(u)
     u_next = np.empty(n)

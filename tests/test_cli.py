@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,7 +19,9 @@ from roadroughness.cli.pipeline import (StageError, bundle_predict,
                                         export_report, run_stage)
 from roadroughness.core import (Dataset, Reference, TelemetryTrace,
                                 Windows, ordered_kfold)
+from roadroughness.geo import haversine
 from roadroughness.geoalign.match import MatchedTrace
+from roadroughness.geoalign.network import RoadNetwork
 from roadroughness.models import adasyn_resample, search
 from roadroughness.models.tree import MAX_DEPTH
 
@@ -858,6 +863,9 @@ def reader_bits(result):
     if dataclasses.is_dataclass(result):
         return {f.name: reader_bits(getattr(result, f.name))
                 for f in dataclasses.fields(result)}
+    if hasattr(result, "__dict__"):  # a RoadNetwork and its projection
+        return {name: reader_bits(value)
+                for name, value in vars(result).items()}
     return result
 
 
@@ -880,8 +888,7 @@ def _is_kept(result) -> bool:
     """Whether a reader's result came from memory: its arrays are read-only
     views there, writable arrays from the parser otherwise."""
     record = result[0] if isinstance(result, tuple) else result
-    arrays = [getattr(record, f.name) for f in dataclasses.fields(record)]
-    return not next(a for a in arrays
+    return not next(a for a in vars(record).values()
                     if isinstance(a, np.ndarray)).flags.writeable
 
 
@@ -967,6 +974,37 @@ def features_cases(draw):
     return ds, ids, spoiled
 
 
+@st.composite
+def network_cases(draw):
+    """A network with edge-value coordinates and ids, each edge as long as
+    its great-circle distance, and (``spoiled``) a coordinate or an id
+    order that the reader refuses or reads otherwise, set after
+    construction."""
+    n = draw(st.integers(2, 6))
+
+    def column(lim):
+        return np.array(draw(st.lists(
+            st.sampled_from([0.0, -0.0, 5e-324, lim, -lim])
+            | st.floats(-lim, lim), min_size=n, max_size=n)))
+    lat, lon = column(90.0), column(180.0)
+    ids = np.array(sorted(draw(st.sets(_INT64, min_size=n, max_size=n))),
+                   dtype=np.int64)
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), min_size=1,
+                          max_size=8))
+    a, b = np.array(pairs).T
+    length = haversine(lat[a], lon[a], lat[b], lon[b])
+    network = RoadNetwork(ids, lat, lon, ids[a], ids[b],
+                          np.where(length > 0.0, length, 0.01))
+    spoiled = draw(st.sampled_from([None, "lat", "ids"]))
+    if spoiled == "lat":
+        network.node_lat[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([np.nan, 91.0, -np.inf]))
+    elif spoiled == "ids":
+        network.node_ids[:] = network.node_ids[::-1].copy()
+    return network, spoiled
+
+
 class TestArtifactReuse:
     """A reader gives the record that this process wrote when the file holds
     exactly the bytes written, and it must equal the parse of that file."""
@@ -1028,6 +1066,64 @@ class TestArtifactReuse:
                         for c in ",\n\x1c")
         assert isinstance(parsed, ValueError) == (spoiled or not plain)
         assert isinstance(parsed, ValueError) or _is_kept(kept)
+
+    @settings(max_examples=150, deadline=None)
+    @given(network_cases())
+    def test_network_kept_equals_loaded(self, case):
+        """Every array of a kept network, and its lists and projection,
+        against ``RoadNetwork.load`` of the file."""
+        network, spoiled = case
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "network.txt"
+            io.write_network(p, network)
+            kept, parsed = kept_and_parsed(io.read_network, p)
+            assert reader_bits(parsed) == reader_bits(
+                _outcome(RoadNetwork.load, p))
+        assert reader_bits(kept) == reader_bits(parsed)
+        assert (spoiled == "lat") <= isinstance(parsed, ValueError)
+        assert isinstance(kept, ValueError) or _is_kept(kept) == (
+            spoiled is None)
+
+    def test_network_edit_of_the_same_size_is_parsed(self, tmp_path):
+        route = np.column_stack([55.6500001 + 1e-3 * np.arange(4),
+                                 np.full(4, 12.55)])
+        network = RoadNetwork(np.arange(4), route[:, 0], route[:, 1],
+                              [0, 1, 2], [1, 2, 3],
+                              haversine(route[:-1, 0], route[:-1, 1],
+                                        route[1:, 0], route[1:, 1]))
+        p = tmp_path / "network.txt"
+        io.write_network(p, network)
+        assert _is_kept(io.read_network(p))
+        stat = p.stat()
+        data = p.read_bytes()
+        assert data.startswith(b"node,0,55.6500001,")
+        p.write_bytes(data.replace(b"55.6500001,", b"55.6500002,", 1))
+        os.utime(p, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        got = io.read_network(p)
+        assert not _is_kept(got)
+        assert got.node_lat[0] == 55.6500002
+        assert reader_bits(got) == reader_bits(RoadNetwork.load(p))
+
+    def test_changing_a_network_reaches_no_later_read(self, tmp_path):
+        lat = 55.65 + 1e-3 * np.arange(3)
+        network = RoadNetwork(np.arange(3), lat, np.full(3, 12.55), [0, 1],
+                              [1, 2], haversine(lat[:-1], 12.55, lat[1:],
+                                                12.55))
+        p = tmp_path / "network.txt"
+        io.write_network(p, network)
+        network.node_lat[0] = 0.0
+        network.adj_len.append(1.0)
+        got = io.read_network(p)
+        for array in (got.node_lat, got.node_x, got.edge_len):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+        got.candidates([55.651], [12.5501])  # builds its cell index
+        got.adj_node.append(7)
+        got.edge_a = None
+        kept = io.read_network(p)
+        assert kept._cells is None
+        io.forget_written()
+        assert reader_bits(kept) == reader_bits(io.read_network(p))
 
     @staticmethod
     def _write(tmp_path, kind):
@@ -1150,6 +1246,7 @@ class TestArtifactReuse:
         config["simulate"]["route_length_m"] = 600.0
         for stage in ("simulate", "match", "align", "featurize"):
             run_stage(stage, config)
+        assert _is_kept(io.read_network(tmp_path / "network.txt"))
         assert _is_kept(io.read_telemetry_csv(tmp_path / "telemetry.csv"))
         assert _is_kept(io.read_reference_csv(tmp_path / "reference.csv"))
         assert _is_kept(io.read_matched_json(tmp_path / "matched.json"))
@@ -1428,6 +1525,47 @@ class TestPipelineRun:
         report = io.read_json(workdir / "report.json")
         preds = (workdir / "report_predictions.csv").read_text().splitlines()
         assert len(preds) == 1 + 2 * report["n_test"]  # two families
+
+
+# Runs the CLI stages given after the config path, in one process, and
+# prints the scipy packages that simkit imports which are then loaded.
+_STAGES_SCRIPT = """
+import sys
+from roadroughness.cli.main import main
+config, out, *stages = sys.argv[1:]
+for stage in stages:
+    assert main([stage, "--config", config, "--out", out]) == 0, stage
+print(",".join(m for m in ("scipy.signal", "scipy.linalg")
+               if m in sys.modules))
+"""
+
+
+class TestScipyImports:
+    """Only a process that simulates imports scipy.signal and scipy.linalg,
+    which take most of a second and ~75 MB to load."""
+
+    @staticmethod
+    def _loaded(config, out, *stages) -> list[str]:
+        import roadroughness
+        src = str(Path(roadroughness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STAGES_SCRIPT, str(config), str(out),
+             *stages], env=env, capture_output=True, text=True, check=True)
+        return [m for m in proc.stdout.splitlines()[-1].split(",") if m]
+
+    def test_stages_after_simulate_load_neither(self, smoke_run, tmp_path):
+        cfg_path, workdir = smoke_run
+        shutil.copytree(workdir, tmp_path / "run")
+        assert self._loaded(cfg_path, tmp_path / "run", "match", "align",
+                            "featurize", "select", "train", "evaluate",
+                            "report") == []
+
+    def test_simulate_loads_both(self, smoke_run, tmp_path):
+        cfg_path, _ = smoke_run
+        assert self._loaded(cfg_path, tmp_path / "run", "simulate") == [
+            "scipy.signal", "scipy.linalg"]
 
 
 class TestTelemetryStages:

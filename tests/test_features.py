@@ -142,6 +142,11 @@ COUNT_FEATURES = ("pos_turning_points", "neg_turning_points",
                   "neighbourhood_peaks")
 
 
+_MAX = np.finfo(float).max
+# Magnitudes whose squares, sums or ranges overflow float64.
+_HUGE = [_MAX, -_MAX, 1e308, -1e308, 1e307, 1e154, -1e154]
+
+
 def make_windows(ts, accs, speeds, iris=None, ids=None) -> Windows:
     """A Windows record of the given per-window channels."""
     def flat(rows):
@@ -555,6 +560,21 @@ class TestBatchEquivalence:
             with np.errstate(over="ignore"):
                 build_feature_matrix(segs)
 
+    def test_range_that_overflows_is_named(self):
+        # hi - lo overflows: the entropy's bin index was NaN and raised a
+        # bare IndexError.
+        x = np.where(np.arange(50) % 2 == 0, _MAX, -_MAX)
+        with pytest.raises(ValueError, match="non-finite feature "
+                                             r"\w+@acc_z in segment 0$"):
+            with np.errstate(all="ignore"):
+                build_feature_matrix(self._segments([x]))
+        with np.errstate(all="ignore"):
+            assert_matches_reference(self._segments([x]))
+            x = np.full((2, 50), 1e308)
+            x[:, ::7] = -1e308
+            assert _channel_matrix(x, np.tile(np.arange(50.0), (2, 1)))[
+                0, EXTRACTOR_NAMES.index("entropy")] == 0.0
+
     def test_non_finite_input_rejected(self):
         x = np.ones(10)
         x[3] = np.nan
@@ -563,13 +583,14 @@ class TestBatchEquivalence:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 40).flatmap(lambda n: st.lists(
-        arrays(np.float64, n, elements=st.floats(-1e3, 1e3, width=64)),
+        arrays(np.float64, n, elements=st.floats(-1e3, 1e3, width=64)
+               | st.sampled_from(_HUGE)),
         min_size=1, max_size=4)))
     def test_property_matches_reference(self, rows):
-        assert_matches_reference(self._segments(rows))
+        with np.errstate(all="ignore"):
+            assert_matches_reference(self._segments(rows))
 
 
-_MAX = np.finfo(float).max
 # Signed zeros, the smallest subnormals, near-float64-max values and a few
 # small ones, so that rows hold ties and sums that overflow.
 _ORDER_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, 2.5, _MAX, -_MAX,
