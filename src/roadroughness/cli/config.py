@@ -82,7 +82,11 @@ def load_config(path=None, seed=None, workdir=None) -> dict:
         file_path = Path(path)
         if not file_path.exists():
             raise FileNotFoundError(f"config file not found: {file_path}")
-        config = _merge(config, json.loads(file_path.read_text("utf-8")))
+        override = json.loads(file_path.read_text("utf-8"))
+        if not isinstance(override, dict):
+            raise ValueError(f"config file {file_path} must hold a JSON "
+                             f"object, got {override!r}")
+        config = _merge(config, override)
     if seed is not None:
         config["seed"] = seed
     if workdir is not None:
@@ -92,17 +96,25 @@ def load_config(path=None, seed=None, workdir=None) -> dict:
 
 
 def validate_config(config: dict) -> None:
-    if not isinstance(config.get("seed"), int):
-        raise ValueError("seed must be an integer")
-    if not 0.0 < config["train_frac"] < 1.0:
-        raise ValueError("train_frac must be in (0, 1)")
+    for section, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict) and not isinstance(config[section], dict):
+            raise ValueError(f"{section} must be an object, got "
+                             f"{config[section]!r}")
+    v = config.get("seed")
+    if not is_integer(v):
+        raise ValueError(f"seed must be an integer, got {v!r}")
+    v = config["train_frac"]
+    if not (_is_number(v) and 0.0 < v < 1.0):
+        raise ValueError(f"train_frac must be a number in (0, 1), got {v!r}")
     sim = config["simulate"]
     for key in ("route_length_m", "profile_dx_m", "speed_ms", "acc_rate_hz",
-                "gps_rate_hz", "segment_length_m", "envelope_period_m"):
+                "gps_rate_hz", "segment_length_m", "envelope_period_m",
+                "envelope_min", "envelope_max"):
         v = sim[key]
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise ValueError(f"simulate.{key} must be a positive number")
-    if sim["envelope_min"] <= 0 or sim["envelope_max"] < sim["envelope_min"]:
+        if not (_is_number(v) and math.isfinite(v) and v > 0):
+            raise ValueError(f"simulate.{key} must be a positive number, "
+                             f"got {v!r}")
+    if sim["envelope_max"] < sim["envelope_min"]:
         raise ValueError("envelope bounds must satisfy 0 < min <= max")
     for key in ("roughness_coeff", "gps_noise_sigma_m", "acc_noise_sigma"):
         v = sim[key]
@@ -116,8 +128,9 @@ def validate_config(config: dict) -> None:
     match = config["match"]
     for key in ("radius_m", "sigma_m", "beta_m"):
         v = match[key]
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise ValueError(f"match.{key} must be a finite positive number")
+        if not (_is_number(v) and math.isfinite(v) and v > 0):
+            raise ValueError(f"match.{key} must be a finite positive number, "
+                             f"got {v!r}")
     align = config["align"]
     for old, new in (("search_back_m", "search_back_samples"),
                      ("search_ahead_m", "search_ahead_samples")):
@@ -143,7 +156,12 @@ def validate_config(config: dict) -> None:
         raise ValueError(f"train.adasyn must be true or false, got "
                          f"{config['train']['adasyn']!r}")
     for task in TASKS:
-        for family in config["train"][f"{task}_families"]:
+        families = config["train"][f"{task}_families"]
+        if not (isinstance(families, list)
+                and all(isinstance(f, str) for f in families)):
+            raise ValueError(f"train.{task}_families must be a list of family "
+                             f"names, got {families!r}")
+        for family in families:
             try:
                 family_record(family, task)
             except ValueError as exc:
@@ -202,7 +220,6 @@ def _validate_select(select: dict) -> None:
                          f"at least select.k_folds ({select['k_folds']}), "
                          f"got {rows!r}")
     v = select["pca_variance"]
-    if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and 0.0 < v <= 1.0):
+    if not (_is_number(v) and 0.0 < v <= 1.0):
         raise ValueError(f"select.pca_variance must be a number in (0, 1], "
                          f"got {v!r}")

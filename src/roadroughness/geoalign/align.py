@@ -18,8 +18,8 @@ MIN_PIECE_SAMPLES = 2
 ANCHOR_STRIDE = 32
 # Relative margin taken off each triangle-inequality bound for rounding.
 BOUND_MARGIN = 1e-9
-# Piece ends searched together, and how far (in samples) the match before
-# each may lie from its guess.
+# Piece ends per ``_search`` call, and the most samples a search window is
+# widened by on either side, to hold the window of a previous end that moves.
 SEARCH_ROWS = 64
 GUESS_SLACK = 32
 
@@ -83,20 +83,18 @@ def piece_boundaries(reference: Reference,
     ``search_ahead`` samples after the previous match. Ties go to the
     earlier timestamp, by argmin's first-occurrence rule.
 
-    The result is that of one argmin over each whole window, but most of a
-    window is only bounded, not measured (``_search``): a sample between
-    anchors a and b is at least ``(d_a + d_b - path_ab) / 2`` from the end,
-    less BOUND_MARGIN (1e-9) times ``d_a + d_b + path_ab`` for rounding
-    (``_Track.gap_bound``).
-
-    Up to SEARCH_ROWS ends are searched at a time. Each end's window is
-    taken from a guess of the previous match: the sample at the summed
-    distance between the ends along the samples' path, or the result of
-    the last pass. The window is widened by the slack the guess is allowed,
-    so a result holds when the match before it lies within that slack of
-    its guess and the result lies in that match's window. The results are
-    kept up to the first end where this fails; the ends after it are
-    searched again, in a pass of at most twice as many ends as were kept.
+    The first end is searched for in the whole trace and every other end is
+    guessed: the sample at the summed distance between the ends along the
+    samples' path. Then every end is searched, SEARCH_ROWS at a time, in
+    the window of its previous end widened by ``pad`` on either side: the
+    slack (up to GUESS_SLACK samples), or none when that window's
+    ``centre`` has not moved since the end's last search. The nearest
+    sample of a widened window is that of each window within it that holds
+    the sample, so an end stands once its previous end lies within ``pad``
+    of ``centre`` and it lies in its previous end's window. The ends that
+    do not stand are searched again until all do; once an end is final,
+    the next is searched at most twice more. ``_search`` measures only part
+    of each window.
     """
     if search_back < 0 or search_ahead < 1:
         raise ValueError("search_back must be at least 0 and search_ahead "
@@ -108,52 +106,37 @@ def piece_boundaries(reference: Reference,
     n, n_ends = len(track.lat), len(end_lat)
     if not n_ends:
         return []
-    hop = haversine_radians(end_lat[:-1], end_lon[:-1], end_cos[:-1],
-                            end_lat[1:], end_lon[1:], end_cos[1:])
-    hops = np.concatenate([[0.0], np.cumsum(hop)])
     cursor = np.empty(n_ends, dtype=np.intp)
     # The first end's window is the whole trace.
     cursor[0] = _search(track, (end_lat[:1], end_lon[:1], end_cos[:1]),
                         np.zeros(1, np.intp), np.full(1, n),
-                        np.zeros(1, np.intp), np.ones(1, bool))[0][0]
-    guess = np.empty_like(cursor)
-    done = searched = 1
-    rows = SEARCH_ROWS
+                        np.zeros(1, np.intp))[0]
+    # Path-length guesses, each within the window of the one before.
+    hop = haversine_radians(end_lat[:-1], end_lon[:-1], end_cos[:-1],
+                            end_lat[1:], end_lon[1:], end_cos[1:])
+    at = np.searchsorted(track.path, track.path[cursor[0]] + np.cumsum(hop))
+    cursor[1:] = np.clip(cursor[0] + np.cumsum(np.clip(
+        np.diff(at, prepend=cursor[0]), -search_back, search_ahead - 1)),
+        0, n - 1)
     # A result found in a window widened by much more than the window's own
     # size would often fall outside the window of the actual match.
-    slack = np.full(SEARCH_ROWS, min(GUESS_SLACK, search_back // 2,
-                                     search_ahead // 4))
-    slack[0] = 0
-    while done < n_ends:
-        k = np.arange(done, min(n_ends, done + rows))
-        # The first row's previous match is known: its slack is 0.
-        guess[done - 1] = cursor[done - 1]
-        fresh = k[k >= searched]
-        if len(fresh):
-            # Path-length guesses, each within the window of the one before.
-            base = guess[fresh[0] - 1]
-            at = np.searchsorted(track.path, track.path[base] + hops[fresh]
-                                 - hops[fresh[0] - 1])
-            guess[fresh] = np.clip(base + np.cumsum(np.clip(
-                np.diff(at, prepend=base), -search_back, search_ahead - 1)),
-                0, n - 1)
-            searched = k[-1] + 1
-        prev = guess[k - 1]
-        slack_k = slack[:len(k)]
-        found, certain = _search(
-            track, (end_lat[k], end_lon[k], end_cos[k]),
-            np.maximum(prev - slack_k - search_back, 0),
-            np.minimum(prev + slack_k + search_ahead, n), guess[k],
-            slack_k == 0)
-        move = found[1:] - found[:-1]
-        bad = np.flatnonzero(~certain[1:]
-                             | (np.abs(found[:-1] - prev[1:]) > slack_k[1:])
-                             | (move < -search_back) | (move >= search_ahead))
-        kept = bad[0] + 1 if len(bad) else len(k)
-        cursor[done:done + kept] = found[:kept]
-        guess[k] = found
-        done += kept
-        rows = min(SEARCH_ROWS, 2 * kept)
+    slack = min(GUESS_SLACK, search_back // 2, search_ahead // 4)
+    centre = np.full(n_ends, -1, dtype=np.intp)  # -1: not searched yet
+    pad = np.zeros(n_ends, dtype=np.intp)
+    todo = np.arange(1, n_ends)
+    while len(todo):
+        pad[todo] = np.where(cursor[todo - 1] == centre[todo], 0, slack)
+        centre[todo] = cursor[todo - 1]
+        for i in range(0, len(todo), SEARCH_ROWS):
+            k = todo[i:i + SEARCH_ROWS]
+            cursor[k] = _search(
+                track, (end_lat[k], end_lon[k], end_cos[k]),
+                np.maximum(centre[k] - pad[k] - search_back, 0),
+                np.minimum(centre[k] + pad[k] + search_ahead, n), cursor[k])
+        move = cursor[1:] - cursor[:-1]
+        todo = 1 + np.flatnonzero((np.abs(cursor[:-1] - centre[1:]) > pad[1:])
+                                  | (move < -search_back)
+                                  | (move >= search_ahead))
     return cursor.tolist()
 
 
@@ -216,17 +199,15 @@ class _Track:
         return bound
 
 
-def _search(track: _Track, end, lo, hi, guess, exact):
+def _search(track: _Track, end, lo, hi, guess) -> np.ndarray:
     """Per row, the first sample of ``lo:hi`` nearest to the row's end
     (``end`` holds the ends' latitudes and longitudes in radians and the
-    cosines of the latitudes), and whether it is certainly that of an
-    argmin over the whole window.
+    cosines of the latitudes).
 
     Only a block of samples around ``guess`` is measured: the anchor gap
     that holds it and the gap on either side. The rest of the window is
-    bounded from below (``_Track.gap_bound``); the result is certain when
-    every bound exceeds the block's minimum. Rows marked ``exact`` whose
-    result is not certain are measured in full.
+    bounded from below (``_Track.gap_bound``); a row is measured in full
+    unless every bound exceeds the block's minimum.
     """
     stride = ANCHOR_STRIDE
     guess = np.clip(guess, lo, hi - 1)
@@ -249,12 +230,11 @@ def _search(track: _Track, end, lo, hi, guess, exact):
                         b0 // stride, column),
         track.gap_bound(np.where(b1 < hi, b1 // stride, last + 1),
                         last, column))
-    found, certain = b0 + j, bound > nearest
-    for r in np.flatnonzero(exact & ~certain).tolist():
+    found = b0 + j
+    for r in np.flatnonzero(~(bound > nearest)).tolist():
         d = track.distance(slice(lo[r], hi[r]), [e[r] for e in end])
         found[r] = lo[r] + int(np.argmin(d))
-        certain[r] = True
-    return found, certain
+    return found
 
 
 def align_segments(reference: Reference,

@@ -125,9 +125,9 @@ class RoadNetwork:
         return len(self.node_ids)
 
     @classmethod
-    def from_polyline(cls, line: Polyline, id_start: int = 0) -> "RoadNetwork":
+    def from_polyline(cls, line: Polyline) -> "RoadNetwork":
         lats, lons = line.lats, line.lons
-        ids = id_start + np.arange(len(lats), dtype=np.int64)
+        ids = np.arange(len(lats), dtype=np.int64)
         return cls(ids, lats, lons, ids[:-1], ids[1:],
                    haversine_pointwise(lats[:-1], lons[:-1], lats[1:],
                                        lons[1:]))

@@ -172,28 +172,29 @@ def fold_plan(task: str, x, y, k_folds: int, seed: int,
                                  for tr, va in folds], prepared)
 
 
-def _fold_score(family, task, params, seed, fold, metric):
+def _fold_score(family, task, params, seed, fold):
+    """The fold's validation RMSE (regression) or macro F1
+    (classification)."""
     if isinstance(fold, Exception):  # preparing the fold failed
         raise fold.with_traceback(None)
     x_tr, y_tr, x_val, y_val = fold
     model = make_model(family, task, params, seed=seed).fit(x_tr, y_tr)
     pred = model.predict(x_val)
-    if metric == "rmse":
+    if task == "regression":
         return float(np.sqrt(np.mean((pred - y_val) ** 2)))
-    if metric == "macro_f1":
-        return classification_metrics(y_val.astype(int), pred.astype(int),
-                                      average="macro")["f1"]
-    raise ValueError(f"unknown metric: {metric}")
+    return classification_metrics(y_val.astype(int), pred.astype(int),
+                                  average="macro")["f1"]
 
 
 def grid_search(family: str, task: str, plan: FoldPlan,
-                grid: dict | None = None, metric: str | None = None
-                ) -> GridSearchResult:
-    """Scores every grid point on every fold of ``plan`` and returns the
-    point with the best mean score (ties go to the earlier grid point)."""
+                grid: dict | None = None) -> GridSearchResult:
+    """Scores every grid point on every fold of ``plan`` by RMSE
+    (regression, lower is better) or macro F1 (classification) and returns
+    the point with the best mean score (ties go to the earlier grid
+    point)."""
     if task != plan.task:
         raise ValueError(f"the fold plan is for {plan.task}, not {task}")
-    metric = metric or ("rmse" if task == "regression" else "macro_f1")
+    metric = "rmse" if task == "regression" else "macro_f1"
     candidates = grid_points(family_record(family, task).grid if grid is None
                              else grid)
     best_idx = best_mean = None
@@ -203,7 +204,7 @@ def grid_search(family: str, task: str, plan: FoldPlan,
         for fold_idx, fold in enumerate(plan.folds):
             try:
                 scores.append(_fold_score(family, task, params, plan.seed,
-                                          fold, metric))
+                                          fold))
             except FOLD_ERRORS as exc:
                 scores.append(None)
                 errors.append(f"fold {fold_idx}: {type(exc).__name__}: {exc}")

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -1253,6 +1254,26 @@ class TestArtifactReuse:
         assert _is_kept(io.read_features_csv(tmp_path / "features.csv"))
 
 
+# Used to end load_config with a TypeError (a string where a number or a
+# section belongs) or an AttributeError (a list for the whole file), to load
+# as 1 (true for a number) or to name one letter of a family string
+# ("unknown model family: r").
+WRONG_TYPE_CONFIGS = [
+    ({"train_frac": "0.8"}, "train_frac must be a number in"),
+    ({"simulate": {"envelope_min": "a"}},
+     "simulate.envelope_min must be a positive number"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"simulate": {"speed_ms": True}},
+     "simulate.speed_ms must be a positive number"),
+    ({"match": {"radius_m": True}},
+     "match.radius_m must be a finite positive number"),
+    ({"train": {"regression_families": "ridge"}},
+     "train.regression_families must be a list of family names"),
+    ({"simulate": "fast"}, "simulate must be an object"),
+    (["seed", 3], "config file .* must hold a JSON object"),
+]
+
+
 class TestConfig:
     def test_defaults_returned_without_file(self):
         cfg = load_config()
@@ -1404,6 +1425,7 @@ class TestConfig:
         ({"train": {"grids": ["ridge"]}}, "train.grids must be an object"),
         ({"train": {"grids": {"regression": ["ridge"]}}},
          "train.grids.regression must be an object"),
+        *WRONG_TYPE_CONFIGS,
     ])
     def test_silently_wrong_value_is_named_at_load(self, tmp_path, override,
                                                    message):
@@ -1447,6 +1469,17 @@ class TestMainExitCodes:
         rc = main(["simulate", "--config", str(tmp_path / "nope.json")])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override,message", WRONG_TYPE_CONFIGS)
+    def test_value_of_the_wrong_type_is_error(self, tmp_path, capsys,
+                                              override, message):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(override))
+        rc = main(["simulate", "--config", str(p),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert re.match(f"error: {message}", capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
 
     def test_stage_without_inputs_is_error(self, tmp_path, capsys):
         rc = main(["match", "--out", str(tmp_path / "empty")])

@@ -1451,6 +1451,42 @@ class TestAlignmentOracle:
         assert got == boundaries_oracle(reference, positions)
         assert sum(measured) < full / 4
 
+    def test_unchanged_centre_is_searched_without_widening(self,
+                                                           monkeypatch):
+        """A drive of 1 m steps that doubles back at 30 m and 0 m, with
+        10 m pieces and windows of 4 samples back and 8 ahead, widened by
+        2: the nearest sample of such a widened window lies in the
+        widening, outside the end's own window. Searching that end again in
+        the same widened window would never end, so the ``_search`` calls
+        are counted: after end k - 1 is final, end k is searched at most
+        twice more."""
+        from roadroughness.geoalign import align
+        x = np.concatenate([np.arange(30.0), 30.0 - np.arange(30.0),
+                            np.arange(31.0)])
+        lat, lon = PROJ.to_latlon(x, np.zeros(len(x)))
+        positions = InterpolatedPositions(np.arange(len(x)), lat, lon, 0)
+        cuts = np.array([0.0, 10, 20, 30, 20, 10, 0, 10, 20, 30])
+        clat, clon = PROJ.to_latlon(cuts, np.zeros(len(cuts)))
+        reference = Reference(clat[:-1], clon[:-1], clat[1:], clon[1:],
+                              np.full(len(cuts) - 1, 10.0),
+                              np.arange(len(cuts) - 1.0))
+        want = boundaries_oracle(reference, positions, 4, 8)
+        widened = [closest_point_oracle(positions, lat, lon, c - 6, c + 10)
+                   for c, lat, lon in zip(want[:-1], reference.end_lat,
+                                          reference.end_lon)]
+        assert widened != want[1:]
+        calls = []
+        original = align._search
+
+        def counting(*args):
+            calls.append(args)
+            if len(calls) > 2 * len(reference) + 1:
+                raise AssertionError("an end is searched again and again")
+            return original(*args)
+
+        monkeypatch.setattr(align, "_search", counting)
+        assert piece_boundaries(reference, positions, 4, 8) == want
+
 
 @st.composite
 def curved_drives(draw):
