@@ -100,6 +100,9 @@ def validate_config(config: dict) -> None:
         if isinstance(default, dict) and not isinstance(config[section], dict):
             raise ValueError(f"{section} must be an object, got "
                              f"{config[section]!r}")
+    v = config["workdir"]
+    if not (isinstance(v, str) and v):
+        raise ValueError(f"workdir must be a non-empty string, got {v!r}")
     v = config.get("seed")
     if not is_integer(v):
         raise ValueError(f"seed must be an integer, got {v!r}")

@@ -1273,6 +1273,17 @@ WRONG_TYPE_CONFIGS = [
     (["seed", 3], "config file .* must hold a JSON object"),
 ]
 
+# Each used to load. A number, null or list then failed in the first stage
+# with a TypeError that named neither the key nor the config; "" is
+# Path("."), so the stages wrote into the current directory.
+BAD_WORKDIR_CONFIGS = [
+    ({"workdir": 5}, "workdir must be a non-empty string, got 5"),
+    ({"workdir": None}, "workdir must be a non-empty string, got None"),
+    ({"workdir": ""}, "workdir must be a non-empty string, got ''"),
+    ({"workdir": ["run"]},
+     r"workdir must be a non-empty string, got \['run'\]"),
+]
+
 
 class TestConfig:
     def test_defaults_returned_without_file(self):
@@ -1426,6 +1437,7 @@ class TestConfig:
         ({"train": {"grids": {"regression": ["ridge"]}}},
          "train.grids.regression must be an object"),
         *WRONG_TYPE_CONFIGS,
+        *BAD_WORKDIR_CONFIGS,
     ])
     def test_silently_wrong_value_is_named_at_load(self, tmp_path, override,
                                                    message):
@@ -1480,6 +1492,18 @@ class TestMainExitCodes:
         assert rc == 1
         assert re.match(f"error: {message}", capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("override,message", BAD_WORKDIR_CONFIGS)
+    @pytest.mark.parametrize("stage", ["simulate", "match"])
+    def test_bad_workdir_is_error(self, tmp_path, monkeypatch, capsys,
+                                  override, message, stage):
+        """No --out, so the config's workdir is the one used."""
+        monkeypatch.chdir(tmp_path)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(override))
+        assert main([stage, "--config", str(p)]) == 1
+        assert re.match(f"error: {message}", capsys.readouterr().err)
+        assert [f.name for f in tmp_path.iterdir()] == ["c.json"]
 
     def test_stage_without_inputs_is_error(self, tmp_path, capsys):
         rc = main(["match", "--out", str(tmp_path / "empty")])

@@ -228,6 +228,35 @@ def _wild_logits(rng, n, c):
     return z
 
 
+@st.composite
+def logistic_problems(draw):
+    """Folds of any width, with levels absent, duplicated rows, constant
+    columns and columns of very different scales."""
+    n = draw(st.integers(1, 300))
+    d = draw(st.integers(1, 8))
+    c = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(n, d)) * draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    for f in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        x[:, f] = 0.5                               # constant columns
+    if draw(st.booleans()):
+        x[n // 2:] = x[:n - n // 2]                 # duplicated rows
+    levels = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=c,
+                           unique=True))            # levels absent
+    onehot = _onehot(rng.choice(levels, n), c)
+    lam = draw(st.sampled_from([0.0, 0.01, 0.1]))
+    return x, onehot, lam, draw(st.integers(1, 300))
+
+
+def _descent_outcome(descend, x, onehot, lam, max_iter):
+    """The solution's bytes and step count, or the stall message."""
+    try:
+        w, b, n_iter = descend(x, onehot, lam, GRAD_TOL, max_iter)
+    except ConvergenceError as exc:
+        return str(exc)
+    return w.tobytes(), b.tobytes(), n_iter
+
+
 class TestLogistic:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -287,17 +316,25 @@ class TestLogistic:
         assert softmax(z).tobytes() == _softmax_oracle(z).tobytes()
 
     def test_loss_and_grad_match_oracle_bitwise(self):
+        """n * c spans numpy's three pairwise-sum branches for the
+        cross-entropy: below 8, 8 to 128, and above 128 values. The last
+        three folds lack a level or have one class only."""
         rng = np.random.default_rng(9)
-        for d, c in [(1, 2), (3, 3), (5, 7)]:
-            x = rng.normal(size=(30, d))
-            onehot = _onehot(rng.integers(0, c, 30), c)
-            w = rng.normal(size=(d, c))
-            b = rng.normal(size=c)
-            got = logistic_loss(w, b, x, onehot, 0.1)
-            want = _logistic_loss_oracle(w, b, x, onehot, 0.1)
-            assert got[0] == want[0]
-            assert got[1].tobytes() == want[1].tobytes()
-            assert got[2].tobytes() == want[2].tobytes()
+        for n in (1, 7, 30, 129, 600):
+            for d, c, levels in [(1, 2, [0, 1]), (3, 3, [0, 1, 2]),
+                                 (5, 7, list(range(7))),
+                                 (2, 3, [0, 1]), (4, 3, [0, 2]), (3, 1, [0])]:
+                x = rng.normal(size=(n, d))
+                onehot = _onehot(rng.choice(levels, n), c)
+                w = rng.normal(size=(d, c))
+                b = rng.normal(size=c)
+                got = logistic_loss(w, b, x, onehot, 0.1)
+                want = _logistic_loss_oracle(w, b, x, onehot, 0.1)
+                assert (np.float64(got[0]).tobytes()
+                        == np.float64(want[0]).tobytes())
+                assert got[1].shape == (d, c) and got[2].shape == (c,)
+                assert got[1].tobytes() == want[1].tobytes()
+                assert got[2].tobytes() == want[2].tobytes()
 
     @pytest.mark.parametrize("lam", [0.01, 0.1, 1.0])
     @pytest.mark.parametrize("d", range(1, 8))
@@ -316,6 +353,12 @@ class TestLogistic:
         assert got[0].tobytes() == w.tobytes()
         assert got[1].tobytes() == b.tobytes()
         assert got[2] == n_iter > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(logistic_problems())
+    def test_property_descent_matches_oracle(self, problem):
+        assert (_descent_outcome(logistic_descend, *problem)
+                == _descent_outcome(_descend_oracle, *problem))
 
     def test_stall_matches_oracle_message(self):
         """A fold without class 2 cannot reach the tolerance (its bias
