@@ -6,7 +6,8 @@ import math
 from pathlib import Path
 
 from ..core import is_integer
-from ..models.search import TASKS, family_record
+from ..models.search import (TASKS, family_record, grid_points,
+                              make_model)
 from ..models.tree import MAX_DEPTH
 
 DEFAULT_CONFIG = {
@@ -175,7 +176,9 @@ def validate_config(config: dict) -> None:
 
 def _validate_grids(grids) -> None:
     """Name a ``train.grids`` task or family key that ``stage_train`` would
-    never look up, which would leave that family on its default grid."""
+    never look up, which would leave that family on its default grid, and a
+    family grid that is not an object of non-empty lists or holds a point
+    that the family's constructor refuses."""
     if grids is None:
         return
     if not isinstance(grids, dict):
@@ -189,11 +192,30 @@ def _validate_grids(grids) -> None:
         if not isinstance(families, dict):
             raise ValueError(f"train.grids.{task} must be an object, got "
                              f"{families!r}")
-        for family in families:
+        for family, grid in families.items():
             try:
                 family_record(family, task)
             except ValueError as exc:
                 raise ValueError(f"train.grids.{task}: {exc}") from None
+            if grid is not None:
+                _validate_grid(f"train.grids.{task}.{family}", family, task,
+                               grid)
+
+
+def _validate_grid(name: str, family: str, task: str, grid) -> None:
+    """Name the first bad value of one family's grid, at config key
+    ``name``."""
+    if not isinstance(grid, dict):
+        raise ValueError(f"{name} must be an object, got {grid!r}")
+    for key, values in grid.items():
+        if not (isinstance(values, list) and values):
+            raise ValueError(f"{name}.{key} must be a non-empty list, got "
+                             f"{values!r}")
+    for point in grid_points(grid):
+        try:
+            make_model(family, task, point)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
 
 def _check_known_keys(config: dict, defaults: dict, prefix: str = "") -> None:

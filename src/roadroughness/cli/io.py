@@ -7,6 +7,12 @@ write -> read -> write is byte-identical. ``reference.csv`` holds a
 ``Windows`` record, one .npy file per field plus a JSON manifest holding
 the window count.
 
+Every text artifact is formatted and written a block at a time
+(``_joined``, ``_write_text``), so that no whole-file string is held. JSON
+is streamed from ``json.JSONEncoder.iterencode``: with ``indent`` set,
+``json.dumps`` is the join of exactly these chunks, so the bytes are the
+same.
+
 Each text artifact kind (``network.txt``, ``telemetry.csv``,
 ``reference.csv``, ``matched.json``, ``features.csv``) keeps the record
 that this process last wrote, with the blake2b digest of the bytes
@@ -60,13 +66,18 @@ def forget_written() -> None:
 
 def _write_text(path, chunks) -> bytes:
     """Write the strings ``chunks`` to ``path`` as UTF-8 and return the
-    blake2b digest of the bytes written."""
+    blake2b digest of the bytes written. A write that fails part way, in
+    making a chunk or in writing it, removes the partial file."""
     digest = hashlib.blake2b()
-    with open(path, "wb") as f:
-        for chunk in chunks:
-            data = chunk.encode("utf-8")
-            digest.update(data)
-            f.write(data)
+    try:
+        with open(path, "wb") as f:
+            for chunk in chunks:
+                data = chunk.encode("utf-8")
+                digest.update(data)
+                f.write(data)
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
     return digest.digest()
 
 
@@ -138,13 +149,13 @@ def _json_value(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=1,
-                      default=_json_value) + "\n"
+_JSON = json.JSONEncoder(sort_keys=True, indent=1, default=_json_value)
 
 
-def write_json(path, obj) -> None:
-    Path(path).write_text(_json_text(obj), encoding="utf-8")
+def write_json(path, obj) -> bytes:
+    """Write ``json.dumps(obj, sort_keys=True, indent=1,
+    default=_json_value)`` and a newline; return the digest of the bytes."""
+    return _write_text(path, chain(_joined(_JSON.iterencode(obj)), ["\n"]))
 
 
 def read_json(path):
@@ -154,8 +165,7 @@ def read_json(path):
 # ------------------------------------------------------------- road network
 
 def write_network(path, network: RoadNetwork) -> None:
-    digest = hashlib.blake2b(network.save(path)).digest()
-    _remember("network", path, digest, _network_as_read(network))
+    _remember("network", path, network.save(path), _network_as_read(network))
 
 
 def _network_as_read(network: RoadNetwork) -> RoadNetwork | None:
@@ -314,7 +324,7 @@ def write_reference_csv(path, reference: Reference) -> None:
                range(len(reference)),
                *(getattr(reference, f.name).tolist()
                  for f in fields(reference)))
-    digest = _write_text(path, [REFERENCE_HEADER + "\n" + "".join(rows)])
+    digest = _write_text(path, chain([REFERENCE_HEADER + "\n"], _joined(rows)))
     arrays = [_frozen(getattr(reference, f.name), float)
               for f in fields(reference)]
     try:
@@ -350,9 +360,9 @@ MATCHED_FIELDS = ("t", "fix_lat", "fix_lon", "edge", "offset", "lat", "lon")
 
 
 def write_matched_json(path, matched: MatchedTrace) -> None:
-    obj = {name: getattr(matched, name).tolist() for name in MATCHED_FIELDS}
+    obj = {name: getattr(matched, name) for name in MATCHED_FIELDS}
     obj["log_score"] = log_score = float(matched.log_score)
-    digest = _write_text(path, [_json_text(obj)])
+    digest = write_json(path, obj)
     arrays = [_frozen(getattr(matched, name), np.int64 if name == "edge"
                       else float) for name in MATCHED_FIELDS]
     # The file holds no n_unmatched: its reader gives the default.

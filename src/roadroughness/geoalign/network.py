@@ -7,9 +7,11 @@ trace of fixes onto it at once and returns one ``Candidates`` record;
 rows of two consecutive fixes."""
 from __future__ import annotations
 
+import hashlib
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -23,6 +25,9 @@ LENGTH_ABS_TOL = 0.05
 # No fix with a valid position is farther than this from any network point
 # in the planar frame: |dlat| <= pi and |dlon| <= 2 pi radians, times R.
 PLANAR_REACH_M = 1e8
+
+# Lines that ``save`` formats and writes at a time.
+SAVE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -304,18 +309,25 @@ class RoadNetwork:
                                      dists)[0])
 
     def save(self, path) -> bytes:
-        """Write the text format: node,<id>,<lat>,<lon> / edge,<a>,<b>,<length_m>.
-        Returns the bytes written."""
-        ids = self.node_ids.tolist()
-        lines = [f"node,{nid},{lat!r},{lon!r}\n" for nid, lat, lon in zip(
-            ids, self.node_lat.tolist(), self.node_lon.tolist())]
-        lines += [f"edge,{ids[a]},{ids[b]},{length!r}\n" for a, b, length
-                  in zip(self.edge_a.tolist(), self.edge_b.tolist(),
-                         self.edge_len.tolist())]
-        data = "".join(lines).encode("utf-8")
+        """Write the text format, node,<id>,<lat>,<lon> and then
+        edge,<a>,<b>,<length_m> lines, SAVE_BLOCK_ROWS lines at a time.
+        Returns the blake2b digest of the bytes written."""
+        ids = self.node_ids
+        digest = hashlib.blake2b()
         with open(path, "wb") as f:
-            f.write(data)
-        return data
+            for kind, *columns in (
+                    ("node", ids, self.node_lat, self.node_lon),
+                    ("edge", ids[self.edge_a], ids[self.edge_b],
+                     self.edge_len)):
+                for a in range(0, len(columns[0]), SAVE_BLOCK_ROWS):
+                    # repr of every field: an int's is its digits.
+                    rows = zip(repeat(kind), *(
+                        map(repr, c[a:a + SAVE_BLOCK_ROWS].tolist())
+                        for c in columns))
+                    data = ("\n".join(map(",".join, rows)) + "\n").encode()
+                    digest.update(data)
+                    f.write(data)
+        return digest.digest()
 
     @classmethod
     def load(cls, path) -> "RoadNetwork":

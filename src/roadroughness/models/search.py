@@ -197,6 +197,9 @@ def grid_search(family: str, task: str, plan: FoldPlan,
     metric = "rmse" if task == "regression" else "macro_f1"
     candidates = grid_points(family_record(family, task).grid if grid is None
                              else grid)
+    if not candidates:
+        raise ValueError(f"the grid of family {family} has no points: "
+                         f"{grid!r}")
     best_idx = best_mean = None
     table = []
     for idx, params in enumerate(candidates):

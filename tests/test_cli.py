@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -476,7 +478,7 @@ class TestWriters:
                                     per_element_features_writer, ds,
                                     list(range(len(rows))))
 
-    @pytest.mark.parametrize("n", [0, 1, 500])
+    @pytest.mark.parametrize("n", [0, 1, 500, 2 * io.WRITE_BLOCK_ROWS + 1])
     def test_reference_equals_per_element_writer(self, tmp_path, n):
         segments = random_reference(np.random.default_rng(20 + n), n)
         self._assert_same_bytes(tmp_path, io.write_reference_csv,
@@ -1006,6 +1008,73 @@ def network_cases(draw):
     return network, spoiled
 
 
+def json_values():
+    """Values that ``io.write_json`` takes: nested lists, tuples and dicts
+    of NaN, infinities, signed zeros, bools, None, non-ASCII strings, empty
+    containers, and numpy arrays and scalars."""
+    arrays = (st.lists(_ANY_FLOAT, max_size=6).map(np.array)
+              | st.lists(_INT64, max_size=6).map(
+                  lambda v: np.array(v, dtype=np.int64))
+              | st.lists(_ANY_FLOAT, min_size=4, max_size=4).map(
+                  lambda v: np.reshape(v, (2, 2))))
+    leaves = (st.none() | st.booleans() | st.integers() | _ANY_FLOAT
+              | st.text(max_size=5) | st.sampled_from(["\u00e9\u6f22",
+                                                        "\U0001f600"])
+              | _ANY_FLOAT.map(np.float64) | st.floats(width=32).map(
+                  np.float32) | _INT64.map(np.int64)
+              | st.integers(0, 255).map(np.uint8) | arrays)
+    return st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)),
+        max_leaves=20)
+
+
+class TestJsonWriters:
+    """The JSON writers stream ``json.JSONEncoder.iterencode``'s chunks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(json_values(), matched_cases())
+    def test_json_writers_equal_json_dumps(self, value, matched):
+        """The streamed writers against ``json.dumps`` of the same value."""
+        fields = {name: getattr(matched, name) for name in io.MATCHED_FIELDS}
+        fields["log_score"] = float(matched.log_score)
+        with tempfile.TemporaryDirectory() as tmp:
+            for writer, arg, obj in ((io.write_json, value, value),
+                                     (io.write_matched_json, matched,
+                                      fields)):
+                p = Path(tmp) / "x.json"
+                digest = writer(p, arg)
+                want = (json.dumps(obj, sort_keys=True, indent=1,
+                                   default=io._json_value) + "\n")
+                assert p.read_bytes() == want.encode("utf-8")
+                assert digest in (None, hashlib.blake2b(
+                    want.encode("utf-8")).digest())
+
+    def test_json_is_written_without_a_whole_file_string(self, tmp_path):
+        """About 1.5e5 floats, 3 MB of text, in well under 1 MB of traced
+        memory: the encoder's chunks go out a block at a time."""
+        rng = np.random.default_rng(5)
+        value = {"trees": [{"threshold": rng.normal(size=5000).tolist(),
+                            "value": rng.normal(size=5000).tolist()}
+                           for _ in range(15)]}
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            io.write_json(tmp_path / "big.json", value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.json").stat().st_size > 3e6
+        assert peak < 1e6
+
+    def test_failed_json_write_leaves_no_file(self, tmp_path):
+        p = tmp_path / "bad.json"
+        with pytest.raises(TypeError, match="object is not JSON"):
+            io.write_json(p, {"a": list(range(5000)), "b": object()})
+        assert not p.exists()
+
+
 class TestArtifactReuse:
     """A reader gives the record that this process wrote when the file holds
     exactly the bytes written, and it must equal the parse of that file."""
@@ -1438,12 +1507,26 @@ class TestConfig:
          "train.grids.regression must be an object"),
         *WRONG_TYPE_CONFIGS,
         *BAD_WORKDIR_CONFIGS,
+        ({"train": {"grids": {"regression": {"ridge": {"lam": 0.1}}}}},
+         "train.grids.regression.ridge.lam must be a non-empty list, got "
+         "0.1$"),
+        ({"train": {"grids": {"regression": {"ridge": {"lam": []}}}}},
+         r"train.grids.regression.ridge.lam must be a non-empty list, got "
+         r"\[\]$"),
+        ({"train": {"grids": {"regression": {"ridge": [1.0]}}}},
+         r"train.grids.regression.ridge must be an object, got \[1.0\]$"),
+        ({"train": {"grids": {"regression": {"ridge": {"alpha": [1.0]}}}}},
+         "train.grids.regression.ridge: .*unexpected keyword argument "
+         "'alpha'$"),
+        ({"train": {"grids": {"classification": {"knn": {"k": [5, 0]}}}}},
+         "train.grids.classification.knn: k must be positive$"),
     ])
     def test_silently_wrong_value_is_named_at_load(self, tmp_path, override,
                                                    message):
         """Each used to load and run: bool("no") is True, a NaN sigma adds
         no noise, and a misspelt key was ignored (a misspelt grid key left
-        its family on the default grid)."""
+        its family on the default grid). A bad family grid failed only in
+        train, without naming its key."""
         p = tmp_path / "c.json"
         p.write_text(json.dumps(override))
         with pytest.raises(ValueError, match=message):

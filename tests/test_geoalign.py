@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import itertools
 import math
@@ -23,6 +24,7 @@ from roadroughness.geoalign import (BrokenTraceError, InterpolatedPositions,
                                     viterbi_path)
 from roadroughness.geoalign.align import piece_boundaries
 from roadroughness.geoalign.match import DEFAULT_BETA, DEFAULT_SIGMA
+from roadroughness.geoalign.network import SAVE_BLOCK_ROWS
 from roadroughness.simkit import generate_route
 from roadroughness.topk import smallest_k
 
@@ -155,6 +157,24 @@ class TestRoadNetwork:
         net.save(p1)
         RoadNetwork.load(p1).save(p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_save_equals_per_line_writer(self, tmp_path):
+        """Lines formatted and written a block at a time, across block
+        edges, against one f-string per line; save returns the digest."""
+        net = grid_network(33, 33)
+        net.node_lat[:3] = [-0.0, 5e-324, 1e-5]
+        ids = net.node_ids.tolist()
+        want = "".join(
+            [f"node,{nid},{lat!r},{lon!r}\n" for nid, lat, lon in zip(
+                ids, net.node_lat.tolist(), net.node_lon.tolist())]
+            + [f"edge,{ids[a]},{ids[b]},{length!r}\n" for a, b, length in
+               zip(net.edge_a.tolist(), net.edge_b.tolist(),
+                   net.edge_len.tolist())]).encode("utf-8")
+        assert len(ids) > SAVE_BLOCK_ROWS and len(net.edge_a) > 2 * (
+            SAVE_BLOCK_ROWS)
+        digest = net.save(tmp_path / "net.txt")
+        assert (tmp_path / "net.txt").read_bytes() == want
+        assert digest == hashlib.blake2b(want).digest()
 
     def test_load_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from roadroughness.models import (BaselineModel, ConvergenceError,
                                   RandomForestModel, SvmModel,
                                   adasyn_resample, grid_search, make_model,
                                   rbf_kernel)
+from roadroughness.models import logistic as logistic_module
 from roadroughness.models import neighbors
 from roadroughness.models import tree as tree_module
 from roadroughness.models.logistic import (GRAD_TOL, MAX_ITER, softmax,
@@ -167,8 +170,9 @@ def _logistic_loss_oracle(w, b, x, y_onehot, lam):
     return loss, grad_w, grad_b
 
 
-def _descend_oracle(x, y_onehot, lam, tol, max_iter):
-    """Returns (w, b, accepted steps)."""
+def _descend_oracle(x, y_onehot, lam, tol, max_iter, norms=None):
+    """Returns (w, b, accepted steps); appends each step's squared gradient
+    norm to ``norms`` if given."""
     d, c = x.shape[1], y_onehot.shape[1]
     w = np.zeros((d, c))
     b = np.zeros(c)
@@ -176,6 +180,8 @@ def _descend_oracle(x, y_onehot, lam, tol, max_iter):
     loss, gw, gb = _logistic_loss_oracle(w, b, x, y_onehot, lam)
     for it in range(max_iter):
         gnorm2 = float(np.sum(gw ** 2) + np.sum(gb ** 2))
+        if norms is not None:
+            norms.append(gnorm2)
         gnorm = np.sqrt(gnorm2)
         if gnorm <= tol:
             return w, b, it
@@ -353,6 +359,27 @@ class TestLogistic:
         assert got[0].tobytes() == w.tobytes()
         assert got[1].tobytes() == b.tobytes()
         assert got[2] == n_iter > 0
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_gradient_norms_match_oracle_bitwise(self, monkeypatch, d):
+        """Each step's squared gradient norm, as the solver passes it to
+        math.sqrt, is the oracle's bit for bit: the sums over w and over b
+        are taken apart. A last-bit change of it rarely flips an Armijo
+        or tolerance decision, so the iterates alone do not pin it."""
+        got, want = [], []
+
+        def sqrt(value):
+            got.append(value)
+            return math.sqrt(value)
+
+        monkeypatch.setattr(logistic_module, "math",
+                            types.SimpleNamespace(sqrt=sqrt))
+        c = 3 + d % 3
+        x, y = _logistic_problem(d, 60 + 7 * d, d, c)
+        logistic_descend(x, _onehot(y, c), 0.1, GRAD_TOL, MAX_ITER)
+        _descend_oracle(x, _onehot(y, c), 0.1, GRAD_TOL, MAX_ITER, want)
+        assert len(got) == len(want) > 1
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(logistic_problems())
@@ -1734,6 +1761,15 @@ class TestGridSearch:
             grid_search("knn", "regression",
                         fold_plan("regression", x, y, 3, 0, False),
                         grid={"k": [500]})
+
+    def test_grid_without_points_is_named(self):
+        """An empty value list leaves no grid point: this used to end in a
+        bare IndexError on the first point's errors."""
+        x, y = self._data(n=20)
+        plan = fold_plan("regression", x, y, 3, 0, False)
+        with pytest.raises(ValueError, match="grid of family ridge has no "
+                                             "points"):
+            grid_search("ridge", "regression", plan, grid={"lam": []})
 
     def test_classification_metric(self):
         rng = np.random.default_rng(33)

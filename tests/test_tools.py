@@ -1,11 +1,19 @@
 """The verdict of tools/bench_pairs.py, which decides whether paired
-benchmark runs show a gain."""
+benchmark runs show a gain, and the clean-up of the paired-run tools when
+they are stopped."""
 import importlib.util
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+_PATH = _TOOLS / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
@@ -77,3 +85,75 @@ def test_summary_counts_incorrect_runs_and_skips_their_pairs():
     s = bench_pairs.summarize(pairs, [{"name": "wall_s", "better": "lower"}])
     assert s["incorrect_runs"] == {"parent": 1, "change": 1}
     assert s["wall_s"]["pairs"] == 1
+
+
+# Stands in for the benchmark or a CLI stage: it starts a grandchild, as
+# bench/run.py starts its worker, records both pids and waits.
+_SLOW_CHILD = """\
+import os, subprocess, sys, time
+grandchild = subprocess.Popen([sys.executable, "-c",
+                               "import time; time.sleep(120)"])
+with open(os.environ["PIDS_FILE"], "a") as f:
+    f.write(f"{os.getpid()} {grandchild.pid}\\n")
+time.sleep(120)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="reads process states from /proc")
+@pytest.mark.parametrize("tool,child,args", [
+    ("bench_pairs.py", "bench/run.py", ["--label", "t"]),
+    ("stage_processes.py", "src/roadroughness/cli/main.py",
+     ["--label", "t", "--config", "c.json"]),
+])
+def test_sigterm_removes_the_parent_tree_and_kills_the_child(
+        tmp_path, tool, child, args):
+    """A stopped run used to leave the exported parent in the temporary
+    directory, and its child running."""
+    repo, temp, pids = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pids"
+    for name, text in (("BENCHMARK.json", json.dumps({
+            "workloads": [{"name": "w"}], "run_seconds": 1,
+            "end_to_end": []})), ("c.json", "{}"),
+            ("src/roadroughness/__init__.py", ""),
+            ("src/roadroughness/cli/__init__.py", ""), (child, _SLOW_CHILD)):
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text, encoding="utf-8")
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c",
+           "commit.gpgsign=false"]
+    for command in (["init", "-q"], ["add", "."], ["commit", "-qm", "c"]):
+        subprocess.run(git + command, cwd=repo, check=True)
+    temp.mkdir()
+    proc = subprocess.Popen(
+        [sys.executable, str(_TOOLS / tool), *args], cwd=repo,
+        env=dict(os.environ, TMPDIR=str(temp), PIDS_FILE=str(pids)),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    started = []
+    try:
+        deadline = time.monotonic() + 60
+        while not pids.exists() or not pids.read_text().endswith("\n"):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert any(temp.iterdir())  # the exported parent
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        assert not any(temp.iterdir())
+        deadline = time.monotonic() + 10
+        while any(map(_running, started)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, started))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in filter(_running, started):
+            os.kill(pid, signal.SIGKILL)

@@ -13,12 +13,17 @@ side runs its own ``bench/``.
 
 The result goes to BENCH_<label>.json: every run, and per workload and
 metric each side's quartiles over its correct runs, the pairs the change
-won and lost, and the verdict of ``verdict``. Standard library only.
+won and lost, and the verdict of ``verdict``. A run stopped by SIGTERM or
+Ctrl-C kills the running benchmark with its workers and removes the
+exported parent. Standard library only.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -71,16 +76,41 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
+def exit_on_sigterm() -> None:
+    """Make SIGTERM raise SystemExit, so that a stopped run unwinds like an
+    interrupted one: ``with`` blocks remove their temporary directories and
+    ``child_group`` kills the running child."""
+    signal.signal(signal.SIGTERM,
+                  lambda signum, frame: sys.exit(128 + signum))
+
+
+@contextlib.contextmanager
+def child_group(argv: list, **popen_kwargs):
+    """A child process in a process group of its own. If the block is left
+    by an exception, the whole group is killed, so that no grandchild (a
+    benchmark worker) outlives the tool."""
+    proc = subprocess.Popen(argv, start_new_session=True, **popen_kwargs)
+    try:
+        yield proc
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
     """One ``bench/run.py`` run from the checkout at ``root``: its last
     standard output line, with the metric values unwrapped."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds),
-         "--trace", str(trace)],
-        cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    lines = proc.stdout.strip().splitlines()
+    with child_group(
+            [sys.executable, "bench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds),
+             "--trace", str(trace)],
+            cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as proc:
+        stdout, stderr = proc.communicate()
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
@@ -90,7 +120,7 @@ def run_side(root: Path, workload: str, seed: int, seconds: float,
            "attempted": result["attempted"], "failed": result["failed"],
            **{k: v["value"] for k, v in result["metrics"].items()}}
     if proc.returncode != 0:
-        out["stderr"] = proc.stderr.strip().splitlines()[-3:]
+        out["stderr"] = stderr.strip().splitlines()[-3:]
     return out
 
 
@@ -134,6 +164,7 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="WORKLOAD:METRIC")
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
+    exit_on_sigterm()
 
     root = Path.cwd()
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))

@@ -13,7 +13,9 @@ stages inside one process, so it does not see what a process pays to start.
 
 The record goes under ``stage_processes`` in BENCH_<label>.json, which is
 created if missing: every run, and per side and command the quartiles of
-wall time and peak RSS. Standard library only.
+wall time and peak RSS. A run stopped by SIGTERM or Ctrl-C kills the
+running command and removes the exported parent and the work directories.
+Standard library only.
 """
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import export_parent, quartiles
+from bench_pairs import (child_group, exit_on_sigterm, export_parent,
+                         quartiles)
 
 COMMANDS = ("--help", "simulate", "match", "align", "featurize", "select",
             "train", "evaluate", "report")
@@ -40,9 +43,9 @@ def run_command(src: Path, command: str, config: Path, workdir: Path) -> dict:
         argv += ["--config", str(config), "--out", str(workdir)]
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
+    with child_group(argv, env=env, stdout=subprocess.DEVNULL,
+                     stderr=subprocess.DEVNULL) as proc:
+        _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
     if os.waitstatus_to_exitcode(status) != 0:
         raise RuntimeError(f"{command} failed on {src}")
@@ -56,6 +59,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
+    exit_on_sigterm()
 
     root = Path.cwd()
     runs = []
