@@ -7,11 +7,11 @@ write -> read -> write is byte-identical. ``reference.csv`` holds a
 ``Windows`` record, one .npy file per field plus a JSON manifest holding
 the window count.
 
-Every text artifact is formatted and written a block at a time
-(``_joined``, ``_write_text``), so that no whole-file string is held. JSON
-is streamed from ``json.JSONEncoder.iterencode``: with ``indent`` set,
-``json.dumps`` is the join of exactly these chunks, so the bytes are the
-same.
+Every text artifact is formatted a block at a time and written by
+``textio.write_text``, so that no whole-file string is held and a write
+that fails part way leaves no file. JSON is streamed from
+``json.JSONEncoder.iterencode``: with ``indent`` set, ``json.dumps`` is
+the join of exactly these chunks, so the bytes are the same.
 
 Each text artifact kind (``network.txt``, ``telemetry.csv``,
 ``reference.csv``, ``matched.json``, ``features.csv``) keeps the record
@@ -19,19 +19,19 @@ that this process last wrote, with the blake2b digest of the bytes
 written. Its reader takes the record from memory only when the file holds
 exactly those bytes; otherwise it parses the file. A record whose text
 would read back differently (a NaN other than the one "nan" parses to, a
-value its reader refuses) is not kept. A returned record's arrays are
-read-only views of the kept copy, so that neither the writer's record nor
-a reader's changes reach a later read.
+value its reader refuses) is not kept: one rule, ``_kept``, builds every
+kept record. A returned record's arrays are read-only views of the kept
+copy, so that neither the writer's record nor a reader's changes reach a
+later read.
 """
 from __future__ import annotations
 
 import copy
-import hashlib
 import json
 import math
 import os
 from dataclasses import fields
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -39,14 +39,13 @@ import numpy as np
 from ..core import (BadSegmentError, Dataset, Reference, TelemetryTrace,
                     Windows)
 from ..geoalign.match import MatchedTrace
-from ..geoalign.network import RoadNetwork, unreadable
+from ..geoalign.network import RoadNetwork
+from ..textio import BLOCK_ROWS, digest_of, joined, unreadable, write_text
 
 TELEMETRY_HEADER = "t_s,acc_z_ms2,speed_ms,lat,lon"
 REFERENCE_HEADER = ("seg_id,start_lat,start_lon,end_lat,end_lon,"
                     "length_m,iri_mkm")
 BUNDLE_SCHEMA_VERSION = 1
-# Rows formatted and written at a time: bounds the strings held at once.
-WRITE_BLOCK_ROWS = 1024
 # The bits of the NaN that the readers give for "nan", the repr of every NaN.
 _NAN_BITS = np.array(np.nan).view(np.uint64)
 
@@ -62,30 +61,6 @@ def fmt(value: float) -> str:
 def forget_written() -> None:
     """Drop every kept record, so that each next read parses its file."""
     _WRITTEN.clear()
-
-
-def _write_text(path, chunks) -> bytes:
-    """Write the strings ``chunks`` to ``path`` as UTF-8 and return the
-    blake2b digest of the bytes written. A write that fails part way, in
-    making a chunk or in writing it, removes the partial file."""
-    digest = hashlib.blake2b()
-    try:
-        with open(path, "wb") as f:
-            for chunk in chunks:
-                data = chunk.encode("utf-8")
-                digest.update(data)
-                f.write(data)
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
-    return digest.digest()
-
-
-def _joined(lines):
-    """The strings of ``lines`` joined WRITE_BLOCK_ROWS at a time."""
-    lines = iter(lines)
-    while block := "".join(islice(lines, WRITE_BLOCK_ROWS)):
-        yield block
 
 
 def _remember(kind: str, path, digest: bytes, record) -> None:
@@ -104,7 +79,7 @@ def _recall(kind: str, path):
     data = Path(path).read_bytes()
     entry = _WRITTEN.get(kind)
     if (entry is not None and entry[0] == os.path.abspath(path)
-            and entry[1] == hashlib.blake2b(data).digest()):
+            and entry[1] == digest_of(data)):
         return data, entry[2]
     return data, None
 
@@ -122,6 +97,24 @@ def _frozen(a: np.ndarray, dtype, ndim: int = 1) -> np.ndarray | None:
     a = a.copy()
     a.setflags(write=False)
     return a
+
+
+def _kept(build, *fields):
+    """The record that ``build`` makes of read-only copies of ``fields``,
+    each ``(array, dtype[, ndim])`` as ``_frozen`` takes them, with every
+    array it holds read-only. None where a field is refused or ``build``
+    raises ValueError."""
+    arrays = [_frozen(*field) for field in fields]
+    if any(a is None for a in arrays):
+        return None
+    try:
+        record = build(*arrays)
+    except ValueError:
+        return None
+    for value in getattr(record, "__dict__", {}).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return record
 
 
 def _fresh(record):
@@ -155,7 +148,7 @@ _JSON = json.JSONEncoder(sort_keys=True, indent=1, default=_json_value)
 def write_json(path, obj) -> bytes:
     """Write ``json.dumps(obj, sort_keys=True, indent=1,
     default=_json_value)`` and a newline; return the digest of the bytes."""
-    return _write_text(path, chain(_joined(_JSON.iterencode(obj)), ["\n"]))
+    return write_text(path, chain(joined(_JSON.iterencode(obj)), ["\n"]))
 
 
 def read_json(path):
@@ -165,27 +158,12 @@ def read_json(path):
 # ------------------------------------------------------------- road network
 
 def write_network(path, network: RoadNetwork) -> None:
-    _remember("network", path, network.save(path), _network_as_read(network))
-
-
-def _network_as_read(network: RoadNetwork) -> RoadNetwork | None:
-    """The network that ``RoadNetwork.load`` builds from the written text,
-    over read-only arrays, or None where that differs or is refused."""
+    # Kept as the network that ``RoadNetwork.load`` builds from the text.
     ids = network.node_ids
-    arrays = [_frozen(a, dtype) for a, dtype in (
-        (ids, np.int64), (network.node_lat, float), (network.node_lon, float),
-        (ids[network.edge_a], np.int64), (ids[network.edge_b], np.int64),
-        (network.edge_len, float))]
-    if any(a is None for a in arrays):
-        return None
-    try:
-        kept = RoadNetwork(*arrays)
-    except ValueError:
-        return None
-    for value in vars(kept).values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-    return kept
+    _remember("network", path, network.save(path), _kept(
+        RoadNetwork, (ids, np.int64), (network.node_lat, float),
+        (network.node_lon, float), (ids[network.edge_a], np.int64),
+        (ids[network.edge_b], np.int64), (network.edge_len, float)))
 
 
 def read_network(path) -> RoadNetwork:
@@ -206,28 +184,19 @@ def write_telemetry_csv(path, trace: TelemetryTrace) -> None:
                                    map(repr, trace.gps_lat.tolist()),
                                    map(repr, trace.gps_lon.tolist())):
         lat[i], lon[i] = fix_lat, fix_lon
-    ends = range(WRITE_BLOCK_ROWS, n + WRITE_BLOCK_ROWS, WRITE_BLOCK_ROWS)
+    ends = range(BLOCK_ROWS, n + BLOCK_ROWS, BLOCK_ROWS)
     blocks = ("".join(map("{!r},{!r},{!r},{},{}\n".format,
                           trace.t[a:b].tolist(), trace.acc_z[a:b].tolist(),
                           trace.speed[a:b].tolist(), lat[a:b], lon[a:b]))
-              for a, b in zip(range(0, n, WRITE_BLOCK_ROWS), ends))
-    digest = _write_text(path, chain([TELEMETRY_HEADER + "\n"], blocks))
-    _remember("telemetry", path, digest, _telemetry_as_read(trace))
-
-
-def _telemetry_as_read(trace: TelemetryTrace) -> TelemetryTrace | None:
-    """The trace that reading its written text gives, or None where that
-    differs from ``trace`` or is refused. The reader finds the fixes in row
-    order, so ``gps_idx`` must increase."""
-    arrays = [_frozen(getattr(trace, f.name), dtype) for f, dtype in
-              zip(fields(trace), (float, float, float, np.int64, float,
-                                  float))]
-    if any(a is None for a in arrays) or np.any(np.diff(arrays[3]) <= 0):
-        return None
-    try:
-        return TelemetryTrace(*arrays)
-    except ValueError:
-        return None
+              for a, b in zip(range(0, n, BLOCK_ROWS), ends))
+    digest = write_text(path, chain([TELEMETRY_HEADER + "\n"], blocks))
+    # The reader finds the fixes in row order, so gps_idx must increase.
+    kept = _kept(TelemetryTrace, *zip(
+        (getattr(trace, f.name) for f in fields(trace)),
+        (float, float, float, np.int64, float, float)))
+    if kept is not None and np.any(np.diff(kept.gps_idx) <= 0):
+        kept = None
+    _remember("telemetry", path, digest, kept)
 
 
 def _telemetry_rows(path, data: bytes) -> list[str]:
@@ -324,15 +293,10 @@ def write_reference_csv(path, reference: Reference) -> None:
                range(len(reference)),
                *(getattr(reference, f.name).tolist()
                  for f in fields(reference)))
-    digest = _write_text(path, chain([REFERENCE_HEADER + "\n"], _joined(rows)))
-    arrays = [_frozen(getattr(reference, f.name), float)
-              for f in fields(reference)]
-    try:
-        kept = (None if any(a is None for a in arrays)
-                else Reference(*arrays))
-    except ValueError:
-        kept = None
-    _remember("reference", path, digest, kept)
+    digest = write_text(path, chain([REFERENCE_HEADER + "\n"], joined(rows)))
+    _remember("reference", path, digest, _kept(
+        Reference, *((getattr(reference, f.name), float)
+                     for f in fields(reference))))
 
 
 def read_reference_csv(path) -> Reference:
@@ -363,11 +327,11 @@ def write_matched_json(path, matched: MatchedTrace) -> None:
     obj = {name: getattr(matched, name) for name in MATCHED_FIELDS}
     obj["log_score"] = log_score = float(matched.log_score)
     digest = write_json(path, obj)
-    arrays = [_frozen(getattr(matched, name), np.int64 if name == "edge"
-                      else float) for name in MATCHED_FIELDS]
     # The file holds no n_unmatched: its reader gives the default.
-    kept = (None if any(a is None for a in arrays) or math.isnan(log_score)
-            else MatchedTrace(*arrays, log_score))
+    kept = None if math.isnan(log_score) else _kept(
+        lambda *arrays: MatchedTrace(*arrays, log_score),
+        *((getattr(matched, name), np.int64 if name == "edge" else float)
+          for name in MATCHED_FIELDS))
     _remember("matched", path, digest, kept)
 
 
@@ -412,28 +376,18 @@ def write_features_csv(path, dataset: Dataset, window_ids) -> None:
     rows = (f"{i},{','.join(map(repr, x.tolist()))},{y!r},{level}\n"
             for i, x, y, level in zip(ids, dataset.X, dataset.y.tolist(),
                                       dataset.level.tolist()))
-    digest = _write_text(path, chain([header + "\n"], _joined(rows)))
-    _remember("features", path, digest,
-              _features_as_read(dataset, ids, header))
-
-
-def _features_as_read(dataset: Dataset, ids: list, header: str):
-    """The (dataset, window ids) that reading the written text gives, or
-    None where that differs from what was written or is refused."""
+    digest = write_text(path, chain([header + "\n"], joined(rows)))
+    # The reader needs one header line and a row per window id. Dataset
+    # refuses names that do not match the columns (``names`` is never
+    # empty); _frozen refuses ids beyond int64, which np.array gives
+    # another dtype.
     names = header.split(",")[1:-2]
-    x = _frozen(dataset.X, float, ndim=2)
-    y, level = _frozen(dataset.y, float), _frozen(dataset.level, np.int64)
-    if (header.splitlines() != [header] or x is None or y is None
-            or level is None or not 0 < len(ids) == len(x)
-            or x.shape[1] != len(names)):
-        return None
-    try:
-        ids = np.array(ids, dtype=np.int64)
-        kept = Dataset(x, y, level, names)
-    except (ValueError, OverflowError):
-        return None
-    ids.setflags(write=False)
-    return kept, ids
+    kept = None
+    if header.splitlines() == [header] and 0 < len(ids) == len(dataset.X):
+        kept = _kept(lambda x, y, level, i: (Dataset(x, y, level, names), i),
+                     (dataset.X, float, 2), (dataset.y, float),
+                     (dataset.level, np.int64), (np.array(ids), np.int64))
+    _remember("features", path, digest, kept)
 
 
 def read_features_csv(path) -> tuple[Dataset, np.ndarray]:

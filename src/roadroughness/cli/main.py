@@ -54,10 +54,7 @@ def main(argv=None) -> int:
         else:
             summary = run_stage(args.command, config)
             print(f"[{args.command}] {summary}")
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (StageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -21,6 +21,7 @@ from ..selection import (PcaBasis, drop_constant, pca_fit, pca_transform,
 from ..simkit import (GOLDEN_CAR, SimConfig, build_reference_segments,
                       generate_profile, generate_route, modulate_profile,
                       perturbed_params, synthesize_telemetry)
+from ..textio import joined, write_text
 from . import io
 
 STAGE_ORDER = ("simulate", "match", "align", "featurize", "select", "train",
@@ -396,7 +397,7 @@ def export_report(config: dict) -> list:
 
     def write(name: str, lines: list) -> None:
         out.append(paths["workdir"] / name)
-        out[-1].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_text(out[-1], joined(f"{line}\n" for line in lines))
 
     lines = ["task,family,metric,value"]
     for family in sorted(report["test"]["regression"]):

@@ -4,10 +4,10 @@
 ``network.txt`` or by ``from_polyline``. ``candidates`` projects a whole
 trace of fixes onto it at once and returns one ``Candidates`` record;
 ``route_distances`` gives the on-network distances between the record's
-rows of two consecutive fixes."""
+rows of two consecutive fixes. ``save`` formats ``network.txt`` a block of
+lines at a time and writes it through ``textio.write_text``."""
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from dataclasses import dataclass
@@ -17,6 +17,7 @@ import numpy as np
 
 from ..geo import (EARTH_RADIUS_M, LocalProjection, Polyline, haversine,
                    haversine_pointwise)
+from ..textio import BLOCK_ROWS, unreadable, write_text
 
 # Edge lengths must agree with the great-circle distance between endpoints.
 LENGTH_REL_TOL = 0.005
@@ -25,9 +26,6 @@ LENGTH_ABS_TOL = 0.05
 # No fix with a valid position is farther than this from any network point
 # in the planar frame: |dlat| <= pi and |dlon| <= 2 pi radians, times R.
 PLANAR_REACH_M = 1e8
-
-# Lines that ``save`` formats and writes at a time.
-SAVE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -310,24 +308,22 @@ class RoadNetwork:
 
     def save(self, path) -> bytes:
         """Write the text format, node,<id>,<lat>,<lon> and then
-        edge,<a>,<b>,<length_m> lines, SAVE_BLOCK_ROWS lines at a time.
-        Returns the blake2b digest of the bytes written."""
-        ids = self.node_ids
-        digest = hashlib.blake2b()
-        with open(path, "wb") as f:
+        edge,<a>,<b>,<length_m> lines, BLOCK_ROWS lines at a time.
+        Returns the blake2b digest of the bytes written; a write that
+        fails part way removes its partial file."""
+        def blocks():
+            ids = self.node_ids
             for kind, *columns in (
                     ("node", ids, self.node_lat, self.node_lon),
                     ("edge", ids[self.edge_a], ids[self.edge_b],
                      self.edge_len)):
-                for a in range(0, len(columns[0]), SAVE_BLOCK_ROWS):
+                for a in range(0, len(columns[0]), BLOCK_ROWS):
                     # repr of every field: an int's is its digits.
                     rows = zip(repeat(kind), *(
-                        map(repr, c[a:a + SAVE_BLOCK_ROWS].tolist())
+                        map(repr, c[a:a + BLOCK_ROWS].tolist())
                         for c in columns))
-                    data = ("\n".join(map(",".join, rows)) + "\n").encode()
-                    digest.update(data)
-                    f.write(data)
-        return digest.digest()
+                    yield "\n".join(map(",".join, rows)) + "\n"
+        return write_text(path, blocks())
 
     @classmethod
     def load(cls, path) -> "RoadNetwork":
@@ -369,20 +365,6 @@ class RoadNetwork:
 # The record kinds of a network file, each with three comma-separated fields.
 _RECORDS = {"node,": [("id", np.int64), ("lat", float), ("lon", float)],
             "edge,": [("a", np.int64), ("b", np.int64), ("length", float)]}
-
-
-# numpy's integer reader misreads some non-ASCII text: it takes "1\uc6ca"
-# for 50852, and "1\U0002c6ca" can crash it. On printable ASCII and tabs it
-# accepts exactly what ``int`` and ``float`` accept, less digit-group
-# underscores, with the same values.
-_READABLE = bytes([ord("\t"), *range(ord(" "), ord("~") + 1)])
-
-
-def unreadable(text: str) -> bool:
-    """Whether ``text`` holds a character other than tab and printable
-    ASCII, which numpy's readers may take otherwise than int and float."""
-    return (not text.isascii()
-            or bool(text.encode("ascii").translate(None, _READABLE)))
 
 
 def _records(rows: list, kind: str, dtype) -> np.ndarray:

@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roadroughness import textio
 from roadroughness.cli import io, pipeline
 from roadroughness.cli.config import DEFAULT_CONFIG, load_config
 from roadroughness.cli.main import main
@@ -22,7 +25,7 @@ from roadroughness.cli.pipeline import (StageError, bundle_predict,
                                         export_report, run_stage)
 from roadroughness.core import (Dataset, Reference, TelemetryTrace,
                                 Windows, ordered_kfold)
-from roadroughness.geo import haversine
+from roadroughness.geo import Polyline, haversine
 from roadroughness.geoalign.match import MatchedTrace
 from roadroughness.geoalign.network import RoadNetwork
 from roadroughness.models import adasyn_resample, search
@@ -363,7 +366,7 @@ class TestTelemetryReader:
 
     def test_gps_fixes_equal_the_trace_fixes(self, tmp_path):
         rng = np.random.default_rng(8)
-        n = 3 * io.WRITE_BLOCK_ROWS + 11
+        n = 3 * textio.BLOCK_ROWS + 11
         gps_idx = np.sort(rng.choice(n, 400, replace=False))
         trace = TelemetryTrace(np.arange(n) * 0.02, extreme_values(rng, n),
                                rng.uniform(0.0, 40.0, n), gps_idx,
@@ -422,7 +425,7 @@ class TestWriters:
     @pytest.mark.parametrize("seed", range(3))
     def test_telemetry_equals_per_element_writer(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
-        n = 2 * io.WRITE_BLOCK_ROWS + 1 + seed
+        n = 2 * textio.BLOCK_ROWS + 1 + seed
         gps_idx = np.sort(rng.choice(n, 300, replace=False))
         trace = TelemetryTrace(
             np.cumsum(rng.uniform(1e-300, 1.0, n)), extreme_values(rng, n),
@@ -432,7 +435,7 @@ class TestWriters:
         self._assert_same_bytes(tmp_path, io.write_telemetry_csv,
                                 per_element_telemetry_writer, trace)
 
-    @pytest.mark.parametrize("n", [0, 1, io.WRITE_BLOCK_ROWS])
+    @pytest.mark.parametrize("n", [0, 1, textio.BLOCK_ROWS])
     def test_telemetry_at_block_edges(self, tmp_path, n):
         trace = TelemetryTrace(np.arange(n) * 0.02, np.full(n, -0.0),
                                np.full(n, 13.9), np.arange(0, n, 50),
@@ -478,7 +481,7 @@ class TestWriters:
                                     per_element_features_writer, ds,
                                     list(range(len(rows))))
 
-    @pytest.mark.parametrize("n", [0, 1, 500, 2 * io.WRITE_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n", [0, 1, 500, 2 * textio.BLOCK_ROWS + 1])
     def test_reference_equals_per_element_writer(self, tmp_path, n):
         segments = random_reference(np.random.default_rng(20 + n), n)
         self._assert_same_bytes(tmp_path, io.write_reference_csv,
@@ -1075,6 +1078,62 @@ class TestJsonWriters:
         assert not p.exists()
 
 
+class _FullDisk:
+    """A file opened for writing whose writes after the first ``writes``
+    raise OSError, as on a full disk."""
+
+    def __init__(self, f, writes: int):
+        self.f, self.writes = f, writes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        if self.writes == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes -= 1
+        return self.f.write(data)
+
+
+def full_disk_after(monkeypatch, writes: int) -> None:
+    """Make each file that ``open`` opens for writing fail on each write
+    after its first ``writes``."""
+    real_open = builtins.open
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(f, writes) if "w" in mode else f
+    monkeypatch.setattr(builtins, "open", fake_open)
+
+
+class TestFailedWrites:
+    """A writer that fails part way leaves no file and keeps no record."""
+
+    def test_failed_network_write_leaves_no_file(self, tmp_path,
+                                                  monkeypatch):
+        lat = 55.65 + np.arange(textio.BLOCK_ROWS + 50) * 1e-4
+        lon = np.full(len(lat), 12.55)
+        net = RoadNetwork.from_polyline(Polyline(lat, lon))
+        p = tmp_path / "network.txt"
+        io.forget_written()
+        full_disk_after(monkeypatch, 1)
+        with pytest.raises(OSError, match="No space left"):
+            io.write_network(p, net)
+        assert not p.exists()
+        assert "network" not in io._WRITTEN
+
+    def test_failed_report_write_leaves_no_file(self, smoke_run, tmp_path,
+                                                monkeypatch):
+        shutil.copy(smoke_run[1] / "report.json", tmp_path)
+        full_disk_after(monkeypatch, 0)
+        with pytest.raises(OSError, match="No space left"):
+            export_report(load_config(None, workdir=tmp_path))
+        assert [f.name for f in tmp_path.iterdir()] == ["report.json"]
+
+
 class TestArtifactReuse:
     """A reader gives the record that this process wrote when the file holds
     exactly the bytes written, and it must equal the parse of that file."""
@@ -1300,6 +1359,20 @@ class TestArtifactReuse:
         kept, parsed = kept_and_parsed(io.read_telemetry_csv, p)
         assert reader_bits(kept) == reader_bits(parsed)
         assert reader_bits(kept.gps_idx) != reader_bits(trace.gps_idx)
+
+    @pytest.mark.parametrize("rows,ids", [(0, []), (3, [0, 1]),
+                                          (2, [0, 1, 2]), (2, [0, 2**63]),
+                                          (2, [-1, 2**63]), (1, [-2**70])])
+    def test_features_other_than_written_are_not_kept(self, tmp_path, rows,
+                                                      ids):
+        """No rows, window ids that do not pair with the rows or ids beyond
+        int64: the reader refuses the file or reads other rows."""
+        ds = Dataset(np.ones((rows, 2)), np.zeros(rows),
+                     np.zeros(rows, dtype=int), ["a", "b"])
+        p = tmp_path / "features.csv"
+        io.write_features_csv(p, ds, ids)
+        kept, parsed = kept_and_parsed(io.read_features_csv, p)
+        assert reader_bits(kept) == reader_bits(parsed)
 
     def test_nan_whose_sign_the_text_drops_is_not_kept(self, tmp_path):
         trace = _trace()

@@ -24,7 +24,7 @@ from roadroughness.geoalign import (BrokenTraceError, InterpolatedPositions,
                                     viterbi_path)
 from roadroughness.geoalign.align import piece_boundaries
 from roadroughness.geoalign.match import DEFAULT_BETA, DEFAULT_SIGMA
-from roadroughness.geoalign.network import SAVE_BLOCK_ROWS
+from roadroughness.textio import BLOCK_ROWS
 from roadroughness.simkit import generate_route
 from roadroughness.topk import smallest_k
 
@@ -170,8 +170,8 @@ class TestRoadNetwork:
             + [f"edge,{ids[a]},{ids[b]},{length!r}\n" for a, b, length in
                zip(net.edge_a.tolist(), net.edge_b.tolist(),
                    net.edge_len.tolist())]).encode("utf-8")
-        assert len(ids) > SAVE_BLOCK_ROWS and len(net.edge_a) > 2 * (
-            SAVE_BLOCK_ROWS)
+        assert len(ids) > BLOCK_ROWS and len(net.edge_a) > 2 * (
+            BLOCK_ROWS)
         digest = net.save(tmp_path / "net.txt")
         assert (tmp_path / "net.txt").read_bytes() == want
         assert digest == hashlib.blake2b(want).digest()
