@@ -107,6 +107,8 @@ def validate_config(config: dict) -> None:
     v = config.get("seed")
     if not is_integer(v):
         raise ValueError(f"seed must be an integer, got {v!r}")
+    if v < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {v!r}")
     v = config["train_frac"]
     if not (_is_number(v) and 0.0 < v < 1.0):
         raise ValueError(f"train_frac must be a number in (0, 1), got {v!r}")

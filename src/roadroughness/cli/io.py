@@ -13,6 +13,11 @@ that fails part way leaves no file. JSON is streamed from
 ``json.JSONEncoder.iterencode``: with ``indent`` set, ``json.dumps`` is
 the join of exactly these chunks, so the bytes are the same.
 
+``telemetry.csv`` has one reader, for every stage. The three CSV readers
+check a file by one rule, ``_csv_rows``: a header that the reader accepts,
+as many commas on every row as on the header, and only tab and printable
+ASCII in the columns that numpy's parser then reads.
+
 Each text artifact kind (``network.txt``, ``telemetry.csv``,
 ``reference.csv``, ``matched.json``, ``features.csv``) keeps the record
 that this process last wrote, with the blake2b digest of the bytes
@@ -190,31 +195,9 @@ def write_telemetry_csv(path, trace: TelemetryTrace) -> None:
                           trace.speed[a:b].tolist(), lat[a:b], lon[a:b]))
               for a, b in zip(range(0, n, BLOCK_ROWS), ends))
     digest = write_text(path, chain([TELEMETRY_HEADER + "\n"], blocks))
-    # The reader finds the fixes in row order, so gps_idx must increase.
-    kept = _kept(TelemetryTrace, *zip(
+    _remember("telemetry", path, digest, _kept(TelemetryTrace, *zip(
         (getattr(trace, f.name) for f in fields(trace)),
-        (float, float, float, np.int64, float, float)))
-    if kept is not None and np.any(np.diff(kept.gps_idx) <= 0):
-        kept = None
-    _remember("telemetry", path, digest, kept)
-
-
-def _telemetry_rows(path, data: bytes) -> list[str]:
-    """The data rows of a telemetry file's bytes, each checked for its
-    column count and for characters that the float parser may read
-    otherwise."""
-    lines = data.decode("utf-8").splitlines()
-    if not lines or lines[0] != TELEMETRY_HEADER:
-        raise ValueError(f"{path}: bad telemetry header")
-    rows = lines[1:]
-    _check_rows(path, rows, 4)
-    # numpy's reader takes \x1c-\x1f for whitespace, which float rejects.
-    # The lon of a row without a fix is not read, so any character passes.
-    if unreadable("".join(rows)):
-        read = (line if fix else line.rpartition(",")[0]
-                for line, fix in zip(rows, _has_fix(rows)))
-        _check_readable(path, read)
-    return rows
+        (float, float, float, np.int64, float, float))))
 
 
 def _has_fix(rows: list[str]) -> list[bool]:
@@ -224,11 +207,19 @@ def _has_fix(rows: list[str]) -> list[bool]:
             for line in rows]
 
 
+def _parsed_text(rows: list[str]):
+    """The text of each telemetry row that the reader parses: the lon of a
+    row without a fix is not read, so any character passes there."""
+    return (line if fix else line.rpartition(",")[0]
+            for line, fix in zip(rows, _has_fix(rows)))
+
+
 def read_telemetry_csv(path) -> TelemetryTrace:
     data, written = _recall("telemetry", path)
     if written is not None:
         return _fresh(written)
-    rows = _telemetry_rows(path, data)
+    _, rows = _csv_rows(path, data, "telemetry", TELEMETRY_HEADER.__eq__,
+                        _parsed_text)
     t, acc, speed = _parse_columns(rows, (0, 1, 2))
     gps_idx = np.flatnonzero(_has_fix(rows))
     gps_lat, gps_lon = _parse_columns([rows[i] for i in gps_idx], (3, 4))
@@ -238,39 +229,35 @@ def read_telemetry_csv(path) -> TelemetryTrace:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def read_gps_fixes(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Time, lat and lon of the rows of a telemetry file that carry a fix.
-
-    The file is checked as ``read_telemetry_csv`` checks it, but only these
-    three fields of the fix rows are parsed: a bad acceleration or speed
-    number is left for the reader of the whole trace to name.
-    """
-    data, written = _recall("telemetry", path)
-    if written is not None:
-        return (written.t[written.gps_idx], written.gps_lat.view(),
-                written.gps_lon.view())
-    rows = _telemetry_rows(path, data)
-    fix_rows = np.flatnonzero(_has_fix(rows))
-    t, lat, lon = _parse_columns([rows[i] for i in fix_rows], (0, 3, 4))
-    bad = np.flatnonzero(~np.isfinite(t))
-    if len(bad):
-        raise ValueError(f"{path}: fix time must be finite: row "
-                         f"{fix_rows[bad[0]] + 1} is {t[bad[0]]}")
-    return t, lat, lon
-
-
-def _check_rows(path, rows: list[str], commas: int) -> None:
-    """Name the first row without exactly ``commas`` commas."""
+def _csv_rows(path, data: bytes, kind: str, header_ok,
+              parsed=None) -> tuple[str, list[str]]:
+    """The header and the data rows of the bytes of a ``kind`` CSV file.
+    The header must pass ``header_ok``, every row must hold as many commas
+    as the header, and ``_check_readable`` scans what the reader parses of
+    the rows: ``parsed(rows)``, else the whole rows."""
+    lines = data.decode("utf-8").splitlines()
+    if not lines or not header_ok(lines[0]):
+        raise ValueError(f"{path}: bad {kind} header")
+    header, rows = lines[0], lines[1:]
     counts = np.fromiter(map(str.count, rows, repeat(",")), int, len(rows))
-    bad = np.flatnonzero(counts != commas)
+    bad = np.flatnonzero(counts != header.count(","))
     if len(bad):
         raise ValueError(f"{path}: bad column count on row {bad[0] + 1}")
+    _check_readable(path, rows, parsed)
+    return header, rows
 
 
-def _check_readable(path, rows) -> None:
-    """Name the first row holding a character outside tab and printable
-    ASCII, if any."""
-    row = next((i for i, line in enumerate(rows, 1) if unreadable(line)),
+def _check_readable(path, rows: list[str], parsed=None) -> None:
+    """Name the first row whose parsed text (``parsed(rows)``, else the
+    row) holds a character outside tab and printable ASCII, if any."""
+    # numpy's reader takes \x1c-\x1f for whitespace, which int and float
+    # reject. It also rejects '_' between digits, and non-ASCII digits and
+    # spaces, which int and float accept. Most files hold none of these,
+    # which one scan of all the rows finds.
+    if not unreadable("".join(rows)):
+        return
+    texts = rows if parsed is None else parsed(rows)
+    row = next((i for i, text in enumerate(texts, 1) if unreadable(text)),
                None)
     if row is not None:
         raise ValueError(f"{path}: character outside printable ASCII on "
@@ -303,15 +290,10 @@ def read_reference_csv(path) -> Reference:
     data, written = _recall("reference", path)
     if written is not None:
         return _fresh(written)
-    lines = data.decode("utf-8").splitlines()
-    if not lines or lines[0] != REFERENCE_HEADER:
-        raise ValueError(f"{path}: bad reference header")
-    rows = lines[1:]
-    _check_rows(path, rows, 6)
-    # numpy's reader takes \x1c-\x1f for whitespace, which float rejects.
     # The seg_id is not read, so any character passes there.
-    if unreadable("".join(rows)):
-        _check_readable(path, (line.partition(",")[2] for line in rows))
+    _, rows = _csv_rows(path, data, "reference", REFERENCE_HEADER.__eq__,
+                        lambda rows: (line.partition(",")[2]
+                                      for line in rows))
     try:
         return Reference(*_parse_columns(rows, (1, 2, 3, 4, 5, 6)))
     except BadSegmentError as exc:
@@ -390,25 +372,21 @@ def write_features_csv(path, dataset: Dataset, window_ids) -> None:
     _remember("features", path, digest, kept)
 
 
+def _features_header(line: str) -> bool:
+    columns = line.split(",")
+    return columns[:1] == ["window_id"] and columns[-2:] == ["iri_mkm",
+                                                             "level"]
+
+
 def read_features_csv(path) -> tuple[Dataset, np.ndarray]:
     data, written = _recall("features", path)
     if written is not None:
         dataset, ids = written
         return _fresh(dataset), ids.view()
-    lines = data.decode("utf-8").splitlines()
-    header = lines[0].split(",") if lines else []
-    if header[:1] != ["window_id"] or header[-2:] != ["iri_mkm", "level"]:
-        raise ValueError(f"{path}: bad features header")
-    names = header[1:-2]
-    rows = lines[1:]
+    header, rows = _csv_rows(path, data, "features", _features_header)
+    names = header.split(",")[1:-2]
     if not rows:
         raise ValueError(f"{path}: no feature rows")
-    _check_rows(path, rows, len(header) - 1)
-    # numpy's reader takes \x1c-\x1f for whitespace, which int and float
-    # reject. It also rejects '_' between digits, and non-ASCII digits and
-    # spaces, which int and float accept.
-    if unreadable("".join(rows)):
-        _check_readable(path, rows)
     table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=1,
                        dtype=[("id", np.int64), ("x", float, (len(names),)),
                               ("y", float), ("level", np.int64)])

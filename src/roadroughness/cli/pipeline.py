@@ -111,9 +111,10 @@ def stage_simulate(config: dict) -> dict:
 def stage_match(config: dict) -> dict:
     paths = _paths(config)
     m = config["match"]
-    t, lats, lons = io.read_gps_fixes(paths["telemetry"])
+    trace = io.read_telemetry_csv(paths["telemetry"])
     network = io.read_network(paths["network"])
-    matched = match_fixes(t, lats, lons, network, sigma=float(m["sigma_m"]),
+    matched = match_fixes(trace.t[trace.gps_idx], trace.gps_lat,
+                          trace.gps_lon, network, sigma=float(m["sigma_m"]),
                           beta=float(m["beta_m"]),
                           max_candidates=m["max_candidates"],
                           radius=float(m["radius_m"]))

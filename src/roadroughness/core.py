@@ -109,8 +109,11 @@ class TelemetryTrace:
             raise ValueError("speed must be non-negative")
         if not (len(self.gps_idx) == len(self.gps_lat) == len(self.gps_lon)):
             raise ValueError("gps arrays differ in length")
-        if len(self.gps_idx) and not (0 <= self.gps_idx.min()
-                                      and self.gps_idx.max() < n):
+        # A file holds one fix per row, in row order.
+        if np.any(np.diff(self.gps_idx) <= 0):
+            raise ValueError("gps_idx must be strictly increasing")
+        if len(self.gps_idx) and not (0 <= self.gps_idx[0]
+                                      and self.gps_idx[-1] < n):
             raise ValueError("gps_idx holds an index outside the samples")
 
     def __len__(self) -> int:

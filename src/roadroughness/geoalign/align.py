@@ -58,6 +58,18 @@ def interpolate_positions(trace: TelemetryTrace,
     time between adjacent snapped fixes (constant speed assumption)."""
     if len(matched) < 2:
         raise ValueError("need at least 2 matched fixes")
+    fixes = np.column_stack([matched.t, matched.lat, matched.lon])
+    bad = np.flatnonzero(~np.isfinite(fixes).all(axis=1))
+    if len(bad):
+        t, lat, lon = fixes[bad[0]].tolist()
+        raise ValueError(f"matched fix {bad[0]} is not finite: t {t}, "
+                         f"lat {lat}, lon {lon}")
+    back = np.flatnonzero(np.diff(matched.t) <= 0)
+    if len(back):
+        i = back[0] + 1
+        raise ValueError(f"matched fix times must be strictly increasing: "
+                         f"fix {i} at {matched.t[i]} s follows "
+                         f"{matched.t[i - 1]} s")
     t0, t1 = matched.t[0], matched.t[-1]
     mask = (trace.t >= t0) & (trace.t <= t1)
     if not np.any(mask):

@@ -342,81 +342,24 @@ class TestTelemetryReader:
         p.write_text(io.TELEMETRY_HEADER + "\n", encoding="utf-8")
         assert_same_trace(io.read_telemetry_csv(p), per_cell_telemetry(p))
 
+    def test_lon_of_a_row_without_a_fix_is_not_read(self, tmp_path):
+        p = tmp_path / "telemetry.csv"
+        p.write_text(io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,55.65,12.55\n"
+                     "0.02,1.0,13.9,,x\x1f\u0661\n", encoding="utf-8")
+        assert_same_trace(io.read_telemetry_csv(p), per_cell_telemetry(p))
+
     @settings(max_examples=300, deadline=None)
     @given(mangled_telemetry())
     def test_mangled_files_read_as_the_per_cell_reader(self, text):
-        """Both whole-trace readers agree; the fix reader gives the trace's
-        fixes bit for bit where they succeed, and raises only where they
-        raise."""
+        """Both whole-trace readers agree."""
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "telemetry.csv"
             p.write_text(text, encoding="utf-8")
             got, want = _read_both(p)
-            try:
-                fixes = io.read_gps_fixes(p)
-            except ValueError as exc:
-                fixes = exc
         if isinstance(want, ValueError):
             assert isinstance(got, ValueError)
             return
         assert_same_trace(got, want)
-        assert not isinstance(fixes, ValueError), fixes
-        for a, b in zip(fixes, (want.t[want.gps_idx], want.gps_lat, want.gps_lon)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-    def test_gps_fixes_equal_the_trace_fixes(self, tmp_path):
-        rng = np.random.default_rng(8)
-        n = 3 * textio.BLOCK_ROWS + 11
-        gps_idx = np.sort(rng.choice(n, 400, replace=False))
-        trace = TelemetryTrace(np.arange(n) * 0.02, extreme_values(rng, n),
-                               rng.uniform(0.0, 40.0, n), gps_idx,
-                               rng.uniform(-90.0, 90.0, 400),
-                               rng.uniform(-180.0, 180.0, 400))
-        p = tmp_path / "telemetry.csv"
-        io.write_telemetry_csv(p, trace)
-        io.forget_written()
-        for a, b in zip(io.read_gps_fixes(p),
-                        (trace.t[trace.gps_idx], trace.gps_lat, trace.gps_lon)):
-            assert a.tobytes() == b.tobytes()
-
-    def test_gps_fixes_skip_the_other_channels(self, tmp_path):
-        p = tmp_path / "telemetry.csv"
-        p.write_text(io.TELEMETRY_HEADER + "\n0.0,x,13.9,55.65,12.55\n"
-                     "0.02,1.0,,,\n1.0,1.0,13.9,55.66,12.56\n",
-                     encoding="utf-8")
-        t, lat, lon = io.read_gps_fixes(p)
-        assert t.tolist() == [0.0, 1.0] and lat.tolist() == [55.65, 55.66]
-        assert lon.tolist() == [12.55, 12.56]
-        with pytest.raises(ValueError, match="could not convert"):
-            io.read_telemetry_csv(p)
-
-    def test_gps_fixes_name_the_row_of_a_time_that_is_not_finite(
-            self, tmp_path):
-        p = tmp_path / "telemetry.csv"
-        p.write_text(io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,55.65,12.55\n"
-                     "0.02,1.0,13.9,,\nnan,1.0,13.9,55.6501,12.5501\n",
-                     encoding="utf-8")
-        with pytest.raises(ValueError) as exc:
-            io.read_gps_fixes(p)
-        assert str(exc.value) == (f"{p}: fix time must be finite: row 3 "
-                                  "is nan")
-
-    @pytest.mark.parametrize("text,message", [
-        ("", "bad telemetry header"),
-        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,55.65,12.55,\n",
-         "bad column count on row 1"),
-        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,55.65,12.55\n"
-         "0.02,1.0\x1f,13.9,,\n", "outside printable ASCII on row 2"),
-        (io.TELEMETRY_HEADER + "\n0.0,1.0,13.9,55.65,x\n",
-         "could not convert"),
-    ])
-    def test_gps_fixes_check_the_file_as_the_trace_reader(self, tmp_path,
-                                                          text, message):
-        p = tmp_path / "telemetry.csv"
-        p.write_text(text, encoding="utf-8")
-        for reader in (io.read_gps_fixes, io.read_telemetry_csv):
-            with pytest.raises(ValueError, match=message):
-                reader(p)
 
 
 class TestWriters:
@@ -1142,20 +1085,15 @@ class TestArtifactReuse:
     @given(telemetry_cases())
     def test_telemetry_kept_equals_parsed(self, case):
         trace, spoiled = case
-        results = []
         with tempfile.TemporaryDirectory() as tmp:
             p = Path(tmp) / "telemetry.csv"
-            for read in (io.read_telemetry_csv, io.read_gps_fixes):
-                io.write_telemetry_csv(p, trace)
-                kept, parsed = kept_and_parsed(read, p)
-                assert reader_bits(kept) == reader_bits(parsed)
-                results.append(kept)
-        trace_kept, fixes_kept = results
-        assert isinstance(trace_kept, ValueError) == spoiled
+            io.write_telemetry_csv(p, trace)
+            kept, parsed = kept_and_parsed(io.read_telemetry_csv, p)
+        assert reader_bits(kept) == reader_bits(parsed)
+        assert isinstance(kept, ValueError) == spoiled
         if not spoiled:
-            exact = not _has_neg_nan(trace.gps_lat, trace.gps_lon)
-            assert _is_kept(trace_kept) == exact
-            assert (not fixes_kept[1].flags.writeable) == exact
+            assert _is_kept(kept) == (
+                not _has_neg_nan(trace.gps_lat, trace.gps_lon))
 
     @settings(max_examples=150, deadline=None)
     @given(reference_cases())
@@ -1261,8 +1199,6 @@ class TestArtifactReuse:
         write, read, args = {
             "telemetry": (io.write_telemetry_csv, io.read_telemetry_csv,
                           (_trace(),)),
-            "gps_fixes": (io.write_telemetry_csv, io.read_gps_fixes,
-                          (_trace(),)),
             "reference": (io.write_reference_csv, io.read_reference_csv,
                           (Reference(np.full(5, 55.65), np.full(5, 12.55),
                                      np.full(5, 55.6501), np.full(5, 12.55),
@@ -1284,15 +1220,14 @@ class TestArtifactReuse:
         write(path, *args)
         return path, read
 
-    @pytest.mark.parametrize("kind", ["telemetry", "gps_fixes", "reference",
-                                      "matched", "features"])
+    @pytest.mark.parametrize("kind", ["telemetry", "reference", "matched",
+                                      "features"])
     def test_same_size_edit_under_the_same_mtime_is_parsed(self, tmp_path,
                                                             kind):
         """Size and mtime would both say the file is unchanged."""
         path, read = self._write(tmp_path, kind)
         written = read(path)
-        assert _is_kept(written if kind != "gps_fixes" else
-                        io.read_telemetry_csv(path))
+        assert _is_kept(written)
         stat = path.stat()
         data = bytearray(path.read_bytes())
         # The last number that ends a line is one that the reader reads:
@@ -1316,7 +1251,7 @@ class TestArtifactReuse:
         trace.acc_z[0] += 1.0
         trace.gps_lat[:] = 0.0
         got = io.read_telemetry_csv(p)
-        for array in (got.acc_z, io.read_gps_fixes(p)[1]):
+        for array in (got.acc_z, got.gps_lat):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 5.0
             with pytest.raises(ValueError):
@@ -1593,6 +1528,7 @@ class TestConfig:
          "'alpha'$"),
         ({"train": {"grids": {"classification": {"knn": {"k": [5, 0]}}}}},
          "train.grids.classification.knn: k must be positive$"),
+        ({"seed": -1}, "^seed must be a non-negative integer, got -1$"),
     ])
     def test_silently_wrong_value_is_named_at_load(self, tmp_path, override,
                                                    message):
@@ -1782,22 +1718,76 @@ class TestScipyImports:
 
 
 class TestTelemetryStages:
-    def test_bad_acc_in_a_row_without_a_fix_fails_align(self, tmp_path):
-        """match parses only the fix rows; align parses every row and names
-        the bad number."""
+    """match reads the whole trace, as align does, so a telemetry file that
+    align would refuse stops match, with the same message."""
+
+    @staticmethod
+    def _spoil(tmp_path, column, value):
+        """A 300 m run's config after simulate, with one column of the
+        third data row, a row without a fix, set to ``value`` in the file
+        and no record kept."""
         config = load_config(workdir=tmp_path)
         config["simulate"]["route_length_m"] = 300.0
         run_stage("simulate", config)
+        io.forget_written()
         p = tmp_path / "telemetry.csv"
         lines = p.read_text(encoding="utf-8").splitlines()
-        assert lines[2].endswith(",,")
-        cols = lines[2].split(",")
-        cols[1] = "0.1x"
-        lines[2] = ",".join(cols)
+        assert lines[3].endswith(",,")
+        cols = lines[3].split(",")
+        cols[column] = value
+        lines[3] = ",".join(cols)
         p.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        run_stage("match", config)
-        with pytest.raises(StageError, match="could not convert string "
-                                             "'0.1x'") as exc:
+        return config
+
+    def _assert_match_fails(self, config, message):
+        with pytest.raises(StageError, match=message) as exc:
+            run_stage("match", config)
+        assert exc.value.stage == "match"
+        io.forget_written()
+        with pytest.raises(ValueError, match=message):
+            io.read_telemetry_csv(Path(config["workdir"]) / "telemetry.csv")
+
+    def test_bad_acc_in_a_row_without_a_fix_fails_match(self, tmp_path):
+        self._assert_match_fails(self._spoil(tmp_path, 1, "0.1x"),
+                                 "could not convert string '0.1x'")
+
+    @pytest.mark.parametrize("column,value,message", [
+        (0, "0.0", "timestamps must be strictly increasing"),
+        (2, "-1.0", "speed must be non-negative"),
+    ], ids=["time_back", "negative_speed"])
+    def test_bad_row_without_a_fix_fails_match(self, tmp_path, column,
+                                               value, message):
+        """A time that goes back, or a negative speed, used to pass match
+        and stop align."""
+        self._assert_match_fails(self._spoil(tmp_path, column, value),
+                                 message)
+
+
+class TestCorruptMatchedFixes:
+    @pytest.mark.parametrize("corrupt,message", [
+        ("swap", r"^stage 'align' failed: matched fix times must be strictly "
+                 r"increasing: fix 2 at \S+ s follows \S+ s$"),
+        ("nan", r"^stage 'align' failed: matched fix 1 is not finite: "
+                r"t \S+, lat nan, lon \S+$"),
+    ], ids=["swap", "nan"])
+    def test_align_names_the_first_bad_fix(self, tmp_path, corrupt, message):
+        """Fix times that do not increase used to place windows by np.interp
+        over them; a NaN snapped lat gave no pieces, and then only "no
+        windows to featurize"."""
+        config = load_config(workdir=tmp_path)
+        config["simulate"]["route_length_m"] = 300.0
+        for stage in ("simulate", "match"):
+            run_stage(stage, config)
+        io.forget_written()
+        p = tmp_path / "matched.json"
+        matched = json.loads(p.read_text(encoding="utf-8"))
+        if corrupt == "swap":
+            t = matched["t"]
+            t[1], t[2] = t[2], t[1]
+        else:
+            matched["lat"][1] = float("nan")
+        p.write_text(json.dumps(matched), encoding="utf-8")
+        with pytest.raises(StageError, match=message) as exc:
             run_stage("align", config)
         assert exc.value.stage == "align"
 

@@ -137,6 +137,15 @@ class TestTelemetryTrace:
             TelemetryTrace([0.0, 0.1], [0.0, 0.0], [1.0, 1.0], gps_idx,
                            [55.0] * len(gps_idx), [12.0] * len(gps_idx))
 
+    @pytest.mark.parametrize("gps_idx", [[2, 2], [0, 2, 1]])
+    def test_fixes_out_of_row_order_rejected(self, gps_idx):
+        """A file holds one fix per row, in row order: [2, 2] used to write
+        one fix and read back one."""
+        with pytest.raises(ValueError, match="^gps_idx must be strictly "
+                                             "increasing$"):
+            TelemetryTrace([0.0, 0.1, 0.2], [0.0] * 3, [1.0] * 3, gps_idx,
+                           [55.0] * len(gps_idx), [12.0] * len(gps_idx))
+
 
 def _toy_dataset(n=10):
     x = np.arange(n, dtype=float).reshape(-1, 1)
